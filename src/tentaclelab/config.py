@@ -9,27 +9,22 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .kinematics import TentacleGeometry
 from .regressor import TrainConfig
-from .sim import SensorModel, SimParams, material_preset, preset_epochs
+from .sim import SensorModel, SimParams, default_sensor_model, \
+    material_preset, preset_epochs
 
 __all__ = ["RunConfig", "ConfigError", "default_config", "config_hash"]
 
 CONFIG_SCHEMA = 1
 
-_DEFAULT_SENSOR = {
-    "gain": [[9.0, 2.5], [-5.0, 6.0], [2.0, -7.5]],
-    "rate_gain": [[0.12, 0.03], [-0.06, 0.08], [0.02, -0.10]],
-    "baseline_kpa": 101.3,
-    "lag_tau_s": 0.02,
-    "sat_kappa": 2e-4,
-    "noise_sigma_kpa": 0.05,
-    "seed": 0,
-}
+# JSON form of sim.default_sensor_model, where the sensor defaults live.
+_DEFAULT_SENSOR = {k: v.tolist() if isinstance(v, np.ndarray) else v
+                   for k, v in asdict(default_sensor_model()).items()}
 
 _DEFAULT_DATASET = {
     "train_duration_s": 100.0,

@@ -5,6 +5,13 @@ and SGD-with-momentum training. The network is one bidirectional LSTM
 layer followed by a tanh fully connected layer and a linear output
 layer; inputs and targets are z-scored with statistics frozen at
 training time.
+
+The time loop holds only the sequential work. The input projection is
+one GEMM per sequence before it, and the weight gradients are GEMMs over
+the per-step pre-activation gradients after it. The forward and the
+time-reversed backward direction are stepped together on one (2H,)
+state, through a block-diagonal recurrent matrix with gate-interleaved
+rows, so each step makes one recurrent product for both directions.
 """
 
 from __future__ import annotations
@@ -148,79 +155,100 @@ def init_weights(n_in: int, n_out: int, hidden: int, seed: int,
         out_std=one(n_out) if out_std is None else np.asarray(out_std))
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _lstm_pass(xn, p, H):
+    """Run both LSTM directions over (T, n_in) normalized inputs.
+
+    Step s advances the forward direction at time s and the backward
+    direction at time T-1-s together, on a (2H,) state. The pre-activation
+    rows are gate-interleaved (i_f i_b f_f f_b g_f g_b o_f o_b, H each),
+    so one block-diagonal (8H, 2H) product serves both directions and each
+    gate slice lines up with the state. The input projection is one GEMM
+    before the loop. sigmoid(z) = 0.5 + 0.5*tanh(z/2): the sigmoid rows
+    of the projection and of the recurrent matrix are halved up front
+    (exact in binary floating point), so one tanh covers all 8H gates.
+
+    Returns u (T, 2H), the [forward, backward] hidden states in time
+    order, and the caches for _lstm_grads.
+    """
+    T = len(xn)
+    H2 = 2 * H
+    # Input projections first; step s turns its row into the gates.
+    gates = np.empty((T, 4, 2, H))                  # i, f, g, o per step
+    gates[:, :, 0] = (xn @ p["Wf"].T + p["bf"]).reshape(T, 4, H)
+    gates[:, :, 1] = (xn[::-1] @ p["Wb"].T + p["bb"]).reshape(T, 4, H)
+    gates = gates.reshape(T, 8 * H)
+    U = np.zeros((4, 2, H, H2))
+    U[:, 0, :, :H] = p["Uf"].reshape(4, H, H)
+    U[:, 1, :, H:] = p["Ub"].reshape(4, H, H)
+    U = U.reshape(8 * H, H2)
+    scale = np.full(8 * H, 0.5)
+    scale[2 * H2:3 * H2] = 1.0                      # g keeps a plain tanh
+    offset = 1.0 - scale
+    gates *= scale
+    Us = U * scale[:, None]
+    c = np.zeros((T + 1, H2))                       # c[s] is c_prev of s
+    tc = np.empty((T, H2))
+    h = np.zeros((T + 1, H2))                       # h[s] is h_prev of s
+    for s in range(T):
+        a = gates[s]
+        a += Us @ h[s]
+        np.tanh(a, out=a)
+        a *= scale
+        a += offset
+        np.multiply(a[H2:2 * H2], c[s], out=c[s + 1])
+        c[s + 1] += a[:H2] * a[2 * H2:3 * H2]
+        np.tanh(c[s + 1], out=tc[s])
+        np.multiply(a[3 * H2:], tc[s], out=h[s + 1])
+    u = np.concatenate([h[1:, :H], h[:0:-1, H:]], axis=1)
+    return u, (xn, U, gates, c, tc, h)
 
 
-def _lstm_pass(x, W, U, b, H):
-    """Run one direction over (T, n_in); returns h (T, H) and caches."""
-    T = len(x)
-    h = np.zeros((T, H))
-    cache = []
-    h_prev = np.zeros(H)
-    c_prev = np.zeros(H)
-    for t in range(T):
-        z = W @ x[t] + U @ h_prev + b
-        i = _sigmoid(z[:H])
-        f = _sigmoid(z[H:2 * H])
-        g = np.tanh(z[2 * H:3 * H])
-        o = _sigmoid(z[3 * H:])
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        h[t] = o * tc
-        cache.append((i, f, g, o, c_prev, tc, h_prev))
-        h_prev = h[t]
-        c_prev = c
-    return h, cache
-
-
-def _lstm_grads(x, dh_ext, cache, W, U, H):
-    """BPTT through one direction; dh_ext is (T, H) from the head."""
-    T = len(x)
-    dW = np.zeros_like(W)
-    dU = np.zeros_like(U)
-    db = np.zeros(4 * H)
-    dh_rec = np.zeros(H)
-    dc = np.zeros(H)
-    for t in range(T - 1, -1, -1):
-        i, f, g, o, c_prev, tc, h_prev = cache[t]
-        dh = dh_ext[t] + dh_rec
-        do = dh * tc
-        dc = dc + dh * o * (1.0 - tc * tc)
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        dz = np.concatenate([
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g * g),
-            do * o * (1.0 - o),
-        ])
-        dW += np.outer(dz, x[t])
-        dU += np.outer(dz, h_prev)
-        db += dz
-        dh_rec = U.T @ dz
-        dc = dc * f
-    return dW, dU, db
+def _lstm_grads(du, cache, H):
+    """BPTT through both directions in lockstep; du (T, 2H) is the loss
+    gradient at u from _lstm_pass. The loop only fills dZ, the gradient at
+    the pre-activations; the weight gradients are GEMMs after it."""
+    xn, U, gates, c, tc, h = cache
+    T = len(xn)
+    H2 = 2 * H
+    i, f, g, o = gates.reshape(T, 4, H2).transpose(1, 0, 2)
+    # dZ[s] = [dc, dc, dc, dh] * m[s], gate by gate.
+    m = np.empty((T, 4, H2))
+    m[:, 0] = g * (i * (1.0 - i))
+    m[:, 1] = c[:-1] * (f * (1.0 - f))
+    m[:, 2] = i * (1.0 - g * g)
+    m[:, 3] = tc * (o * (1.0 - o))
+    dc_dh = o * (1.0 - tc * tc)
+    dh_ext = np.concatenate([du[:, :H], du[::-1, H:]], axis=1)
+    dZ = np.empty((T, 4, H2))
+    d4 = np.empty((4, H2))
+    dh_rec = np.zeros(H2)
+    dc = np.zeros(H2)
+    for s in range(T - 1, -1, -1):
+        dh = dh_ext[s] + dh_rec
+        dc += dh * dc_dh[s]
+        d4[:3] = dc
+        d4[3] = dh
+        np.multiply(d4, m[s], out=dZ[s])
+        dh_rec = U.T @ dZ[s].ravel()
+        dc *= f[s]
+    dZ = dZ.reshape(T, 4, 2, H)
+    dZf = dZ[:, :, 0].reshape(T, 4 * H)
+    dZb = dZ[:, :, 1].reshape(T, 4 * H)
+    return {
+        "Wf": dZf.T @ xn, "Uf": dZf.T @ h[:-1, :H], "bf": dZf.sum(axis=0),
+        "Wb": dZb.T @ xn[::-1], "Ub": dZb.T @ h[:-1, H:],
+        "bb": dZb.sum(axis=0),
+    }
 
 
 def _forward_norm(w: RegressorWeights, xn: np.ndarray):
     """Forward pass on normalized inputs; returns normalized predictions
     and the caches needed for backprop."""
-    H = w.hidden
     p = w.params
-    hf, cf = _lstm_pass(xn, p["Wf"], p["Uf"], p["bf"], H)
-    hb_r, cb = _lstm_pass(xn[::-1], p["Wb"], p["Ub"], p["bb"], H)
-    hb = hb_r[::-1]
-    u = np.concatenate([hf, hb], axis=1)            # (T, 2H)
+    u, cache = _lstm_pass(xn, p, w.hidden)          # (T, 2H)
     a = np.tanh(u @ p["W1"].T + p["b1"])            # (T, H)
     yn = a @ p["W2"].T + p["b2"]                    # (T, n_out)
-    return yn, (xn, hf, cf, cb, u, a)
+    return yn, (cache, u, a)
 
 
 def forward(w: RegressorWeights, seq: np.ndarray) -> np.ndarray:
@@ -250,7 +278,6 @@ def gradients(w: RegressorWeights, batch) -> tuple:
     """
     if not batch:
         raise ValueError("batch must be nonempty")
-    H = w.hidden
     p = w.params
     grads = {k: np.zeros_like(v) for k, v in p.items()}
     total_loss = 0.0
@@ -258,7 +285,7 @@ def gradients(w: RegressorWeights, batch) -> tuple:
     for seq in batch:
         xn = (seq.inputs - w.in_mean) / w.in_std
         tn = (seq.targets - w.out_mean) / w.out_std
-        yn, (xc, hf, cf, cb, u, a) = _forward_norm(w, xn)
+        yn, (cache, u, a) = _forward_norm(w, xn)
         err = yn - tn
         total_loss += float(np.sum(err ** 2))
         dy = 2.0 * err / n_elem                       # (T, n_out)
@@ -269,15 +296,8 @@ def gradients(w: RegressorWeights, batch) -> tuple:
         grads["W1"] += dz1.T @ u
         grads["b1"] += dz1.sum(axis=0)
         du = dz1 @ p["W1"]                            # (T, 2H)
-        dW, dU, db = _lstm_grads(xc, du[:, :H], cf, p["Wf"], p["Uf"], H)
-        grads["Wf"] += dW
-        grads["Uf"] += dU
-        grads["bf"] += db
-        dW, dU, db = _lstm_grads(xc[::-1], du[::-1, H:], cb,
-                                 p["Wb"], p["Ub"], H)
-        grads["Wb"] += dW
-        grads["Ub"] += dU
-        grads["bb"] += db
+        for k, g in _lstm_grads(du, cache, w.hidden).items():
+            grads[k] += g
     return total_loss / n_elem, grads
 
 

@@ -122,19 +122,20 @@ class SimTrace:
             self.tip, self.thrust])
         with open(path, "w") as f:
             f.write(TRACE_HEADER + "\n")
-            for row in cols:
-                f.write(",".join(f"{v:.10g}" for v in row) + "\n")
+            np.savetxt(f, cols, fmt="%.10g", delimiter=",")
 
     @classmethod
     def from_csv(cls, path) -> "SimTrace":
-        data = np.genfromtxt(path, delimiter=",", skip_header=1)
-        if data.ndim != 2 or data.shape[1] != 10:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[1] != 10:
             raise ValueError(f"not a trace CSV: {path}")
+        if len(data) < 2:
+            raise ValueError(f"trace CSV {path} has {len(data)} rows; a trace "
+                             "needs >= 2 rows to recover dt")
         t = data[:, 0]
-        dt = float(t[1] - t[0]) if len(t) > 1 else 0.0
         return cls(time=t, base_angle_deg=data[:, 1], q=data[:, 2:4],
                    pressures=data[:, 4:7], tip=data[:, 7:9],
-                   thrust=data[:, 9], dt=dt)
+                   thrust=data[:, 9], dt=float(t[1] - t[0]))
 
 
 def simulate(program: ActuationProgram, params: SimParams,
@@ -247,13 +248,13 @@ def moving_average(series, k: int) -> np.ndarray:
     if k < 1 or k % 2 == 0:
         raise ValueError("window length must be a positive odd integer")
     x = np.asarray(series, dtype=float)
+    n = len(x)
+    if n == 0:
+        return x.copy()
     half = k // 2
-    out = np.empty_like(x)
-    for i in range(len(x)):
-        lo = max(0, i - half)
-        hi = min(len(x), i + half + 1)
-        out[i] = x[lo:hi].mean()
-    return out
+    idx = np.arange(n)
+    count = np.minimum(idx + half, n - 1) - np.maximum(idx - half, 0) + 1
+    return np.convolve(x, np.ones(k))[half:half + n] / count
 
 
 # Material presets: natural bending frequencies of the two silicones; the

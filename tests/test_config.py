@@ -1,9 +1,12 @@
 import json
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from tentaclelab.config import (CONFIG_SCHEMA, ConfigError, RunConfig,
                                 config_hash, default_config)
+from tentaclelab.sim import default_sensor_model
 
 
 class TestRunConfig:
@@ -18,6 +21,13 @@ class TestRunConfig:
         cfg = default_config("ecoflex")
         assert cfg.build_sim_params().f0_hz == 2.7
         assert cfg.build_train_config().epochs == 20
+
+    def test_sensor_defaults_are_sim_defaults(self):
+        built = asdict(default_config().build_sensor_model())
+        ref = asdict(default_sensor_model())
+        assert built.keys() == ref.keys()
+        for k in ref:
+            assert np.array_equal(built[k], ref[k]), k
 
     def test_unknown_material(self):
         with pytest.raises(ConfigError):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from tentaclelab.actuation import ActuationProgram, ProgramSpec, build_program
-from tentaclelab.sim import (SensorModel, SimParams, SimTrace, SimulationError,
-                             default_sensor_model, material_preset,
-                             moving_average, preset_epochs, sensor_readout,
-                             simulate, thrust_proxy)
+from tentaclelab.sim import (TRACE_HEADER, SensorModel, SimParams, SimTrace,
+                             SimulationError, default_sensor_model,
+                             material_preset, moving_average, preset_epochs,
+                             sensor_readout, simulate, thrust_proxy)
 
 LINEAR = SimParams(f0_hz=3.2, zeta=0.2, quad_drag=0.0, vel_coupling=0.0)
 
@@ -120,6 +120,31 @@ class TestTrace:
         assert np.allclose(back.tip, trace.tip, rtol=1e-9)
         assert back.dt == pytest.approx(trace.dt)
 
+    @staticmethod
+    def _trace(rows):
+        cols = np.asarray(rows, dtype=float)
+        return SimTrace(time=cols[:, 0], base_angle_deg=cols[:, 1],
+                        q=cols[:, 2:4], pressures=cols[:, 4:7],
+                        tip=cols[:, 7:9], thrust=cols[:, 9], dt=0.005)
+
+    def test_csv_bytes_match_per_row_format(self, tmp_path):
+        # The writer must produce exactly the per-value f"{v:.10g}" rows.
+        vals = [0.0, -0.0, 1e-300, -1e-300, 1.2e11, -1.2e11, 1.0 / 3,
+                101.3, 5e-324, 1.7976931348623157e308, 123456789.123,
+                -2.5e-7]
+        rows = np.resize(vals, (4, 10))
+        p = tmp_path / "trace.csv"
+        self._trace(rows).to_csv(p)
+        expect = TRACE_HEADER + "\n" + "".join(
+            ",".join(f"{v:.10g}" for v in row) + "\n" for row in rows)
+        assert p.read_bytes() == expect.encode()
+
+    def test_one_row_csv_rejected_for_dt(self, tmp_path):
+        p = tmp_path / "one.csv"
+        self._trace(np.arange(10.0)[None, :]).to_csv(p)
+        with pytest.raises(ValueError, match=">= 2 rows to recover dt"):
+            SimTrace.from_csv(p)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             SimTrace(time=np.zeros(5), base_angle_deg=np.zeros(4),
@@ -231,6 +256,17 @@ class TestMovingAverage:
     def test_even_window_rejected(self):
         with pytest.raises(ValueError):
             moving_average([1.0, 2.0], 2)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 200])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_matches_brute_force(self, n, k):
+        x = np.random.default_rng(n * 10 + k).normal(3.0, 2.0, size=n)
+        half = k // 2
+        expect = np.array([x[max(0, i - half):i + half + 1].mean()
+                           for i in range(n)])
+        got = moving_average(x, k)
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0)
 
 
 class TestPresets:
