@@ -187,69 +187,62 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_metrics(cfg, weights=None):
-    """Per-(f, A) thrust proxy, tip deflection, and TWI rows."""
+def _evaluate_cell(cfg, f, A, weights=None):
+    """Simulate one (f, A) actuation cell and score it.
+
+    TWI and tip deflection come from the states the metrics are computed
+    from: the simulated states, or under `weights` the states the
+    regressor reconstructs from the cell's pressures. Thrust always comes
+    from the simulated trace. Returns (twi, tip deflection in degrees,
+    thrust in mN, ModeSet of the field); a zero amplitude scores zero and
+    has no modes.
+    """
+    if A == 0.0:
+        return 0.0, 0.0, 0.0, None
     geom = cfg.build_geometry()
     params = cfg.build_sim_params()
-    sensor = cfg.build_sensor_model()
     sw = cfg.sweep
-    rows = []
-    for A in sw["amplitudes_deg"]:
-        for r in sw["freq_ratios"]:
-            f = r * params.f0_hz
-            dur = sw["cycles"] / f
-            prog = build_program(ProgramSpec(
-                duration_s=dur, dt=params.dt, amplitude_deg=A,
-                frequency_hz=f))
-            trace = simulate(prog, params, geom)
-            k0 = int(sw["transient_cycles"] / f / params.dt)
-            if weights is not None:
-                pressures = sensor_readout(trace, sensor)
-                q = forward(weights, pressures)
-            else:
-                q = trace.q
-            if A == 0.0:
-                twi_val = 0.0
-                defl = 0.0
-                thrust = 0.0
-            else:
-                field = field_from_states(
-                    q[k0:][::sw["subsample"]], geom, sw["n_stations"],
-                    params.dt * sw["subsample"])
-                twi_val = field_twi(cod(field))
-                tipb = tip_positions(q, geom)
-                theta = np.radians(trace.base_angle_deg)
-                tipx = np.cos(theta) * tipb[:, 0] - np.sin(theta) * tipb[:, 1]
-                defl = tip_deflection(tipx[k0:], geom.length_mm)
-                cyc = thrust_proxy(trace, f)[sw["transient_cycles"]:]
-                thrust = float(moving_average(cyc, 3).mean())
-            rows.append((f, A, r, thrust, defl, twi_val))
-    return rows
+    prog = build_program(ProgramSpec(
+        duration_s=sw["cycles"] / f, dt=params.dt, amplitude_deg=A,
+        frequency_hz=f))
+    trace = simulate(prog, params, geom)
+    k0 = int(sw["transient_cycles"] / f / params.dt)
+    if weights is None:
+        q, tipx = trace.q, trace.tip[:, 0]
+    else:
+        q = forward(weights, sensor_readout(trace, cfg.build_sensor_model()))
+        tipb = tip_positions(q, geom)
+        theta = np.radians(trace.base_angle_deg)
+        tipx = np.cos(theta) * tipb[:, 0] - np.sin(theta) * tipb[:, 1]
+    modes = cod(field_from_states(q[k0:][::sw["subsample"]], geom,
+                                  sw["n_stations"],
+                                  params.dt * sw["subsample"]))
+    cyc = thrust_proxy(trace, f)[sw["transient_cycles"]:]
+    return (field_twi(modes), tip_deflection(tipx[k0:], geom.length_mm),
+            float(moving_average(cyc, 3).mean()), modes)
 
 
 def cmd_metrics(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
     weights = load_weights(args.weights) if args.weights else None
-    rows = _sweep_metrics(cfg, weights)
+    f0 = cfg.build_sim_params().f0_hz
+    rows, cell_modes = [], []
+    for A in cfg.sweep["amplitudes_deg"]:
+        for r in cfg.sweep["freq_ratios"]:
+            twi_val, defl, thrust, modes = _evaluate_cell(cfg, r * f0, A,
+                                                          weights)
+            rows.append((r * f0, A, r, thrust, defl, twi_val))
+            cell_modes.append(modes)
     with open(os.path.join(out, "metrics.csv"), "w") as f:
         f.write("f_hz,A_deg,freq_ratio,thrust_mN,tip_defl_deg,twi\n")
         for row in rows:
             f.write(",".join(f"{v:.10g}" for v in row) + "\n")
-    # Mode shapes at the amplitude/frequency nearest the TWI peak.
-    best = max(rows, key=lambda r: r[5])
-    params = cfg.build_sim_params()
-    geom = cfg.build_geometry()
-    sw = cfg.sweep
-    prog = build_program(ProgramSpec(
-        duration_s=sw["cycles"] / best[0], dt=params.dt,
-        amplitude_deg=best[1], frequency_hz=best[0]))
-    trace = simulate(prog, params, geom)
-    k0 = int(sw["transient_cycles"] / best[0] / params.dt)
-    modes = cod(field_from_states(trace.q[k0:][::sw["subsample"]], geom,
-                                  sw["n_stations"],
-                                  params.dt * sw["subsample"]))
-    modeset_to_csv(modes, os.path.join(out, "modes.csv"))
+    # Mode shapes of the cell with the highest TWI (zero-amplitude cells
+    # have none; the config guarantees a nonzero amplitude).
+    best = max((i for i, m in enumerate(cell_modes) if m is not None),
+               key=lambda i: rows[i][5])
+    modeset_to_csv(cell_modes[best], os.path.join(out, "modes.csv"))
     files = ["metrics.csv", "modes.csv"]
     arr = np.array(rows)
     for j, (name, label) in enumerate((
@@ -272,33 +265,13 @@ def cmd_optimize(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
     weights = load_weights(args.weights) if args.weights else None
-    geom = cfg.build_geometry()
-    params = cfg.build_sim_params()
-    sensor = cfg.build_sensor_model()
-    sw = cfg.sweep
     bo = cfg.bo
     budget = bo["budget"] if args.budget is None else args.budget
 
     def objective(f, A):
-        prog = build_program(ProgramSpec(
-            duration_s=sw["cycles"] / f, dt=params.dt, amplitude_deg=A,
-            frequency_hz=f))
-        trace = simulate(prog, params, geom)
-        k0 = int(sw["transient_cycles"] / f / params.dt)
-        if weights is not None:
-            q = forward(weights, sensor_readout(trace, sensor))
-        else:
-            q = trace.q
-        field = field_from_states(q[k0:][::sw["subsample"]], geom,
-                                  sw["n_stations"],
-                                  params.dt * sw["subsample"])
-        cyc = thrust_proxy(trace, f)[sw["transient_cycles"]:]
-        return {
-            "objective": field_twi(cod(field)),
-            "tip_defl_deg": tip_deflection(trace.tip[k0:, 0],
-                                           geom.length_mm),
-            "thrust_mN": float(moving_average(cyc, 3).mean()),
-        }
+        twi_val, defl, thrust, _ = _evaluate_cell(cfg, f, A, weights)
+        return {"objective": twi_val, "tip_defl_deg": defl,
+                "thrust_mN": thrust}
 
     space = SearchSpace(f_range=tuple(bo["f_range"]),
                         A_set=tuple(bo["A_set"]))

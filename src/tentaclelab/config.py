@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -96,6 +97,7 @@ class RunConfig:
             raise ConfigError("dataset: durations must be positive")
         if ds.get("dt", 1) <= 0:
             raise ConfigError("dataset: dt must be positive")
+        _check_sweep(self.sweep, self.build_sim_params())
 
     def build_geometry(self) -> TentacleGeometry:
         return TentacleGeometry(**self.geometry)
@@ -169,6 +171,62 @@ class RunConfig:
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: invalid JSON ({e})") from e
         return cls.from_dict(doc)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _check_sweep(sw: dict, params: SimParams) -> None:
+    """Reject a sweep section that `metrics` or `optimize` could not run."""
+    unknown = set(sw) - set(_DEFAULT_SWEEP)
+    if unknown:
+        raise ConfigError(f"sweep: unknown keys {sorted(unknown)}")
+    missing = set(_DEFAULT_SWEEP) - set(sw)
+    if missing:
+        raise ConfigError(f"sweep: missing keys {sorted(missing)}")
+    amps, ratios = sw["amplitudes_deg"], sw["freq_ratios"]
+    if (not isinstance(amps, (list, tuple)) or not amps
+            or not all(_is_real(a) and abs(a) <= 90.0 for a in amps)):
+        raise ConfigError("sweep: amplitudes_deg must be a nonempty list of "
+                          "amplitudes in [-90, 90] degrees")
+    if all(a == 0 for a in amps):
+        raise ConfigError("sweep: amplitudes_deg needs a nonzero amplitude; "
+                          "a zero-amplitude cell has no deformation field")
+    if (not isinstance(ratios, (list, tuple)) or not ratios
+            or not all(_is_real(r) and r > 0 for r in ratios)):
+        raise ConfigError("sweep: freq_ratios must be a nonempty list of "
+                          "positive numbers")
+    cycles, transient = sw["cycles"], sw["transient_cycles"]
+    n_stations, subsample = sw["n_stations"], sw["subsample"]
+    if not all(map(_is_int, (cycles, transient, n_stations, subsample))):
+        raise ConfigError("sweep: cycles, transient_cycles, n_stations and "
+                          "subsample must be integers")
+    # Thrust averages the whole cycles after the transient; a run of
+    # `cycles` cycles holds cycles - 1 of them.
+    if not 0 <= transient <= cycles - 2:
+        raise ConfigError("sweep: transient_cycles must lie in "
+                          f"[0, cycles - 2] = [0, {cycles - 2}]")
+    if n_stations < 3:
+        raise ConfigError("sweep: n_stations must be at least 3")
+    if subsample < 1:
+        raise ConfigError("sweep: subsample must be at least 1")
+    # The deformation field keeps every subsample-th step after the
+    # transient (the cell's own arithmetic) and needs 8 of them.
+    for r in ratios:
+        f = r * params.f0_hz
+        n_t = len(range(int(transient / f / params.dt),
+                        int(round(cycles / f / params.dt)), subsample))
+        if n_t < 8:
+            raise ConfigError(
+                f"sweep: at f = {f:g} Hz only {n_t} field samples follow "
+                "the transient, 8 are needed; raise cycles or lower "
+                "subsample")
 
 
 def default_config(material: str = "dragonskin") -> RunConfig:

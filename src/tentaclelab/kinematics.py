@@ -6,7 +6,11 @@ s in [0, 1], so the axis angle is alpha(s) = q1*s + q2*s**2/2 and
 Cartesian positions follow by integrating (-L*sin(alpha), L*cos(alpha)).
 The position integrals are clothoid-type (quadratic phase) and are
 evaluated here with composite Gauss-Legendre quadrature instead of
-special functions.
+special functions: 8 panels of order 10 on [0, 1] put the tip within
+2.6e-16*L of a 64-panel reference for |q1|, |q2| <= 20, twice the 10 rad
+cap of the simulator. `lateral_displacements` integrates many stations
+at once on one shared node set and accumulates the integrals from the
+root outward, so neighbouring stations do not repeat each other's work.
 """
 
 from __future__ import annotations
@@ -25,10 +29,12 @@ __all__ = [
     "tip_position",
 ]
 
-# Composite quadrature resolution: accurate to well below 1e-9*L for
-# |q1|, |q2| <= 4*pi (phase change per panel stays small).
+# Composite quadrature resolution, in panels per unit arc coordinate.
+# Against a 64-panel reference on a 161 x 161 grid of |q1|, |q2| <= 20,
+# the tip error is 2.6e-16*L with 8 panels and 2.2e-16*L with 16; with 4
+# it grows to 3.7e-12*L, so 8 is the floor.
 _GL_ORDER = 10
-_GL_PANELS = 16
+_GL_PANELS = 8
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
@@ -136,6 +142,14 @@ def lateral_displacements(q_series: np.ndarray, stations: np.ndarray,
                           L: float) -> np.ndarray:
     """Lateral (x) displacement at fixed stations for a series of states.
 
+    Shared-node cumulative quadrature: the distinct stations, with 0
+    added, cut [0, max s] into gaps; each gap gets ceil(gap * _GL_PANELS)
+    Gauss-Legendre panels, the integral over each gap is summed once per
+    state, and a cumulative sum over the gaps gives every station's
+    integral from the root. Sixteen uniform stations cost 150 nodes per
+    state rather than 16 separate [0, s] integrals. Stations may come in
+    any order and repeat.
+
     Args:
         q_series: (T, 2) array of (q1, q2) per time step.
         stations: (N_s,) arc coordinates in [0, 1].
@@ -146,24 +160,32 @@ def lateral_displacements(q_series: np.ndarray, stations: np.ndarray,
     """
     q_series = np.asarray(q_series, dtype=float)
     stations = _check_s(stations)
-    # Quadrature nodes for [0, s_j], shared across time steps.
-    edges = stations[:, None] * np.linspace(0.0, 1.0, _GL_PANELS + 1)[None, :]
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-    v = (mid[:, :, None] + half[:, :, None] * _GL_NODES[None, None, :]).reshape(
-        len(stations), -1)
-    w = (half[:, :, None] * np.broadcast_to(
-        _GL_WEIGHTS[None, None, :], half.shape + (_GL_ORDER,))).reshape(
-        len(stations), -1)
-    # Evaluate in time blocks to keep the (block, N_s, nodes) temporary
-    # small for long series.
+    knots, where = np.unique(np.concatenate([[0.0], stations]),
+                             return_inverse=True)
+    if len(knots) == 1:            # every station at the root
+        return -L * np.zeros((len(stations), len(q_series)))
+    gaps = np.diff(knots)
+    panels = np.ceil(gaps * _GL_PANELS).astype(int)
+    gap_of = np.repeat(np.arange(len(gaps)), panels)
+    first = np.cumsum(panels) - panels
+    h = gaps[gap_of] / panels[gap_of]
+    mid = knots[gap_of] + h * (np.arange(len(gap_of)) - first[gap_of] + 0.5)
+    v = (mid[:, None] + 0.5 * h[:, None] * _GL_NODES[None, :]).ravel()
+    w = (0.5 * h[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    # Evaluate in time blocks to keep the (block, nodes) temporary small
+    # for long series. Column 0 of `cum` is the root; column g + 1 holds
+    # the integral up to the end of gap g.
     out = np.empty((len(q_series), len(stations)))
-    block = max(1, int(2e6 // max(v.size, 1)))
+    block = max(1, int(2e6 // v.size))
     for k in range(0, len(q_series), block):
-        q1 = q_series[k:k + block, 0][:, None, None]
-        q2 = q_series[k:k + block, 1][:, None, None]
-        alpha = q1 * v[None, :, :] + 0.5 * q2 * v[None, :, :] ** 2
-        out[k:k + block] = -L * np.sum(w[None, :, :] * np.sin(alpha), axis=2)
+        q1 = q_series[k:k + block, 0][:, None]
+        q2 = q_series[k:k + block, 1][:, None]
+        alpha = q1 * v[None, :] + 0.5 * q2 * v[None, :] ** 2
+        per_gap = np.add.reduceat(w[None, :] * np.sin(alpha),
+                                  first * _GL_ORDER, axis=1)
+        cum = np.zeros((len(per_gap), len(knots)))
+        np.cumsum(per_gap, axis=1, out=cum[:, 1:])
+        out[k:k + block] = -L * cum[:, where[1:]]
     return out.T
 
 

@@ -164,27 +164,31 @@ def simulate(program: ActuationProgram, params: SimParams,
     theta_dot = np.gradient(theta, dt)
     eff = theta + params.vel_coupling * theta_dot / w1
     eff_delayed = np.concatenate([np.zeros(lag_steps), eff])[:n]
-    drive1 = params.drive_gain1 * w1 * w1 * eff
-    drive2 = params.drive_gain2 * w2 * w2 * eff_delayed
+    drive1 = (params.drive_gain1 * w1 * w1 * eff).tolist()
+    drive2 = (params.drive_gain2 * w2 * w2 * eff_delayed).tolist()
 
-    q = np.zeros((n, 2))
-    qd = np.zeros((n, 2))
-    v1 = v2 = x1 = x2 = 0.0
-    z = params.zeta
+    # The step runs on Python floats; the hoisted products keep the
+    # original left-to-right evaluation order, so results are unchanged.
+    damp1, stiff1 = 2.0 * params.zeta * w1, w1 * w1
+    damp2, stiff2 = 2.0 * params.zeta * w2, w2 * w2
     cq = params.quad_drag
+    x1s, x2s, v1s, v2s = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+    v1 = v2 = x1 = x2 = 0.0
     for k in range(n):
-        v1 += dt * (drive1[k] - 2.0 * z * w1 * v1 - cq * abs(v1) * v1
-                    - w1 * w1 * x1)
+        v1 += dt * (drive1[k] - damp1 * v1 - cq * abs(v1) * v1 - stiff1 * x1)
         x1 += dt * v1
-        v2 += dt * (drive2[k] - 2.0 * z * w2 * v2 - cq * abs(v2) * v2
-                    - w2 * w2 * x2)
+        v2 += dt * (drive2[k] - damp2 * v2 - cq * abs(v2) * v2 - stiff2 * x2)
         x2 += dt * v2
-        if abs(x1) > 10.0 or abs(x2) > 10.0:
-            raise SimulationError(
-                f"modal state exceeded 10 rad at t={k * dt:.4f} s "
-                f"(q1={x1:.3f}, q2={x2:.3f}); reduce drive or check params")
-        q[k, 0], q[k, 1] = x1, x2
-        qd[k, 0], qd[k, 1] = v1, v2
+        x1s[k], x2s[k], v1s[k], v2s[k] = x1, x2, v1, v2
+    q = np.column_stack([x1s, x2s])
+    qd = np.column_stack([v1s, v2s])
+    over = np.flatnonzero((np.abs(q) > 10.0).any(axis=1))
+    if len(over):
+        k = over[0]
+        raise SimulationError(
+            f"modal state exceeded 10 rad at t={k * dt:.4f} s "
+            f"(q1={q[k, 0]:.3f}, q2={q[k, 1]:.3f}); reduce drive or check "
+            "params")
 
     # World-frame tip: the base pitch rotates the whole bent shape about
     # the root, so the observed tip motion combines rigid rotation and

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from tentaclelab import cli
 from tentaclelab.cli import main
-from tentaclelab.config import CONFIG_SCHEMA
+from tentaclelab.config import CONFIG_SCHEMA, default_config
 
 FAST_CONFIG = {
     "schema": CONFIG_SCHEMA,
@@ -145,6 +146,68 @@ class TestOptimize:
         assert 0.0 <= best["twi"] <= 1.0
         lines = open(os.path.join(out, "history.csv")).read().strip()
         assert len(lines.split("\n")) == 5
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestOneCellEvaluation:
+    """`metrics` and `optimize` score an (f, A) cell the same way."""
+
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["true_states", "reconstructed"])
+    def test_metrics_row_matches_optimize_objective(
+            self, tmp_path, monkeypatch, fast_config, trained_dir, weighted):
+        extra = (["--weights", os.path.join(trained_dir, "weights.json")]
+                 if weighted else [])
+        out = str(tmp_path / "metrics")
+        assert main(["metrics", "--config", fast_config, "--out", out]
+                    + extra) == 0
+        with open(os.path.join(out, "metrics.csv")) as f:
+            rows = [line.strip().split(",") for line in f.readlines()[1:]]
+
+        f0 = default_config().build_sim_params().f0_hz
+        sw = FAST_CONFIG["sweep"]
+        seen = {}
+
+        def fake_optimize(objective, space, budget, seed, rho):
+            for A in sw["amplitudes_deg"]:
+                for r in sw["freq_ratios"]:
+                    seen[(r, A)] = objective(r * f0, A)
+            raise _Stop
+
+        monkeypatch.setattr(cli, "optimize", fake_optimize)
+        with pytest.raises(_Stop):
+            main(["optimize", "--config", fast_config, "--budget", "4",
+                  "--out", str(tmp_path / "opt")] + extra)
+        assert len(seen) == len(rows)
+        for row in rows:
+            got = seen[(float(row[2]), float(row[1]))]
+            assert [f"{got[k]:.10g}" for k in
+                    ("thrust_mN", "tip_defl_deg", "objective")] == row[3:]
+
+
+SWEEP_ERRORS = {
+    "subsample_zero": {"subsample": 0},
+    "no_amplitudes": {"amplitudes_deg": []},
+    "transient_equals_cycles": {"transient_cycles": 12},
+    "two_stations": {"n_stations": 2},
+    "zero_freq_ratio": {"freq_ratios": [0.5, 0.0]},
+    "unknown_key": {"cyclez": 3},
+}
+
+
+class TestSweepConfigErrors:
+    @pytest.mark.parametrize("sweep", SWEEP_ERRORS.values(),
+                             ids=SWEEP_ERRORS.keys())
+    def test_metrics_exits_1_naming_sweep(self, tmp_path, capsys, sweep):
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps({"schema": CONFIG_SCHEMA, "sweep": sweep}))
+        out = tmp_path / "out"
+        assert main(["metrics", "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: sweep: ")
+        assert not out.exists()
 
 
 class TestRenderMidline:

@@ -103,3 +103,38 @@ class TestHash:
         blob = json.dumps(cfg.to_dict(), sort_keys=True,
                           separators=(",", ":")).encode()
         assert config_hash(cfg) == hashlib.sha256(blob).hexdigest()
+
+
+class TestSweepValidation:
+    # The CLI tests run the cases that used to fail mid-run through
+    # `metrics`; these are further invalid values.
+    @pytest.mark.parametrize("sweep", [
+        {"subsample": 4.0},
+        {"cycles": True},
+        {"amplitudes_deg": [0.0]},
+        {"amplitudes_deg": [10.0, 120.0]},
+        {"freq_ratios": [0.5, float("nan")]},
+        {"transient_cycles": 11},
+        {"transient_cycles": -1},
+        # 0.64 Hz keeps only 7 samples after the transient.
+        {"subsample": 400},
+    ])
+    def test_invalid_values_rejected_at_load(self, sweep):
+        with pytest.raises(ConfigError, match="^sweep: "):
+            RunConfig.from_dict({"schema": CONFIG_SCHEMA, "sweep": sweep})
+
+    def test_missing_keys_rejected(self):
+        with pytest.raises(ConfigError, match="sweep: missing keys"):
+            RunConfig(sweep={"cycles": 12})
+
+    def test_boundary_values_accepted(self):
+        cfg = RunConfig.from_dict({"schema": CONFIG_SCHEMA, "sweep": {
+            "amplitudes_deg": [0.0, -90.0], "transient_cycles": 10,
+            "n_stations": 3, "subsample": 1}})
+        assert cfg.sweep["transient_cycles"] == 10
+
+    def test_default_hashes_unchanged(self):
+        assert config_hash(default_config()) == (
+            "11d1ab3c378a7f2a786715d0b47a9ec2210361de0ea4e52b9221558b96bb5403")
+        assert config_hash(default_config("ecoflex")) == (
+            "516d900945351aef69d091953ceb7d365f58a715fdd137adfff5365ebab9ed63")

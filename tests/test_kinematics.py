@@ -145,3 +145,89 @@ class TestInvariants:
             TentacleGeometry(length_mm=0.0)
         with pytest.raises(ValueError):
             TentacleGeometry(root_diameter_mm=-1.0)
+
+
+_REF_PANELS = 16
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+
+
+def per_station_lateral_displacements(q_series, stations, L):
+    """Per-station reference: 16 panels on each [0, s] separately."""
+    q_series = np.asarray(q_series, dtype=float)
+    stations = np.asarray(stations, dtype=float)
+    edges = stations[:, None] * np.linspace(0.0, 1.0, _REF_PANELS + 1)[None, :]
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+    v = (mid[:, :, None] + half[:, :, None] * _GL_NODES[None, None, :]).reshape(
+        len(stations), -1)
+    w = (half[:, :, None] * np.broadcast_to(
+        _GL_WEIGHTS[None, None, :], half.shape + (10,))).reshape(
+        len(stations), -1)
+    out = np.empty((len(q_series), len(stations)))
+    block = max(1, int(2e6 // max(v.size, 1)))
+    for k in range(0, len(q_series), block):
+        q1 = q_series[k:k + block, 0][:, None, None]
+        q2 = q_series[k:k + block, 1][:, None, None]
+        alpha = q1 * v[None, :, :] + 0.5 * q2 * v[None, :, :] ** 2
+        out[k:k + block] = -L * np.sum(w[None, :, :] * np.sin(alpha), axis=2)
+    return out.T
+
+
+def reference_tips(q_series, L, panels=64):
+    """Tip (x, y) by composite Gauss-Legendre with many panels."""
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    v = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    alpha = q_series[:, :1] * v + 0.5 * q_series[:, 1:] * v * v
+    return np.column_stack([-L * (w * np.sin(alpha)).sum(axis=1),
+                            L * (w * np.cos(alpha)).sum(axis=1)])
+
+
+def _states(qmax, n=300, seed=0):
+    rng = np.random.default_rng(seed)
+    corners = np.array([[qmax, qmax], [-qmax, qmax], [qmax, -qmax],
+                        [-qmax, -qmax], [qmax, 0.0], [0.0, -qmax],
+                        [0.0, 0.0]])
+    return np.vstack([corners, rng.uniform(-qmax, qmax, size=(n, 2))])
+
+
+class TestSharedNodeQuadrature:
+    @pytest.mark.parametrize("stations", [
+        np.array([0.7, 0.1, 1.0, 0.35, 0.0]),
+        np.array([0.5, 0.2, 0.5, 1.0, 0.2, 0.0, 0.0]),
+        np.array([0.0]),
+        np.array([1.0]),
+        np.linspace(0.0, 1.0, 3),
+        np.linspace(0.0, 1.0, 16),
+        np.linspace(0.0, 1.0, 200),
+    ], ids=["unsorted", "duplicates", "root", "tip", "3", "16", "200"])
+    def test_matches_per_station_reference(self, stations):
+        q = _states(10.0)
+        got = lateral_displacements(q, stations, L)
+        ref = per_station_lateral_displacements(q, stations, L)
+        assert got.shape == (len(stations), len(q))
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-12 * L)
+
+    def test_time_blocks_agree(self):
+        # 200 stations use 1990 nodes per state, so 2000 states span two
+        # evaluation blocks.
+        q = _states(4.0, n=2000, seed=1)
+        s = np.linspace(0.0, 1.0, 200)
+        whole = lateral_displacements(q, s, L)
+        parts = np.hstack([lateral_displacements(q[:700], s, L),
+                           lateral_displacements(q[700:], s, L)])
+        assert np.array_equal(whole, parts)
+
+    def test_empty_inputs(self):
+        assert lateral_displacements(np.zeros((0, 2)),
+                                     np.linspace(0, 1, 4), L).shape == (4, 0)
+        assert lateral_displacements(_states(1.0, n=3),
+                                     np.array([]), L).shape == (0, 10)
+
+    def test_tip_positions_match_64_panel_reference(self):
+        q = _states(20.0, n=2000, seed=2)
+        got = tip_positions(q, GEOM)
+        assert np.allclose(got, reference_tips(q, L), rtol=0.0,
+                           atol=1e-13 * L)

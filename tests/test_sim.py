@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from tentaclelab.sim import (TRACE_HEADER, SensorModel, SimParams, SimTrace,
                              SimulationError, default_sensor_model,
                              material_preset, moving_average, preset_epochs,
                              sensor_readout, simulate, thrust_proxy)
+from tentaclelab.kinematics import TentacleGeometry, tip_positions
 
 LINEAR = SimParams(f0_hz=3.2, zeta=0.2, quad_drag=0.0, vel_coupling=0.0)
 
@@ -103,6 +106,78 @@ class TestSimulate:
         b = simulate(prog, SimParams())
         assert np.array_equal(a.q, b.q)
         assert np.array_equal(a.tip, b.tip)
+
+
+def reference_simulate(program, params, geom=None, c_t=2e-4):
+    """Per-step integrator on numpy arrays, checking divergence each step."""
+    geom = geom or TentacleGeometry()
+    dt = program.dt
+    theta = np.radians(program.theta_deg)
+    n = len(theta)
+    w1 = 2.0 * math.pi * params.f0_hz
+    w2 = params.mode2_ratio * w1
+    lag_steps = int(round(params.phase_lag_s / dt))
+    theta_dot = np.gradient(theta, dt)
+    eff = theta + params.vel_coupling * theta_dot / w1
+    eff_delayed = np.concatenate([np.zeros(lag_steps), eff])[:n]
+    drive1 = params.drive_gain1 * w1 * w1 * eff
+    drive2 = params.drive_gain2 * w2 * w2 * eff_delayed
+    q = np.zeros((n, 2))
+    qd = np.zeros((n, 2))
+    v1 = v2 = x1 = x2 = 0.0
+    z = params.zeta
+    cq = params.quad_drag
+    for k in range(n):
+        v1 += dt * (drive1[k] - 2.0 * z * w1 * v1 - cq * abs(v1) * v1
+                    - w1 * w1 * x1)
+        x1 += dt * v1
+        v2 += dt * (drive2[k] - 2.0 * z * w2 * v2 - cq * abs(v2) * v2
+                    - w2 * w2 * x2)
+        x2 += dt * v2
+        if abs(x1) > 10.0 or abs(x2) > 10.0:
+            raise SimulationError(
+                f"modal state exceeded 10 rad at t={k * dt:.4f} s "
+                f"(q1={x1:.3f}, q2={x2:.3f}); reduce drive or check params")
+        q[k, 0], q[k, 1] = x1, x2
+        qd[k, 0], qd[k, 1] = v1, v2
+    tip_body = tip_positions(q, geom)
+    c, s = np.cos(theta), np.sin(theta)
+    tip = np.column_stack([c * tip_body[:, 0] - s * tip_body[:, 1],
+                           s * tip_body[:, 0] + c * tip_body[:, 1]])
+    vx = np.gradient(tip[:, 0], dt)
+    return q, qd, tip, c_t * vx * vx
+
+
+class TestReferenceLoop:
+    @pytest.mark.parametrize("params", [
+        material_preset("dragonskin"), material_preset("ecoflex"),
+        SimParams(quad_drag=0.0)], ids=["dragonskin", "ecoflex", "linear"])
+    def test_bit_identical(self, params):
+        prog = build_program(ProgramSpec(duration_s=20.0, dt=0.005,
+                                         amplitude_mode="random", seed=4,
+                                         rpm_ramp=(12.0, 80.0)))
+        trace = simulate(prog, params)
+        q, qd, tip, thrust = reference_simulate(prog, params)
+        assert trace.q.flags.c_contiguous
+        for got, want in ((trace.q, q), (trace.q_dot, qd), (trace.tip, tip),
+                          (trace.thrust, thrust)):
+            assert np.array_equal(got, want)
+
+    # The last case blows up to inf and nan after crossing 10 rad; the
+    # first crossing is still the one reported.
+    @pytest.mark.parametrize("gain, zeta, drag", [
+        (500.0, 0.01, 0.0), (40.0, 0.05, 0.0), (2000.0, 0.2, 0.8)])
+    def test_same_divergence_message(self, gain, zeta, drag):
+        dt = 0.005
+        t = np.arange(int(10.0 / dt)) * dt
+        prog = program_from_theta(30.0 * np.sin(2 * np.pi * 3.2 * t), dt)
+        params = SimParams(f0_hz=3.2, zeta=zeta, drive_gain1=gain,
+                           quad_drag=drag, vel_coupling=0.0)
+        with pytest.raises(SimulationError) as want:
+            reference_simulate(prog, params)
+        with pytest.raises(SimulationError) as got:
+            simulate(prog, params)
+        assert str(got.value) == str(want.value)
 
 
 class TestTrace:
