@@ -15,6 +15,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import qmc
 
 __all__ = [
+    "OptimizationError",
     "SearchSpace",
     "EvalRecord",
     "GPosterior",
@@ -31,6 +32,10 @@ _LENGTH_SCALE = 0.2     # per dimension, in unit-box coordinates
 _NOISE_VAR = 1e-4
 _N_INIT = 3
 _GRID_F = 64
+
+
+class OptimizationError(RuntimeError):
+    """Every objective evaluation of an `optimize` run failed."""
 
 
 @dataclass(frozen=True)
@@ -170,7 +175,8 @@ def optimize(objective_fn, space: SearchSpace, budget: int,
     iteration fits the GP to all successful evaluations and evaluates
     the acquisition argmax of the candidate grid. An objective_fn call
     that raises is masked: the point is excluded from the grid and from
-    the history, and the loop continues.
+    the history, and the loop continues. If every evaluation fails,
+    OptimizationError names the count and the last error.
 
     objective_fn(f, A) returns either a float objective or a dict with
     keys `objective` and optionally `tip_defl_deg` / `thrust_mN`.
@@ -196,29 +202,26 @@ def optimize(objective_fn, space: SearchSpace, budget: int,
     masked = np.zeros(len(grid), dtype=bool)
     history = []
     trace_id = 0
+    last_error = None
 
     def try_eval(k):
-        nonlocal trace_id
+        nonlocal trace_id, last_error
         f, A = grid[k]
         try:
             res = objective_fn(float(f), float(A))
-        except Exception:
+        except Exception as e:
+            last_error = e
             masked[k] = True
             trace_id += 1
             return
-        if isinstance(res, dict):
-            rec = EvalRecord(f=float(f), A=float(A),
-                             objective=float(res["objective"]),
-                             tip_defl_deg=float(res.get("tip_defl_deg",
-                                                        float("nan"))),
-                             thrust_mN=float(res.get("thrust_mN",
-                                                     float("nan"))),
-                             trace_id=trace_id)
-        else:
-            rec = EvalRecord(f=float(f), A=float(A), objective=float(res),
-                             trace_id=trace_id)
+        if not isinstance(res, dict):
+            res = {"objective": res}
+        history.append(EvalRecord(
+            f=float(f), A=float(A), objective=float(res["objective"]),
+            tip_defl_deg=float(res.get("tip_defl_deg", float("nan"))),
+            thrust_mN=float(res.get("thrust_mN", float("nan"))),
+            trace_id=trace_id))
         trace_id += 1
-        history.append(rec)
 
     for k in init:
         try_eval(k)
@@ -234,7 +237,9 @@ def optimize(objective_fn, space: SearchSpace, budget: int,
         k = idx_live[acquisition(mu[live], sig[live], rho)]
         try_eval(k)
     if not history:
-        raise RuntimeError("every objective evaluation failed")
+        raise OptimizationError(
+            f"all {trace_id} objective evaluations failed; last error: "
+            f"{type(last_error).__name__}: {last_error}")
     best = max(history, key=lambda r: r.objective)
     return best, history
 

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from .actuation import ProgramSpec, build_program
-from .bayesopt import SearchSpace, history_to_csv, optimize
+from .bayesopt import OptimizationError, history_to_csv, optimize
 from .config import CONFIG_SCHEMA, ConfigError, RunConfig, config_hash, \
     default_config
 from .fitting import PolyCoeffs, fit_report, poly_centerline
@@ -27,7 +27,7 @@ from .plotting import line_plot_svg, overlay_svg
 from .regressor import LabeledSequence, TrainingError, evaluate, forward, \
     load_weights, save_weights, train
 from .sim import SimTrace, SimulationError, moving_average, sensor_readout, \
-    simulate, thrust_proxy
+    simulate, thrust_proxy, world_tip_positions
 from .vision import ImageSpec, VisionError, binarize, extract_midline, \
     midline_to_csv, read_pgm, render_silhouette, write_pgm
 from .wavemetrics import cod, field_from_states, field_twi, modeset_to_csv, \
@@ -211,9 +211,7 @@ def _evaluate_cell(cfg, f, A, weights=None):
         q, tipx = trace.q, trace.tip[:, 0]
     else:
         q = forward(weights, sensor_readout(trace, cfg.build_sensor_model()))
-        tipb = tip_positions(q, geom)
-        theta = np.radians(trace.base_angle_deg)
-        tipx = np.cos(theta) * tipb[:, 0] - np.sin(theta) * tipb[:, 1]
+        tipx = world_tip_positions(q, trace.base_angle_deg, geom)[:, 0]
     modes = cod(field_from_states(q[k0:][::sw["subsample"]], geom,
                                   sw["n_stations"],
                                   params.dt * sw["subsample"]))
@@ -273,10 +271,8 @@ def cmd_optimize(args) -> int:
         return {"objective": twi_val, "tip_defl_deg": defl,
                 "thrust_mN": thrust}
 
-    space = SearchSpace(f_range=tuple(bo["f_range"]),
-                        A_set=tuple(bo["A_set"]))
-    best, history = optimize(objective, space, budget, seed=bo["seed"],
-                             rho=bo["rho"])
+    best, history = optimize(objective, cfg.build_search_space(), budget,
+                             seed=bo["seed"], rho=bo["rho"])
     history_to_csv(history, os.path.join(out, "history.csv"))
     with open(os.path.join(out, "best.json"), "w") as f:
         json.dump({"f_hz": best.f, "A_deg": best.A, "twi": best.objective,
@@ -445,8 +441,8 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (SimulationError, TrainingError, VisionError, ValueError,
-            np.linalg.LinAlgError) as e:
+    except (SimulationError, TrainingError, VisionError, OptimizationError,
+            ValueError, np.linalg.LinAlgError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

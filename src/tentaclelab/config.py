@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .bayesopt import SearchSpace
 from .kinematics import TentacleGeometry
 from .regressor import TrainConfig
 from .sim import SensorModel, SimParams, default_sensor_model, \
@@ -78,6 +79,7 @@ class RunConfig:
         if self.target not in ("affine", "poly"):
             raise ConfigError(f"target: must be 'affine' or 'poly', "
                               f"got {self.target!r}")
+        _check_keys("bo", self.bo, _DEFAULT_BO)
         # Instantiate every nested component so field-level errors
         # surface at load time with the offending section named.
         for name, builder in (
@@ -85,6 +87,7 @@ class RunConfig:
                 ("sim", self.build_sim_params),
                 ("sensor", self.build_sensor_model),
                 ("train", self.build_train_config),
+                ("bo", self.build_search_space),
         ):
             try:
                 builder()
@@ -98,6 +101,9 @@ class RunConfig:
         if ds.get("dt", 1) <= 0:
             raise ConfigError("dataset: dt must be positive")
         _check_sweep(self.sweep, self.build_sim_params())
+        # optimize starts from three design points.
+        if not _is_int(self.bo["budget"]) or self.bo["budget"] < 3:
+            raise ConfigError("bo: budget must be an integer >= 3")
 
     def build_geometry(self) -> TentacleGeometry:
         return TentacleGeometry(**self.geometry)
@@ -121,6 +127,10 @@ class RunConfig:
         t = dict(self.train)
         t.setdefault("epochs", preset_epochs(self.material))
         return TrainConfig(**t)
+
+    def build_search_space(self) -> SearchSpace:
+        return SearchSpace(f_range=tuple(self.bo["f_range"]),
+                           A_set=tuple(self.bo["A_set"]))
 
     def to_dict(self) -> dict:
         return {
@@ -182,14 +192,18 @@ def _is_real(v) -> bool:
             and math.isfinite(v))
 
 
+def _check_keys(name: str, section: dict, defaults: dict) -> None:
+    unknown = set(section) - set(defaults)
+    if unknown:
+        raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
+    missing = set(defaults) - set(section)
+    if missing:
+        raise ConfigError(f"{name}: missing keys {sorted(missing)}")
+
+
 def _check_sweep(sw: dict, params: SimParams) -> None:
     """Reject a sweep section that `metrics` or `optimize` could not run."""
-    unknown = set(sw) - set(_DEFAULT_SWEEP)
-    if unknown:
-        raise ConfigError(f"sweep: unknown keys {sorted(unknown)}")
-    missing = set(_DEFAULT_SWEEP) - set(sw)
-    if missing:
-        raise ConfigError(f"sweep: missing keys {sorted(missing)}")
+    _check_keys("sweep", sw, _DEFAULT_SWEEP)
     amps, ratios = sw["amplitudes_deg"], sw["freq_ratios"]
     if (not isinstance(amps, (list, tuple)) or not amps
             or not all(_is_real(a) and abs(a) <= 90.0 for a in amps)):

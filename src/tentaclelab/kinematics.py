@@ -8,9 +8,10 @@ The position integrals are clothoid-type (quadratic phase) and are
 evaluated here with composite Gauss-Legendre quadrature instead of
 special functions: 8 panels of order 10 on [0, 1] put the tip within
 2.6e-16*L of a 64-panel reference for |q1|, |q2| <= 20, twice the 10 rad
-cap of the simulator. `lateral_displacements` integrates many stations
-at once on one shared node set and accumulates the integrals from the
-root outward, so neighbouring stations do not repeat each other's work.
+cap of the simulator. Every position here comes from one routine,
+`_integrals`: its stations share nodes and accumulate from the root, and
+it evaluates only the integrands asked for (the lateral field needs no
+cosines).
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ __all__ = [
     "TentacleGeometry",
     "axis_angle",
     "centerline_position",
+    "lateral_displacements",
     "sample_centerline",
     "tip_position",
+    "tip_positions",
 ]
 
 # Composite quadrature resolution, in panels per unit arc coordinate.
@@ -72,7 +75,7 @@ class TentacleGeometry:
 
 def _check_s(s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0) or np.any(s > 1.0):
+    if not np.all((s >= 0.0) & (s <= 1.0)):          # NaN fails too
         raise ValueError("arc coordinate s must lie in [0, 1]")
     return s
 
@@ -87,38 +90,61 @@ def axis_angle(q: CurvatureState, s):
     return float(out) if out.ndim == 0 else out
 
 
-def _quad_positions(q1, q2, s_upper: np.ndarray, L: float) -> np.ndarray:
-    """Integrate (-L sin alpha, L cos alpha) over [0, s] for each s in s_upper.
+def _integrals(q_series, stations, fns) -> list:
+    """int_0^s fn(alpha(v)) dv for (T, 2) states and (N_s,) stations.
 
-    Returns an (n, 2) array of (x, y) in mm.
+    Returns one (T, N_s) array per elementwise integrand in `fns`.
+    Shared-node cumulative quadrature: the distinct stations, with 0
+    added, cut [0, max s] into gaps; each gap gets ceil(gap * _GL_PANELS)
+    Gauss-Legendre panels, each panel is summed once per state, and one
+    cumulative sum over the panels gives every station's integral from
+    the root, exactly 0 at s = 0. Sixteen uniform stations cost 150 nodes
+    per state rather than 16 separate [0, s] integrals. Stations may come
+    in any order and repeat.
     """
-    s_upper = np.atleast_1d(np.asarray(s_upper, dtype=float))
-    # Panel edges for each upper bound: s * j/P, j = 0..P
-    edges = s_upper[:, None] * np.linspace(0.0, 1.0, _GL_PANELS + 1)[None, :]
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1])          # (n, P)
-    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])           # (n, P)
-    # Nodes mapped into every panel: (n, P, order)
-    v = mid[:, :, None] + half[:, :, None] * _GL_NODES[None, None, :]
-    alpha = q1 * v + 0.5 * q2 * v * v
-    w = half[:, :, None] * _GL_WEIGHTS[None, None, :]
-    x = -L * np.sum(w * np.sin(alpha), axis=(1, 2))
-    y = L * np.sum(w * np.cos(alpha), axis=(1, 2))
-    return np.stack([x, y], axis=-1)
+    q_series = np.asarray(q_series, dtype=float)
+    knots, where = np.unique(np.concatenate([[0.0], stations]),
+                             return_inverse=True)
+    gaps = np.diff(knots)
+    panels = np.ceil(gaps * _GL_PANELS).astype(int)
+    gap_of = np.repeat(np.arange(len(gaps)), panels)
+    ends = np.concatenate([[0], np.cumsum(panels)])
+    h = gaps[gap_of] / panels[gap_of]
+    mid = knots[gap_of] + h * (np.arange(len(h)) - ends[gap_of] + 0.5)
+    v = (mid[:, None] + 0.5 * h[:, None] * _GL_NODES[None, :]).ravel()
+    half_v2 = 0.5 * v * v
+    # Column p of `cum` holds the integral over the first p panels, so
+    # knot j (the end of gap j - 1) sits in column ends[j].
+    col = ends[where[1:]]
+    outs = [np.empty((len(q_series), len(stations))) for _ in fns]
+    # Time blocks keep the (block, nodes) temporary small. No BLAS here:
+    # threaded BLAS products slowed the GP and COD after them in a sweep.
+    block = max(1, int(2e6) // max(1, v.size))
+    for k in range(0, len(q_series), block):
+        q = q_series[k:k + block]
+        alpha = q[:, :1] * v + q[:, 1:] * half_v2
+        cum = np.zeros((len(q), len(h) + 1))
+        for out, fn in zip(outs, fns):
+            per_panel = np.einsum("tpk,k->tp", fn(alpha).reshape(
+                len(q), len(h), _GL_ORDER), _GL_WEIGHTS)
+            np.cumsum(per_panel * (0.5 * h), axis=1, out=cum[:, 1:])
+            out[k:k + block] = cum[:, col]
+    return outs
 
 
 def centerline_position(q: CurvatureState, s, L: float):
     """Cartesian position (x, y) in mm of the centerline point at s.
 
-    x = -int_0^s L sin(alpha(v)) dv, y = +int_0^s L cos(alpha(v)) dv,
-    evaluated by composite Gauss-Legendre quadrature.
+    x = -int_0^s L sin(alpha(v)) dv, y = +int_0^s L cos(alpha(v)) dv.
+    A scalar s gives an (x, y) tuple, an array s an (n, 2) array.
     """
     if L <= 0:
         raise ValueError("L must be positive")
-    s_arr = _check_s(s)
-    pts = _quad_positions(q.q1, q.q2, s_arr, L)
+    s_arr = np.atleast_1d(_check_s(s))
+    x, y = _integrals(q.as_array()[None, :], s_arr, (np.sin, np.cos))
     if np.ndim(s) == 0:
-        return float(pts[0, 0]), float(pts[0, 1])
-    return pts
+        return float(-L * x[0, 0]), float(L * y[0, 0])
+    return np.column_stack([-L * x[0], L * y[0]])
 
 
 def sample_centerline(q: CurvatureState, geom: TentacleGeometry) -> np.ndarray:
@@ -127,10 +153,8 @@ def sample_centerline(q: CurvatureState, geom: TentacleGeometry) -> np.ndarray:
     Returns an (n_samples, 2) array of (x, y) in mm; the first row is the
     origin.
     """
-    s = np.linspace(0.0, 1.0, geom.n_samples)
-    pts = _quad_positions(q.q1, q.q2, s, geom.length_mm)
-    pts[0] = 0.0
-    return pts
+    return centerline_position(q, np.linspace(0.0, 1.0, geom.n_samples),
+                               geom.length_mm)
 
 
 def tip_position(q: CurvatureState, geom: TentacleGeometry):
@@ -142,66 +166,20 @@ def lateral_displacements(q_series: np.ndarray, stations: np.ndarray,
                           L: float) -> np.ndarray:
     """Lateral (x) displacement at fixed stations for a series of states.
 
-    Shared-node cumulative quadrature: the distinct stations, with 0
-    added, cut [0, max s] into gaps; each gap gets ceil(gap * _GL_PANELS)
-    Gauss-Legendre panels, the integral over each gap is summed once per
-    state, and a cumulative sum over the gaps gives every station's
-    integral from the root. Sixteen uniform stations cost 150 nodes per
-    state rather than 16 separate [0, s] integrals. Stations may come in
-    any order and repeat.
-
     Args:
         q_series: (T, 2) array of (q1, q2) per time step.
-        stations: (N_s,) arc coordinates in [0, 1].
+        stations: (N_s,) arc coordinates in [0, 1], in any order.
         L: undeformed length in mm.
 
     Returns:
         (N_s, T) array of x positions in mm.
     """
-    q_series = np.asarray(q_series, dtype=float)
-    stations = _check_s(stations)
-    knots, where = np.unique(np.concatenate([[0.0], stations]),
-                             return_inverse=True)
-    if len(knots) == 1:            # every station at the root
-        return -L * np.zeros((len(stations), len(q_series)))
-    gaps = np.diff(knots)
-    panels = np.ceil(gaps * _GL_PANELS).astype(int)
-    gap_of = np.repeat(np.arange(len(gaps)), panels)
-    first = np.cumsum(panels) - panels
-    h = gaps[gap_of] / panels[gap_of]
-    mid = knots[gap_of] + h * (np.arange(len(gap_of)) - first[gap_of] + 0.5)
-    v = (mid[:, None] + 0.5 * h[:, None] * _GL_NODES[None, :]).ravel()
-    w = (0.5 * h[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    # Evaluate in time blocks to keep the (block, nodes) temporary small
-    # for long series. Column 0 of `cum` is the root; column g + 1 holds
-    # the integral up to the end of gap g.
-    out = np.empty((len(q_series), len(stations)))
-    block = max(1, int(2e6 // v.size))
-    for k in range(0, len(q_series), block):
-        q1 = q_series[k:k + block, 0][:, None]
-        q2 = q_series[k:k + block, 1][:, None]
-        alpha = q1 * v[None, :] + 0.5 * q2 * v[None, :] ** 2
-        per_gap = np.add.reduceat(w[None, :] * np.sin(alpha),
-                                  first * _GL_ORDER, axis=1)
-        cum = np.zeros((len(per_gap), len(knots)))
-        np.cumsum(per_gap, axis=1, out=cum[:, 1:])
-        out[k:k + block] = -L * cum[:, where[1:]]
-    return out.T
+    x, = _integrals(q_series, _check_s(stations), (np.sin,))
+    return -L * x.T
 
 
 def tip_positions(q_series: np.ndarray, geom: TentacleGeometry) -> np.ndarray:
     """Tip (x, y) in mm for each state in a (T, 2) series."""
-    q_series = np.asarray(q_series, dtype=float)
-    out = np.empty((len(q_series), 2))
-    # Shared nodes on [0, 1].
-    edges = np.linspace(0.0, 1.0, _GL_PANELS + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    v = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    q1 = q_series[:, 0][:, None]
-    q2 = q_series[:, 1][:, None]
-    alpha = q1 * v[None, :] + 0.5 * q2 * v[None, :] ** 2
-    out[:, 0] = -geom.length_mm * np.sum(w[None, :] * np.sin(alpha), axis=1)
-    out[:, 1] = geom.length_mm * np.sum(w[None, :] * np.cos(alpha), axis=1)
-    return out
+    x, y = _integrals(q_series, np.ones(1), (np.sin, np.cos))
+    return np.column_stack([-geom.length_mm * x[:, 0],
+                            geom.length_mm * y[:, 0]])

@@ -25,14 +25,15 @@ __all__ = [
     "simulate",
     "sensor_readout",
     "thrust_proxy",
+    "world_tip_positions",
     "moving_average",
     "material_preset",
 ]
 
 TRACE_HEADER = "t,theta_deg,q1,q2,p1,p2,p3,tip_x,tip_y,thrust"
 
-# Default proxy coefficient; mN per (mm/s)^2.
-DEFAULT_C_T = 2e-4
+# Thrust proxy coefficient; mN per (mm/s)^2.
+C_T = 2e-4
 
 
 class SimulationError(RuntimeError):
@@ -139,8 +140,7 @@ class SimTrace:
 
 
 def simulate(program: ActuationProgram, params: SimParams,
-             geom: TentacleGeometry | None = None,
-             c_t: float = DEFAULT_C_T) -> SimTrace:
+             geom: TentacleGeometry | None = None) -> SimTrace:
     """Integrate the two modal oscillators driven by the base angle.
 
     Per mode i: qi'' + 2*zeta*wi*qi' + wi^2*qi = ki * theta(t - delay_i)
@@ -190,18 +190,26 @@ def simulate(program: ActuationProgram, params: SimParams,
             f"(q1={q[k, 0]:.3f}, q2={q[k, 1]:.3f}); reduce drive or check "
             "params")
 
-    # World-frame tip: the base pitch rotates the whole bent shape about
-    # the root, so the observed tip motion combines rigid rotation and
-    # bending.
-    tip_body = tip_positions(q, geom)
-    c, s = np.cos(theta), np.sin(theta)
-    tip = np.column_stack([c * tip_body[:, 0] - s * tip_body[:, 1],
-                           s * tip_body[:, 0] + c * tip_body[:, 1]])
+    tip = world_tip_positions(q, program.theta_deg, geom)
     vx = np.gradient(tip[:, 0], dt)
-    thrust = c_t * vx * vx
+    thrust = C_T * vx * vx
     return SimTrace(time=program.time.copy(), base_angle_deg=program.theta_deg.copy(),
                     q=q, pressures=np.zeros((n, 3)), tip=tip, thrust=thrust,
                     dt=dt, q_dot=qd)
+
+
+def world_tip_positions(q: np.ndarray, base_angle_deg: np.ndarray,
+                        geom: TentacleGeometry) -> np.ndarray:
+    """World-frame tip (x, y) in mm for (T, 2) states under base pitch.
+
+    The base pitch rotates the whole bent shape about the root, so the
+    observed tip motion combines rigid rotation and bending.
+    """
+    tip_body = tip_positions(q, geom)
+    theta = np.radians(base_angle_deg)
+    c, s = np.cos(theta), np.sin(theta)
+    return np.column_stack([c * tip_body[:, 0] - s * tip_body[:, 1],
+                            s * tip_body[:, 0] + c * tip_body[:, 1]])
 
 
 def sensor_readout(trace: SimTrace, model: SensorModel) -> np.ndarray:
@@ -230,21 +238,17 @@ def sensor_readout(trace: SimTrace, model: SensorModel) -> np.ndarray:
     return model.baseline_kpa + u + noise
 
 
-def thrust_proxy(trace: SimTrace, frequency_hz: float,
-                 c_t: float | None = None) -> np.ndarray:
+def thrust_proxy(trace: SimTrace, frequency_hz: float) -> np.ndarray:
     """Per-cycle mean thrust proxy of a fixed-frequency run, in mN."""
     if frequency_hz <= 0:
         raise ValueError("frequency must be positive")
     n_cycles = int(np.floor(trace.time[-1] * frequency_hz))
     if n_cycles < 2:
         raise ValueError("trace must span at least 2 actuation cycles")
-    inst = trace.thrust
-    if c_t is not None:
-        vx = np.gradient(trace.tip[:, 0], trace.dt)
-        inst = c_t * vx * vx
     cycle = np.floor(trace.time * frequency_hz).astype(int)
     keep = cycle < n_cycles
-    return np.bincount(cycle[keep], weights=inst[keep]) / np.bincount(cycle[keep])
+    return (np.bincount(cycle[keep], weights=trace.thrust[keep])
+            / np.bincount(cycle[keep]))
 
 
 def moving_average(series, k: int) -> np.ndarray:

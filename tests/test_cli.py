@@ -147,6 +147,19 @@ class TestOptimize:
         lines = open(os.path.join(out, "history.csv")).read().strip()
         assert len(lines.split("\n")) == 5
 
+    def test_every_evaluation_failing_exits_2(self, tmp_path, capsys):
+        # Drive gains this high push every cell past the 10 rad limit.
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps({"schema": CONFIG_SCHEMA, "sim": {
+            "drive_gain1": 60.0, "drive_gain2": 60.0}}))
+        out = str(tmp_path / "opt")
+        assert main(["optimize", "--config", str(p), "--budget", "4",
+                     "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: all 4 objective evaluations failed; last error: "
+            "SimulationError: modal state exceeded 10 rad")
+        assert not os.path.exists(os.path.join(out, "best.json"))
+
 
 class _Stop(Exception):
     pass
@@ -207,6 +220,27 @@ class TestSweepConfigErrors:
         out = tmp_path / "out"
         assert main(["metrics", "--config", str(p), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: sweep: ")
+        assert not out.exists()
+
+
+BO_ERRORS = {
+    "empty_A_set": {"A_set": []},
+    "unknown_key": {"budgte": 4},
+    "budget_below_3": {"budget": 2},
+    "fractional_budget": {"budget": 4.5},
+    "reversed_f_range": {"f_range": [3.2, 0.32]},
+}
+
+
+class TestBOConfigErrors:
+    @pytest.mark.parametrize("command", ["metrics", "optimize"])
+    @pytest.mark.parametrize("bo", BO_ERRORS.values(), ids=BO_ERRORS.keys())
+    def test_exits_1_naming_bo(self, tmp_path, capsys, command, bo):
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps({"schema": CONFIG_SCHEMA, "bo": bo}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: bo: ")
         assert not out.exists()
 
 

@@ -138,3 +138,23 @@ class TestSweepValidation:
             "11d1ab3c378a7f2a786715d0b47a9ec2210361de0ea4e52b9221558b96bb5403")
         assert config_hash(default_config("ecoflex")) == (
             "516d900945351aef69d091953ceb7d365f58a715fdd137adfff5365ebab9ed63")
+
+
+class TestBOValidation:
+    # The CLI tests run invalid `bo` sections through `metrics` and
+    # `optimize`; these are the keys and the boundary.
+    def test_missing_keys_rejected(self):
+        with pytest.raises(ConfigError, match="bo: missing keys"):
+            RunConfig(bo={"budget": 30})
+
+    @pytest.mark.parametrize("budget", [True, 3.0, "30"])
+    def test_budget_must_be_an_integer(self, budget):
+        with pytest.raises(ConfigError, match="^bo: budget"):
+            RunConfig.from_dict({"schema": CONFIG_SCHEMA,
+                                 "bo": {"budget": budget}})
+
+    def test_search_space_and_boundary_budget(self):
+        cfg = RunConfig.from_dict({"schema": CONFIG_SCHEMA, "bo": {
+            "budget": 3, "f_range": [0.5, 2.0], "A_set": [15]}})
+        space = cfg.build_search_space()
+        assert space.f_range == (0.5, 2.0) and space.A_set == (15.0,)

@@ -185,6 +185,19 @@ def reference_tips(q_series, L, panels=64):
                             L * (w * np.cos(alpha)).sum(axis=1)])
 
 
+def reference_positions(q, s, L, panels=64):
+    """(x, y) at each s for one state, by 64 panels on each [0, s]."""
+    edges = np.asarray(s, dtype=float)[:, None] * np.linspace(
+        0.0, 1.0, panels + 1)[None, :]
+    half = 0.5 * np.diff(edges, axis=1)
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+    v = mid[:, :, None] + half[:, :, None] * _GL_NODES
+    w = half[:, :, None] * _GL_WEIGHTS
+    alpha = q[0] * v + 0.5 * q[1] * v * v
+    return np.column_stack([-L * (w * np.sin(alpha)).sum(axis=(1, 2)),
+                            L * (w * np.cos(alpha)).sum(axis=(1, 2))])
+
+
 def _states(qmax, n=300, seed=0):
     rng = np.random.default_rng(seed)
     corners = np.array([[qmax, qmax], [-qmax, qmax], [qmax, -qmax],
@@ -231,3 +244,38 @@ class TestSharedNodeQuadrature:
         got = tip_positions(q, GEOM)
         assert np.allclose(got, reference_tips(q, L), rtol=0.0,
                            atol=1e-13 * L)
+
+    @pytest.mark.parametrize("n_samples", [2, 200, 600])
+    def test_sample_centerline_matches_64_panel_reference(self, n_samples):
+        geom = TentacleGeometry(n_samples=n_samples)
+        s = np.linspace(0.0, 1.0, n_samples)
+        for q in _states(20.0, n=20, seed=3):
+            got = sample_centerline(CurvatureState(*q), geom)
+            assert np.allclose(got, reference_positions(q, s, L), rtol=0.0,
+                               atol=1e-13 * L)
+
+    def test_centerline_position_matches_64_panel_reference(self):
+        s = np.array([0.9, 0.05, 1.0, 0.3, 0.0, 0.55])
+        for q in _states(20.0, n=20, seed=4):
+            state = CurvatureState(*q)
+            ref = reference_positions(q, s, L)
+            assert np.allclose(centerline_position(state, s, L), ref,
+                               rtol=0.0, atol=1e-13 * L)
+            assert np.allclose(centerline_position(state, 0.3, L), ref[3],
+                               rtol=0.0, atol=1e-13 * L)
+
+    def test_root_row_exactly_zero(self):
+        q = _states(20.0, n=20, seed=5)
+        for row in q:
+            state = CurvatureState(*row)
+            assert np.all(sample_centerline(state, GEOM)[0] == 0.0)
+            assert centerline_position(state, 0.0, L) == (0.0, 0.0)
+        lat = lateral_displacements(q, np.array([0.4, 0.0, 1.0]), L)
+        assert np.all(lat[1] == 0.0)
+
+    def test_nan_station_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            lateral_displacements(_states(1.0, n=3), np.array([0.5, np.nan]),
+                                  L)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            centerline_position(CurvatureState(1.0, 0.0), float("nan"), L)
