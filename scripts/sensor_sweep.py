@@ -17,11 +17,10 @@ import time
 
 import numpy as np
 
-from tentaclelab.actuation import ProgramSpec, build_program
-from tentaclelab.kinematics import TentacleGeometry
+from tentaclelab.cli import simulate_ramp
+from tentaclelab.config import default_config
 from tentaclelab.plotting import line_plot_svg
 from tentaclelab.regressor import LabeledSequence, TrainConfig, forward, train
-from tentaclelab.sim import SimParams, simulate
 
 # Master transduction map; channel subsets take the leading rows. The
 # first row alone is rank 1, so the one-channel case is unobservable.
@@ -63,15 +62,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
 
-    geom = TentacleGeometry()
-    params = SimParams()
-    traces = {}
-    for name, dur, seed in (("train", args.duration, 0),
-                            ("test", 0.4 * args.duration, 1)):
-        prog = build_program(ProgramSpec(
-            duration_s=dur, dt=params.dt, amplitude_mode="random",
-            rpm_ramp=(12.0, 80.0), seed=seed))
-        traces[name] = simulate(prog, params, geom)
+    # States of the default `dataset` ramp; channel_readout reads them
+    # through each channel subset.
+    traces = {"train": simulate_ramp(default_config(), args.duration, 0),
+              "test": simulate_ramp(default_config(), 0.4 * args.duration, 1)}
 
     rows = []
     for n in (1, 2, 3, 4):
@@ -80,7 +74,7 @@ def main(argv=None) -> int:
         p_test = channel_readout(traces["test"], n, seed=1)
         cfg = TrainConfig(epochs=args.epochs)
         w, _ = train([LabeledSequence(p_train, traces["train"].q,
-                                      params.dt)], cfg)
+                                      traces["train"].dt)], cfg)
         pred = forward(w, p_test)
         truth = traces["test"].q
         nr = [100.0 * np.sqrt(np.mean((pred[:, j] - truth[:, j]) ** 2))

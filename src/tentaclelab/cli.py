@@ -12,14 +12,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .actuation import ProgramSpec, build_program
 from .bayesopt import OptimizationError, history_to_csv, optimize
-from .config import CONFIG_SCHEMA, ConfigError, RunConfig, config_hash, \
-    default_config
+from .config import CONFIG_SCHEMA, ConfigError, RunConfig, cell_window, \
+    config_hash, default_config
 from .fitting import PolyCoeffs, fit_report, poly_centerline
 from .kinematics import CurvatureState, TentacleGeometry, \
     lateral_displacements, sample_centerline, tip_positions
@@ -30,10 +30,11 @@ from .sim import SimTrace, SimulationError, moving_average, sensor_readout, \
     simulate, thrust_proxy, world_tip_positions
 from .vision import ImageSpec, VisionError, binarize, extract_midline, \
     midline_to_csv, read_pgm, render_silhouette, write_pgm
-from .wavemetrics import cod, field_from_states, field_twi, modeset_to_csv, \
-    tip_deflection
+from .wavemetrics import ModeSet, cod, field_from_states, field_twi, \
+    modeset_to_csv, tip_deflection
 
-__all__ = ["main"]
+__all__ = ["main", "CellResult", "evaluate_cell", "simulate_ramp",
+           "poly_targets"]
 
 
 def _write_manifest(outdir, command, cfg, outputs, extra=None):
@@ -62,6 +63,9 @@ def _load_config(args) -> RunConfig:
             "dataset": {**cfg.dataset, "train_seed": n, "test_seed": n + 1},
             "bo": {**cfg.bo, "seed": n},
         })
+    if getattr(args, "budget", None) is not None:
+        cfg = RunConfig.from_dict({**cfg.to_dict(),
+                                   "bo": {**cfg.bo, "budget": args.budget}})
     return cfg
 
 
@@ -70,18 +74,16 @@ def _outdir(args) -> str:
     return args.out
 
 
-def _simulate_ramp(cfg, duration, seed) -> SimTrace:
-    ds = cfg.dataset
-    spec = ProgramSpec(duration_s=duration, dt=ds["dt"],
-                       amplitude_mode="random",
-                       rpm_ramp=tuple(ds["rpm_ramp"]), seed=seed)
-    trace = simulate(build_program(spec), cfg.build_sim_params(),
-                     cfg.build_geometry())
+def simulate_ramp(cfg: RunConfig, duration: float, seed: int) -> SimTrace:
+    """The `dataset` program of `duration` seconds, simulated and read out
+    through the configured sensors."""
+    trace = simulate(build_program(cfg.build_ramp_spec(duration, seed)),
+                     cfg.build_sim_params(), cfg.build_geometry())
     pressures = sensor_readout(trace, cfg.build_sensor_model())
     return trace.with_pressures(pressures)
 
 
-def _poly_targets(q: np.ndarray, geom: TentacleGeometry) -> np.ndarray:
+def poly_targets(q: np.ndarray, geom: TentacleGeometry) -> np.ndarray:
     """(c2, c3) per step, fitted to the lateral profile of each state.
 
     The root is clamped (x(0) = x'(0) = 0), so c0 = c1 = 0 and the fit
@@ -97,7 +99,7 @@ def _poly_targets(q: np.ndarray, geom: TentacleGeometry) -> np.ndarray:
 def _targets_for(cfg, trace) -> np.ndarray:
     if cfg.target == "affine":
         return trace.q
-    return _poly_targets(trace.q, cfg.build_geometry())
+    return poly_targets(trace.q, cfg.build_geometry())
 
 
 def cmd_dataset(args) -> int:
@@ -113,7 +115,7 @@ def cmd_dataset(args) -> int:
     files = []
     for name, dur, seed in (("train.csv", dur_train, ds["train_seed"]),
                             ("test.csv", dur_test, ds["test_seed"])):
-        trace = _simulate_ramp(cfg, dur, seed)
+        trace = simulate_ramp(cfg, dur, seed)
         trace.to_csv(os.path.join(out, name))
         files.append(name)
     _write_manifest(out, "dataset", cfg, files,
@@ -187,18 +189,27 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _evaluate_cell(cfg, f, A, weights=None):
-    """Simulate one (f, A) actuation cell and score it.
+class CellResult(NamedTuple):
+    """Scores of one (f, A) actuation cell."""
+
+    twi: float
+    tip_defl_deg: float
+    thrust_mN: float
+    modes: ModeSet | None     # COD of the cell's field; None at A = 0
+
+
+def evaluate_cell(cfg: RunConfig, f: float, A: float,
+                  weights=None) -> CellResult:
+    """Simulate one (f, A) actuation cell of the `sweep` section and score it.
 
     TWI and tip deflection come from the states the metrics are computed
     from: the simulated states, or under `weights` the states the
     regressor reconstructs from the cell's pressures. Thrust always comes
-    from the simulated trace. Returns (twi, tip deflection in degrees,
-    thrust in mN, ModeSet of the field); a zero amplitude scores zero and
-    has no modes.
+    from the simulated trace. A zero amplitude scores zero and has no
+    modes.
     """
     if A == 0.0:
-        return 0.0, 0.0, 0.0, None
+        return CellResult(0.0, 0.0, 0.0, None)
     geom = cfg.build_geometry()
     params = cfg.build_sim_params()
     sw = cfg.sweep
@@ -206,18 +217,18 @@ def _evaluate_cell(cfg, f, A, weights=None):
         duration_s=sw["cycles"] / f, dt=params.dt, amplitude_deg=A,
         frequency_hz=f))
     trace = simulate(prog, params, geom)
-    k0 = int(sw["transient_cycles"] / f / params.dt)
+    win = cell_window(sw, f, params.dt)
     if weights is None:
         q, tipx = trace.q, trace.tip[:, 0]
     else:
         q = forward(weights, sensor_readout(trace, cfg.build_sensor_model()))
         tipx = world_tip_positions(q, trace.base_angle_deg, geom)[:, 0]
-    modes = cod(field_from_states(q[k0:][::sw["subsample"]], geom,
-                                  sw["n_stations"],
-                                  params.dt * sw["subsample"]))
+    modes = cod(field_from_states(q[win.start:win.stop:win.step], geom,
+                                  sw["n_stations"], params.dt * win.step))
     cyc = thrust_proxy(trace, f)[sw["transient_cycles"]:]
-    return (field_twi(modes), tip_deflection(tipx[k0:], geom.length_mm),
-            float(moving_average(cyc, 3).mean()), modes)
+    return CellResult(field_twi(modes),
+                      tip_deflection(tipx[win.start:], geom.length_mm),
+                      float(moving_average(cyc, 3).mean()), modes)
 
 
 def cmd_metrics(args) -> int:
@@ -228,8 +239,8 @@ def cmd_metrics(args) -> int:
     rows, cell_modes = [], []
     for A in cfg.sweep["amplitudes_deg"]:
         for r in cfg.sweep["freq_ratios"]:
-            twi_val, defl, thrust, modes = _evaluate_cell(cfg, r * f0, A,
-                                                          weights)
+            twi_val, defl, thrust, modes = evaluate_cell(cfg, r * f0, A,
+                                                         weights)
             rows.append((r * f0, A, r, thrust, defl, twi_val))
             cell_modes.append(modes)
     with open(os.path.join(out, "metrics.csv"), "w") as f:
@@ -264,23 +275,21 @@ def cmd_optimize(args) -> int:
     out = _outdir(args)
     weights = load_weights(args.weights) if args.weights else None
     bo = cfg.bo
-    budget = bo["budget"] if args.budget is None else args.budget
 
     def objective(f, A):
-        twi_val, defl, thrust, _ = _evaluate_cell(cfg, f, A, weights)
-        return {"objective": twi_val, "tip_defl_deg": defl,
-                "thrust_mN": thrust}
+        cell = evaluate_cell(cfg, f, A, weights)
+        return {"objective": cell.twi, "tip_defl_deg": cell.tip_defl_deg,
+                "thrust_mN": cell.thrust_mN}
 
-    best, history = optimize(objective, cfg.build_search_space(), budget,
-                             seed=bo["seed"], rho=bo["rho"])
+    best, history = optimize(objective, cfg.build_search_space(),
+                             bo["budget"], seed=bo["seed"], rho=bo["rho"])
     history_to_csv(history, os.path.join(out, "history.csv"))
     with open(os.path.join(out, "best.json"), "w") as f:
         json.dump({"f_hz": best.f, "A_deg": best.A, "twi": best.objective,
                    "tip_defl_deg": best.tip_defl_deg,
                    "thrust_mN": best.thrust_mN}, f, indent=2, sort_keys=True)
         f.write("\n")
-    _write_manifest(out, "optimize", cfg, ["history.csv", "best.json"],
-                    extra={"budget": budget})
+    _write_manifest(out, "optimize", cfg, ["history.csv", "best.json"])
     return 0
 
 

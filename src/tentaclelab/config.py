@@ -14,13 +14,15 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .actuation import ProgramSpec
 from .bayesopt import SearchSpace
 from .kinematics import TentacleGeometry
 from .regressor import TrainConfig
 from .sim import SensorModel, SimParams, default_sensor_model, \
     material_preset, preset_epochs
 
-__all__ = ["RunConfig", "ConfigError", "default_config", "config_hash"]
+__all__ = ["RunConfig", "ConfigError", "default_config", "config_hash",
+           "cell_window"]
 
 CONFIG_SCHEMA = 1
 
@@ -79,6 +81,7 @@ class RunConfig:
         if self.target not in ("affine", "poly"):
             raise ConfigError(f"target: must be 'affine' or 'poly', "
                               f"got {self.target!r}")
+        _check_keys("sensor", self.sensor, _DEFAULT_SENSOR)
         _check_keys("bo", self.bo, _DEFAULT_BO)
         # Instantiate every nested component so field-level errors
         # surface at load time with the offending section named.
@@ -95,11 +98,7 @@ class RunConfig:
                 raise
             except (TypeError, ValueError) as e:
                 raise ConfigError(f"{name}: {e}") from e
-        ds = self.dataset
-        if ds.get("train_duration_s", 1) <= 0 or ds.get("test_duration_s", 1) <= 0:
-            raise ConfigError("dataset: durations must be positive")
-        if ds.get("dt", 1) <= 0:
-            raise ConfigError("dataset: dt must be positive")
+        _check_dataset(self)
         _check_sweep(self.sweep, self.build_sim_params())
         # optimize starts from three design points.
         if not _is_int(self.bo["budget"]) or self.bo["budget"] < 3:
@@ -114,7 +113,7 @@ class RunConfig:
         return SimParams(**merged)
 
     def build_sensor_model(self) -> SensorModel:
-        s = {**_DEFAULT_SENSOR, **self.sensor}
+        s = self.sensor
         return SensorModel(gain=np.array(s["gain"], dtype=float),
                            rate_gain=np.array(s["rate_gain"], dtype=float),
                            baseline_kpa=s["baseline_kpa"],
@@ -127,6 +126,13 @@ class RunConfig:
         t = dict(self.train)
         t.setdefault("epochs", preset_epochs(self.material))
         return TrainConfig(**t)
+
+    def build_ramp_spec(self, duration_s: float, seed: int) -> ProgramSpec:
+        """The `dataset` section's ramped random-amplitude program."""
+        ds = self.dataset
+        return ProgramSpec(duration_s=duration_s, dt=ds["dt"],
+                           amplitude_mode="random",
+                           rpm_ramp=tuple(ds["rpm_ramp"]), seed=seed)
 
     def build_search_space(self) -> SearchSpace:
         return SearchSpace(f_range=tuple(self.bo["f_range"]),
@@ -201,6 +207,41 @@ def _check_keys(name: str, section: dict, defaults: dict) -> None:
         raise ConfigError(f"{name}: missing keys {sorted(missing)}")
 
 
+def _check_dataset(cfg: RunConfig) -> None:
+    """Reject a dataset section that `dataset` could not run."""
+    ds = cfg.dataset
+    _check_keys("dataset", ds, _DEFAULT_DATASET)
+    if not all(_is_real(ds[k]) and ds[k] > 0
+               for k in ("train_duration_s", "test_duration_s", "dt")):
+        raise ConfigError("dataset: train_duration_s, test_duration_s and dt "
+                          "must be positive numbers")
+    # The simulator's stability bound on the step.
+    max_dt = 1.0 / (50.0 * cfg.build_sim_params().f0_hz)
+    if ds["dt"] > max_dt:
+        raise ConfigError(f"dataset: dt must be <= 1/(50*f0) = {max_dt:g} s")
+    if not all(_is_int(ds[k]) and ds[k] >= 0
+               for k in ("train_seed", "test_seed")):
+        raise ConfigError("dataset: train_seed and test_seed must be "
+                          "integers >= 0")
+    ramp = ds["rpm_ramp"]
+    if (not isinstance(ramp, (list, tuple)) or len(ramp) != 2
+            or not all(map(_is_real, ramp))):
+        raise ConfigError("dataset: rpm_ramp must be a list of two RPM "
+                          "endpoints")
+    for split in ("train", "test"):
+        try:
+            cfg.build_ramp_spec(ds[f"{split}_duration_s"], ds[f"{split}_seed"])
+        except ValueError as e:
+            raise ConfigError(f"dataset: {e}") from e
+
+
+def cell_window(sweep: dict, f: float, dt: float) -> range:
+    """Steps of a sweep cell at frequency f that enter its deformation
+    field: every `subsample`-th step after the transient cycles."""
+    return range(int(sweep["transient_cycles"] / f / dt),
+                 int(round(sweep["cycles"] / f / dt)), sweep["subsample"])
+
+
 def _check_sweep(sw: dict, params: SimParams) -> None:
     """Reject a sweep section that `metrics` or `optimize` could not run."""
     _check_keys("sweep", sw, _DEFAULT_SWEEP)
@@ -230,12 +271,10 @@ def _check_sweep(sw: dict, params: SimParams) -> None:
         raise ConfigError("sweep: n_stations must be at least 3")
     if subsample < 1:
         raise ConfigError("sweep: subsample must be at least 1")
-    # The deformation field keeps every subsample-th step after the
-    # transient (the cell's own arithmetic) and needs 8 of them.
+    # The deformation field needs 8 samples.
     for r in ratios:
         f = r * params.f0_hz
-        n_t = len(range(int(transient / f / params.dt),
-                        int(round(cycles / f / params.dt)), subsample))
+        n_t = len(cell_window(sw, f, params.dt))
         if n_t < 8:
             raise ConfigError(
                 f"sweep: at f = {f:g} Hz only {n_t} field samples follow "

@@ -53,7 +53,6 @@ class SimParams:
     quad_drag: float = 0.8
     vel_coupling: float = 4.0
     dt: float = 0.005
-    seed: int = 0
 
     def __post_init__(self):
         if self.f0_hz <= 0:

@@ -13,32 +13,25 @@ import time
 import numpy as np
 import pytest
 
-from tentaclelab.actuation import ProgramSpec, build_program
 from tentaclelab.bayesopt import SearchSpace, optimize
+from tentaclelab.cli import evaluate_cell, poly_targets, simulate_ramp
 from tentaclelab.cli import main as cli_main
-from tentaclelab.config import CONFIG_SCHEMA
+from tentaclelab.config import CONFIG_SCHEMA, default_config
 from tentaclelab.fitting import Centerline, fit_affine, fit_report
 from tentaclelab.kinematics import (CurvatureState, TentacleGeometry,
-                                    lateral_displacements, sample_centerline,
-                                    tip_position, tip_positions)
+                                    sample_centerline, tip_position,
+                                    tip_positions)
 from tentaclelab.regressor import (LabeledSequence, TrainConfig, _pack,
                                    _unpack, forward, gradients, init_weights,
                                    train)
-from tentaclelab.sim import (SimParams, default_sensor_model, material_preset,
-                             moving_average, preset_epochs, sensor_readout,
-                             simulate, thrust_proxy)
+from tentaclelab.sim import SimParams, moving_average, preset_epochs
 from tentaclelab.vision import (ImageSpec, binarize, extract_midline,
                                 render_silhouette)
-from tentaclelab.wavemetrics import (DeformationField, cod, field_from_states,
-                                     field_twi, tip_deflection)
+from tentaclelab.wavemetrics import DeformationField, cod, field_twi
 
 GEOM = TentacleGeometry()
 L = GEOM.length_mm
 SWEEP_RATIOS = tuple(round(0.1 * k, 10) for k in range(1, 11))
-SWEEP_CYCLES = 12
-TRANSIENT_CYCLES = 4
-N_STATIONS = 16
-SUBSAMPLE = 4
 
 
 _PYTEST_CONFIG = None
@@ -62,47 +55,12 @@ def _report(num: int, ok: bool, detail: str) -> None:
         print(line, file=sys.__stdout__, flush=True)
 
 
-def _ramp_trace(material: str, duration: float, seed: int):
-    prog = build_program(ProgramSpec(
-        duration_s=duration, dt=0.005, amplitude_mode="random",
-        rpm_ramp=(12.0, 80.0), seed=seed))
-    trace = simulate(prog, material_preset(material), GEOM)
-    return trace.with_pressures(sensor_readout(trace,
-                                               default_sensor_model()))
-
-
-def _fixed_trace(f: float, A: float, params: SimParams):
-    prog = build_program(ProgramSpec(
-        duration_s=SWEEP_CYCLES / f, dt=params.dt, amplitude_deg=A,
-        frequency_hz=f))
-    return simulate(prog, params, GEOM)
-
-
-def _state_metrics(q, trace, f: float):
-    """(tip deflection deg, TWI) of a state series from a fixed-f run."""
-    k0 = int(TRANSIENT_CYCLES / f / trace.dt)
-    field = field_from_states(q[k0:][::SUBSAMPLE], GEOM, N_STATIONS,
-                              trace.dt * SUBSAMPLE)
-    tipb = tip_positions(q, GEOM)
-    theta = np.radians(trace.base_angle_deg)
-    tipx = np.cos(theta) * tipb[:, 0] - np.sin(theta) * tipb[:, 1]
-    return tip_deflection(tipx[k0:], L), field_twi(cod(field))
-
-
-def _poly_targets(q: np.ndarray) -> np.ndarray:
-    s = np.linspace(0.0, 1.0, GEOM.n_samples)
-    lat = lateral_displacements(q, s, L)
-    A = np.column_stack([s * s, s**3])
-    coef, *_ = np.linalg.lstsq(A, lat, rcond=None)
-    return coef.T
-
-
 @pytest.fixture(scope="module")
 def dragonskin_run():
     """Default 100 s / 40 s pipeline: data, trained regressor, test split."""
     t0 = time.time()
-    tr_train = _ramp_trace("dragonskin", 100.0, 0)
-    tr_test = _ramp_trace("dragonskin", 40.0, 1)
+    tr_train = simulate_ramp(default_config(), 100.0, 0)
+    tr_test = simulate_ramp(default_config(), 40.0, 1)
     cfg = TrainConfig(epochs=preset_epochs("dragonskin"))
     weights, history = train(
         [LabeledSequence(tr_train.pressures, tr_train.q, tr_train.dt)], cfg)
@@ -114,16 +72,13 @@ def dragonskin_run():
 def sweep_rows():
     """(A, r, deflection, thrust, TWI) over the default simulator sweep."""
     t0 = time.time()
-    params = SimParams()
+    cfg = default_config()
+    f0 = cfg.build_sim_params().f0_hz
     rows = []
     for A in (10.0, 20.0, 30.0):
         for r in SWEEP_RATIOS:
-            f = r * params.f0_hz
-            trace = _fixed_trace(f, A, params)
-            defl, twi_val = _state_metrics(trace.q, trace, f)
-            cyc = thrust_proxy(trace, f)[TRANSIENT_CYCLES:]
-            thrust = float(moving_average(cyc, 3).mean())
-            rows.append((A, r, defl, thrust, twi_val))
+            cell = evaluate_cell(cfg, r * f0, A)
+            rows.append((A, r, cell.tip_defl_deg, cell.thrust_mN, cell.twi))
     return {"rows": rows, "elapsed": time.time() - t0}
 
 
@@ -246,13 +201,11 @@ def test_criterion_6_poly_vs_affine_ordering():
     # Model-representation comparison on the soft large-deformation
     # preset: the cubic lateral polynomial cannot reach the true tip,
     # while the affine curvature model reconstructs it exactly.
-    trace = simulate(build_program(ProgramSpec(
-        duration_s=40.0, dt=0.005, amplitude_mode="random",
-        rpm_ramp=(12.0, 80.0), seed=1)), material_preset("ecoflex"), GEOM)
+    trace = simulate_ramp(default_config("ecoflex"), 40.0, 1)
     truth_tip = tip_positions(trace.q, GEOM)
     rep_affine = fit_report(trace.q, trace.q, GEOM, kind="affine",
                             truth_tip=truth_tip)
-    c = _poly_targets(trace.q)
+    c = poly_targets(trace.q, GEOM)
     pad = np.column_stack([np.zeros((len(c), 2)), c])
     rep_poly = fit_report(pad, pad, GEOM, kind="poly", truth_tip=truth_tip)
     ok = (rep_poly.rel_tip_err > rep_affine.rel_tip_err
@@ -338,16 +291,13 @@ def test_criterion_8_metric_trends(sweep_rows):
 
 def test_criterion_9_reconstructed_metrics(dragonskin_run):
     weights = dragonskin_run["weights"]
-    sensor = default_sensor_model()
-    params = SimParams()
+    cfg = default_config()
+    f0 = cfg.build_sim_params().f0_hz
     max_dtwi = 0.0
     max_rel_defl = 0.0
     for r in SWEEP_RATIOS:
-        f = r * params.f0_hz
-        trace = _fixed_trace(f, 20.0, params)
-        defl_t, twi_t = _state_metrics(trace.q, trace, f)
-        q_rec = forward(weights, sensor_readout(trace, sensor))
-        defl_r, twi_r = _state_metrics(q_rec, trace, f)
+        twi_t, defl_t, _, _ = evaluate_cell(cfg, r * f0, 20.0)
+        twi_r, defl_r, _, _ = evaluate_cell(cfg, r * f0, 20.0, weights)
         max_dtwi = max(max_dtwi, abs(twi_r - twi_t))
         max_rel_defl = max(max_rel_defl, abs(defl_r - defl_t) / defl_t)
     ok = max_dtwi < 0.1 and max_rel_defl < 0.10
@@ -360,6 +310,7 @@ def test_criterion_9_reconstructed_metrics(dragonskin_run):
 def test_criterion_10_bo_convergence():
     t0 = time.time()
     params = SimParams()
+    cfg = default_config()
     space = SearchSpace(f_range=(0.1 * params.f0_hz, 1.0 * params.f0_hz),
                         A_set=(10.0, 20.0, 30.0))
     cache = {}
@@ -367,8 +318,7 @@ def test_criterion_10_bo_convergence():
     def true_twi(f, A):
         key = (round(f, 9), A)
         if key not in cache:
-            trace = _fixed_trace(f, A, params)
-            cache[key] = _state_metrics(trace.q, trace, f)[1]
+            cache[key] = evaluate_cell(cfg, f, A).twi
         return cache[key]
 
     grid = space.grid()

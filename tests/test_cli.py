@@ -136,6 +136,25 @@ class TestMetrics:
 
 
 class TestOptimize:
+    def test_budget_goes_into_the_config(self, tmp_path, fast_config):
+        out = str(tmp_path / "opt")
+        assert main(["optimize", "--config", fast_config, "--budget", "3",
+                     "--out", out]) == 0
+        with open(os.path.join(out, "manifest.json")) as f:
+            man = json.load(f)
+        assert man["config"]["bo"]["budget"] == 3
+        assert "budget" not in man
+        lines = open(os.path.join(out, "history.csv")).read().strip()
+        assert len(lines.split("\n")) == 4
+
+    def test_budget_below_3_exits_1_before_output(self, tmp_path, capsys,
+                                                  fast_config):
+        out = tmp_path / "opt"
+        assert main(["optimize", "--config", fast_config, "--budget", "2",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: bo: budget")
+        assert not out.exists()
+
     def test_best_and_history(self, tmp_path, fast_config):
         out = str(tmp_path / "opt")
         assert main(["optimize", "--config", fast_config, "--budget", "4",
@@ -199,6 +218,52 @@ class TestOneCellEvaluation:
             got = seen[(float(row[2]), float(row[1]))]
             assert [f"{got[k]:.10g}" for k in
                     ("thrust_mN", "tip_defl_deg", "objective")] == row[3:]
+
+
+class TestEvaluateCell:
+    def test_named_fields_unpack_in_order(self):
+        cfg = default_config()
+        cell = cli.evaluate_cell(cfg, 1.6, 20.0)
+        twi_val, defl, thrust, modes = cell
+        assert (cell.twi, cell.tip_defl_deg, cell.thrust_mN,
+                cell.modes) == (twi_val, defl, thrust, modes)
+        assert 0.0 <= twi_val <= 1.0 and defl > 0.0 and thrust > 0.0
+        assert modes is not None
+
+    def test_zero_amplitude_scores_zero(self):
+        assert cli.evaluate_cell(default_config(), 1.6, 0.0) == \
+            cli.CellResult(0.0, 0.0, 0.0, None)
+
+
+DATASET_ERRORS = {
+    "dt_too_coarse": {"dt": 0.01},
+    "rpm_below_12": {"rpm_ramp": [5, 80]},
+    "one_rpm_endpoint": {"rpm_ramp": [20]},
+    "fractional_seed": {"train_seed": 1.5},
+    "misspelt_key": {"train_durations_s": 6.0},
+}
+
+
+class TestDatasetConfigErrors:
+    @pytest.mark.parametrize("dataset", DATASET_ERRORS.values(),
+                             ids=DATASET_ERRORS.keys())
+    def test_dataset_exits_1_naming_dataset(self, tmp_path, capsys, dataset):
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps({"schema": CONFIG_SCHEMA,
+                                 "dataset": dataset}))
+        out = tmp_path / "out"
+        assert main(["dataset", "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: dataset: ")
+        assert not out.exists()
+
+    def test_unknown_sensor_key_exits_1(self, tmp_path, capsys):
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps({"schema": CONFIG_SCHEMA,
+                                 "sensor": {"bogus": 1}}))
+        out = tmp_path / "out"
+        assert main(["dataset", "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: sensor: ")
+        assert not out.exists()
 
 
 SWEEP_ERRORS = {

@@ -4,8 +4,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from tentaclelab.actuation import ProgramSpec, build_program
 from tentaclelab.config import (CONFIG_SCHEMA, ConfigError, RunConfig,
-                                config_hash, default_config)
+                                cell_window, config_hash, default_config)
 from tentaclelab.sim import default_sensor_model
 
 
@@ -46,6 +47,11 @@ class TestRunConfig:
     def test_bad_nested_value_names_section(self):
         with pytest.raises(ConfigError, match="sim"):
             RunConfig(sim={"zeta": 2.0})
+
+    def test_sim_has_no_seed(self):
+        with pytest.raises(ConfigError, match="^sim: "):
+            RunConfig.from_dict({"schema": CONFIG_SCHEMA,
+                                 "sim": {"seed": 7}})
 
     def test_bad_dataset(self):
         with pytest.raises(ConfigError):
@@ -158,3 +164,46 @@ class TestBOValidation:
             "budget": 3, "f_range": [0.5, 2.0], "A_set": [15]}})
         space = cfg.build_search_space()
         assert space.f_range == (0.5, 2.0) and space.A_set == (15.0,)
+
+
+class TestCellWindow:
+    @pytest.mark.parametrize("material", ["dragonskin", "ecoflex"])
+    def test_window_ends_at_the_cells_last_step(self, material):
+        cfg = default_config(material)
+        sw, params = cfg.sweep, cfg.build_sim_params()
+        for r in sw["freq_ratios"]:
+            f = r * params.f0_hz
+            n = len(build_program(ProgramSpec(
+                duration_s=sw["cycles"] / f, dt=params.dt, frequency_hz=f)
+            ).time)
+            win = cell_window(sw, f, params.dt)
+            assert win.stop == n and win.step == sw["subsample"]
+            assert win.start == int(sw["transient_cycles"] / f / params.dt)
+
+
+class TestDatasetValidation:
+    # The CLI tests run the cases that used to fail mid-run or pass
+    # silently through `dataset`; these are further invalid values.
+    @pytest.mark.parametrize("dataset", [
+        {"dt": 0.0},
+        {"rpm_ramp": 40},
+        {"rpm_ramp": [12.0, "80"]},
+        {"test_seed": -1},
+        {"test_duration_s": float("inf")},
+    ])
+    def test_invalid_values_rejected_at_load(self, dataset):
+        with pytest.raises(ConfigError, match="^dataset: "):
+            RunConfig.from_dict({"schema": CONFIG_SCHEMA, "dataset": dataset})
+
+    def test_missing_keys_rejected(self):
+        with pytest.raises(ConfigError, match="dataset: missing keys"):
+            RunConfig(dataset={"dt": 0.005})
+
+    def test_dt_bound_follows_the_material(self):
+        # 1/(50*f0) is 0.00625 s for dragonskin and 0.0074 s for ecoflex.
+        doc = {"schema": CONFIG_SCHEMA, "dataset": {"dt": 0.007}}
+        with pytest.raises(ConfigError, match="dataset: dt must be <="):
+            RunConfig.from_dict(doc)
+        cfg = RunConfig.from_dict({**doc, "material": "ecoflex"})
+        assert cfg.build_ramp_spec(1.0, 0).dt == 0.007
+
