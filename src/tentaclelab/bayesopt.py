@@ -174,8 +174,10 @@ def optimize(objective_fn, space: SearchSpace, budget: int,
     Three seeded Halton points start the design; afterwards each
     iteration fits the GP to all successful evaluations and evaluates
     the acquisition argmax of the candidate grid. An objective_fn call
-    that raises is masked: the point is excluded from the grid and from
-    the history, and the loop continues. If every evaluation fails,
+    that fails (ValueError, ArithmeticError or RuntimeError, which
+    includes SimulationError) is masked: the point is excluded from the
+    grid and from the history, and the loop continues; any other
+    exception is a bug and propagates. If every evaluation fails,
     OptimizationError names the count and the last error.
 
     objective_fn(f, A) returns either a float objective or a dict with
@@ -209,7 +211,7 @@ def optimize(objective_fn, space: SearchSpace, budget: int,
         f, A = grid[k]
         try:
             res = objective_fn(float(f), float(A))
-        except Exception as e:
+        except (ValueError, ArithmeticError, RuntimeError) as e:
             last_error = e
             masked[k] = True
             trace_id += 1

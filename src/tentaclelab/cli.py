@@ -52,21 +52,27 @@ def _write_manifest(outdir, command, cfg, outputs, extra=None):
         f.write("\n")
 
 
+# Flags that each override one config key, folded in before validation
+# so the config check covers them and the manifest records them.
+_FLAG_KEYS = (("budget", "bo", "budget"),
+              ("duration", "dataset", "train_duration_s"),
+              ("duration_test", "dataset", "test_duration_s"))
+
+
 def _load_config(args) -> RunConfig:
     cfg = RunConfig.from_json(args.config) if args.config else default_config()
-    if getattr(args, "seed", None) is not None:
-        n = args.seed
-        cfg = RunConfig.from_dict({
-            **cfg.to_dict(),
-            "sensor": {**cfg.sensor, "seed": n},
-            "train": {**cfg.train, "seed": n},
-            "dataset": {**cfg.dataset, "train_seed": n, "test_seed": n + 1},
-            "bo": {**cfg.bo, "seed": n},
-        })
-    if getattr(args, "budget", None) is not None:
-        cfg = RunConfig.from_dict({**cfg.to_dict(),
-                                   "bo": {**cfg.bo, "budget": args.budget}})
-    return cfg
+    doc = cfg.to_dict()
+    n = getattr(args, "seed", None)
+    if n is not None:
+        doc.update(sensor={**cfg.sensor, "seed": n},
+                   train={**cfg.train, "seed": n},
+                   dataset={**cfg.dataset, "train_seed": n,
+                            "test_seed": n + 1},
+                   bo={**cfg.bo, "seed": n})
+    for flag, section, key in _FLAG_KEYS:
+        if getattr(args, flag, None) is not None:
+            doc[section] = {**doc[section], key: getattr(args, flag)}
+    return RunConfig.from_dict(doc)
 
 
 def _outdir(args) -> str:
@@ -106,20 +112,13 @@ def cmd_dataset(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
     ds = cfg.dataset
-    dur_train = ds["train_duration_s"] if args.duration is None \
-        else args.duration
-    dur_test = ds["test_duration_s"] if args.duration_test is None \
-        else args.duration_test
-    if dur_train <= 0 or dur_test <= 0:
-        raise ConfigError("dataset durations must be positive")
     files = []
-    for name, dur, seed in (("train.csv", dur_train, ds["train_seed"]),
-                            ("test.csv", dur_test, ds["test_seed"])):
-        trace = simulate_ramp(cfg, dur, seed)
-        trace.to_csv(os.path.join(out, name))
-        files.append(name)
-    _write_manifest(out, "dataset", cfg, files,
-                    extra={"durations_s": [dur_train, dur_test]})
+    for split in ("train", "test"):
+        trace = simulate_ramp(cfg, ds[f"{split}_duration_s"],
+                              ds[f"{split}_seed"])
+        trace.to_csv(os.path.join(out, f"{split}.csv"))
+        files.append(f"{split}.csv")
+    _write_manifest(out, "dataset", cfg, files)
     return 0
 
 

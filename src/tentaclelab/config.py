@@ -83,6 +83,11 @@ class RunConfig:
                               f"got {self.target!r}")
         _check_keys("sensor", self.sensor, _DEFAULT_SENSOR)
         _check_keys("bo", self.bo, _DEFAULT_BO)
+        for name, section in (("bo", self.bo), ("train", self.train),
+                              ("sensor", self.sensor)):
+            seed = section.get("seed", 0)
+            if not _is_int(seed) or seed < 0:
+                raise ConfigError(f"{name}: seed must be an integer >= 0")
         # Instantiate every nested component so field-level errors
         # surface at load time with the offending section named.
         for name, builder in (
@@ -120,7 +125,7 @@ class RunConfig:
                            lag_tau_s=s["lag_tau_s"],
                            sat_kappa=s["sat_kappa"],
                            noise_sigma_kpa=s["noise_sigma_kpa"],
-                           seed=int(s["seed"]))
+                           seed=s["seed"])
 
     def build_train_config(self) -> TrainConfig:
         t = dict(self.train)

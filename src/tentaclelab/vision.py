@@ -115,22 +115,46 @@ def render_silhouette(q: CurvatureState, geom: TentacleGeometry,
             f"configuration leaves the frame at centerline sample {k} "
             f"(px ({col[k]:.1f}, {row[k]:.1f}), half-width {half[k]:.1f})")
 
-    tree = cKDTree(np.column_stack([col, row]))
-    # Query only the band's bounding box; the rest stays background.
+    # Only pixels within half + 0.5 of their nearest sample can differ
+    # from the background; the disks of radius `margin` cover them all.
     c0 = int(np.floor((col - margin).min()))
     c1 = int(np.ceil((col + margin).max())) + 1
     r0 = int(np.floor((row - margin).min()))
     r1 = int(np.ceil((row + margin).max())) + 1
-    cc, rr = np.meshgrid(np.arange(c0, c1), np.arange(r0, r1))
-    dist, idx = tree.query(np.column_stack([cc.ravel(), rr.ravel()]))
+    cover = _disk_cover(col - c0, row - r0, margin, (r1 - r0, c1 - c0))
+    rr, cc = np.nonzero(cover)
+    dist, idx = cKDTree(np.column_stack([col, row])).query(
+        np.column_stack([cc + c0, rr + r0]))
     # Signed distance to the band edge; 1 px linear anti-alias ramp.
     alpha = np.clip(0.5 + (half[idx] - dist), 0.0, 1.0)
-    sub = _BG_LEVEL - alpha * (_BG_LEVEL - _FG_LEVEL)
-    pix = np.full((spec.height, spec.width), float(_BG_LEVEL))
-    pix[r0:r1, c0:c1] = sub.reshape(r1 - r0, c1 - c0)
-    return GrayImage(pixels=np.round(pix).astype(np.uint8),
-                     scale_mm_per_px=spec.scale_mm_per_px,
+    pix = np.full((spec.height, spec.width), _BG_LEVEL, dtype=np.uint8)
+    pix[r0:r1, c0:c1][cover] = np.round(
+        _BG_LEVEL - alpha * (_BG_LEVEL - _FG_LEVEL))
+    return GrayImage(pixels=pix, scale_mm_per_px=spec.scale_mm_per_px,
                      origin_px=spec.origin_px)
+
+
+def _disk_cover(col, row, radius, shape) -> np.ndarray:
+    """Boolean (rows, cols) mask of the pixels inside any disk.
+
+    Each disk becomes one column span per pixel row it touches; the
+    spans are summed into a row-wise difference array and integrated.
+    Disks must lie inside the shape.
+    """
+    lo = np.ceil(row - radius).astype(int)
+    n_rows = np.floor(row + radius).astype(int) - lo + 1
+    k = np.repeat(np.arange(len(row)), n_rows)      # disk of each span
+    first = np.cumsum(n_rows) - n_rows              # its first span
+    r = lo[k] + np.arange(len(k)) - first[k]
+    w = np.sqrt(np.maximum(radius[k] ** 2 - (r - row[k]) ** 2, 0.0))
+    start = np.ceil(col[k] - w).astype(int)
+    stop = np.floor(col[k] + w).astype(int) + 1
+    size = shape[0] * (shape[1] + 1)
+    base = r * (shape[1] + 1)
+    diff = (np.bincount(base + start, minlength=size)
+            - np.bincount(base + stop, minlength=size))
+    run = np.cumsum(diff.reshape(shape[0], shape[1] + 1), axis=1)
+    return run[:, :-1] > 0
 
 
 def otsu_threshold(pixels: np.ndarray) -> int:
@@ -185,25 +209,28 @@ def extract_midline(mask: np.ndarray, spec: ImageSpec,
     mask = np.asarray(mask, dtype=bool)
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    labels, n_comp = ndimage.label(
-        mask, structure=np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]]))
-    if n_comp == 0:
+    on_row = mask.any(axis=1)
+    rows = np.flatnonzero(on_row)
+    if len(rows) == 0:
         raise VisionError("mask has no foreground")
+    # Label the foreground bounding box only; components are unchanged.
+    on_col = np.flatnonzero(mask.any(axis=0))
+    _, n_comp = ndimage.label(
+        mask[rows[0]:rows[-1] + 1, on_col[0]:on_col[-1] + 1],
+        structure=np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]]))
     if n_comp > 1:
         raise VisionError(f"mask has {n_comp} foreground components; "
                           "expected a single band")
     root_row = int(round(spec.origin_px[1]))
-    if not mask[root_row].any():
+    if not on_row[root_row]:
         raise VisionError("foreground does not touch the root row")
 
-    rows = np.flatnonzero(mask.any(axis=1))
     rows = rows[rows >= root_row]
     if len(rows) < 2:
         raise VisionError("band spans fewer than 2 rows below the root")
     if np.any(np.diff(rows) > 3):
         raise VisionError("band is discontinuous (row gap > 2)")
-    cols = np.array([(np.flatnonzero(mask[r]).min()
-                      + np.flatnonzero(mask[r]).max()) * 0.5 for r in rows])
+    cols = _row_centres(mask[rows])
     x = (cols - spec.origin_px[0]) * spec.scale_mm_per_px
     y = (rows - spec.origin_px[1]) * spec.scale_mm_per_px
     pts = np.column_stack([x, y])
@@ -216,6 +243,13 @@ def extract_midline(mask: np.ndarray, spec: ImageSpec,
     res = np.column_stack([np.interp(target, cum, pts[:, 0]),
                            np.interp(target, cum, pts[:, 1])])
     return Centerline(res)
+
+
+def _row_centres(rows: np.ndarray) -> np.ndarray:
+    """Midpoint of the first and last True column of each nonempty row."""
+    first = np.argmax(rows, axis=1)
+    last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1], axis=1)
+    return (first + last) * 0.5
 
 
 def write_pgm(img: GrayImage, path) -> None:

@@ -160,6 +160,17 @@ class TestOptimize:
         # Failed points are never retried.
         assert len(set(calls)) == len(calls)
 
+    def test_programming_error_propagates(self):
+        calls = []
+
+        def buggy(f, A):
+            calls.append((f, A))
+            return None + f
+
+        with pytest.raises(TypeError):
+            optimize(buggy, SPACE, budget=6, seed=0)
+        assert len(calls) == 1
+
     def test_all_failures_raise(self):
         def broken(f, A):
             raise RuntimeError("dead rig")

@@ -79,6 +79,28 @@ class TestDataset:
         assert main(["dataset", "--config", fast_config, "--duration", "0",
                      "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("flag", ["--duration", "--duration-test"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_bad_duration_exits_1_before_output(self, tmp_path, capsys,
+                                                fast_config, flag, value):
+        out = tmp_path / "x"
+        assert main(["dataset", "--config", fast_config, flag, value,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: dataset: ")
+        assert not out.exists()
+
+    def test_durations_go_into_the_config(self, tmp_path, fast_config):
+        out = str(tmp_path / "data")
+        assert main(["dataset", "--config", fast_config, "--duration", "0.5",
+                     "--duration-test", "0.25", "--out", out]) == 0
+        with open(os.path.join(out, "manifest.json")) as f:
+            man = json.load(f)
+        assert man["config"]["dataset"]["train_duration_s"] == 0.5
+        assert man["config"]["dataset"]["test_duration_s"] == 0.25
+        assert "durations_s" not in man
+        rows = open(os.path.join(out, "test.csv")).read().strip()
+        assert len(rows.split("\n")) == 1 + 50
+
 
 class TestTrain:
     def test_outputs(self, trained_dir):
@@ -254,6 +276,17 @@ class TestDatasetConfigErrors:
         out = tmp_path / "out"
         assert main(["dataset", "--config", str(p), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: dataset: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section", ["bo", "train", "sensor"])
+    def test_fractional_seed_exits_1_naming_section(self, tmp_path, capsys,
+                                                    section):
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps({"schema": CONFIG_SCHEMA,
+                                 section: {"seed": 1.5}}))
+        out = tmp_path / "out"
+        assert main(["dataset", "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {section}: seed")
         assert not out.exists()
 
     def test_unknown_sensor_key_exits_1(self, tmp_path, capsys):

@@ -53,6 +53,13 @@ class TestRunConfig:
             RunConfig.from_dict({"schema": CONFIG_SCHEMA,
                                  "sim": {"seed": 7}})
 
+    @pytest.mark.parametrize("section", ["bo", "train", "sensor"])
+    @pytest.mark.parametrize("seed", [1.5, True, -1, "0"])
+    def test_seed_must_be_a_nonnegative_integer(self, section, seed):
+        with pytest.raises(ConfigError, match=f"^{section}: seed"):
+            RunConfig.from_dict({"schema": CONFIG_SCHEMA,
+                                 section: {"seed": seed}})
+
     def test_bad_dataset(self):
         with pytest.raises(ConfigError):
             RunConfig(dataset={"train_duration_s": -1.0})

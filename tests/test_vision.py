@@ -1,5 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from tentaclelab.fitting import Centerline, fit_affine
 from tentaclelab.kinematics import (CurvatureState, TentacleGeometry,
@@ -8,6 +13,7 @@ from tentaclelab.vision import (GrayImage, ImageSpec, VisionError, binarize,
                                 extract_midline, midline_from_csv,
                                 midline_to_csv, otsu_threshold, read_pgm,
                                 render_silhouette, write_pgm)
+from tentaclelab.vision import _centerline_px, _disk_cover, _row_centres
 
 GEOM = TentacleGeometry()
 SPEC = ImageSpec()
@@ -77,6 +83,87 @@ class TestRenderSilhouette:
         img = render_silhouette(CurvatureState(0.5, 0.0), GEOM, SPEC)
         assert img.pixels.min() == 25
         assert img.pixels.max() == 230
+
+
+# 128 x 96 px at 4 mm/px: small enough for a full distance matrix.
+SMALL = ImageSpec(width=128, height=96, scale_mm_per_px=4.0,
+                  origin_px=(64.0, 24.0))
+
+
+def brute_force_render(q, spec):
+    """Nearest sample of every frame pixel by a full distance matrix,
+    with the renderer's alpha formula and levels."""
+    col, row, half = _centerline_px(CurvatureState(*q), GEOM, spec, 600)
+    rr, cc = np.mgrid[0:spec.height, 0:spec.width]
+    dc = cc.reshape(-1, 1) - col
+    dr = rr.reshape(-1, 1) - row
+    d = np.sqrt(dc * dc + dr * dr)
+    idx = np.argmin(d, axis=1)
+    dist = d[np.arange(len(idx)), idx]
+    alpha = np.clip(0.5 + (half[idx] - dist), 0.0, 1.0)
+    return np.round(230 - alpha * 205).astype(np.uint8).reshape(rr.shape)
+
+
+class TestRenderExactness:
+    # Straight, curled past horizontal, and two states whose band
+    # overlaps itself after a full turn.
+    @pytest.mark.parametrize("q", [(0.0, 0.0), (2.5, -1.5), (8.0, 0.0),
+                                   (-7.0, -4.0)])
+    def test_matches_brute_force(self, q):
+        img = render_silhouette(CurvatureState(*q), GEOM, SMALL)
+        assert np.array_equal(img.pixels, brute_force_render(q, SMALL))
+
+    # sha256 of the pixels, computed with the full-bounding-box query
+    # renderer this cover-mask renderer replaced, before it was changed.
+    @pytest.mark.parametrize("q, digest", [
+        ((0.0, 0.0), "74f3d1df7a001e419dca6a76b063ec35"
+                     "d1baed241a0505f9109a5d8e8f66441b"),
+        ((0.8, -0.4), "b92b904bbb5050bad4a423ef1ac8ccf3"
+                      "0f9a31b7c8b1f28412fc1ef05bcd9caf"),
+        ((-1.2, 0.9), "580daa18cd79cffea193af1acb03aab6"
+                      "f7a225dfaf9a7156bf78d5c9fc2b5b4d"),
+        ((2.5, -2.0), "16fd0cf58ec5be27053df51b14ee020e"
+                      "1bdb4222cf7accaff2eeb3e0c1e8defe"),
+        ((-3.0, 4.0), "889b1360bc2d9659d0c5ac953347214c"
+                      "19e319bfd1885bb84788e81ede2d7478"),
+        ((0.3, 5.5), "3499b16fc806ccfa820455902a3d6f75"
+                     "291d95a9892b5229b5601ffa01c5e813"),
+    ])
+    def test_pinned_digest(self, q, digest):
+        img = render_silhouette(CurvatureState(*q), GEOM, SPEC)
+        assert hashlib.sha256(img.pixels.tobytes()).hexdigest() == digest
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(-np.pi, np.pi), st.floats(-6.0, 6.0))
+    def test_cover_holds_every_band_pixel(self, q1, q2):
+        col, row, half = _centerline_px(CurvatureState(q1, q2), GEOM, SPEC,
+                                        600)
+        margin = half + 1.0
+        assume((col - margin).min() >= 0 and (row - margin).min() >= 0
+               and (col + margin).max() <= SPEC.width - 1
+               and (row + margin).max() <= SPEC.height - 1)
+        cover = _disk_cover(col, row, margin, (SPEC.height, SPEC.width))
+        rr, cc = np.mgrid[int(row.min() - margin.max()):
+                          int(row.max() + margin.max()) + 1,
+                          int(col.min() - margin.max()):
+                          int(col.max() + margin.max()) + 1]
+        dist, idx = cKDTree(np.column_stack([col, row])).query(
+            np.column_stack([cc.ravel(), rr.ravel()]))
+        band = 0.5 + (half[idx] - dist) > 0.0
+        assert cover[rr.ravel()[band], cc.ravel()[band]].all()
+
+
+class TestDiskCover:
+    def test_single_disk(self):
+        cover = _disk_cover(np.array([5.0]), np.array([4.0]),
+                            np.array([2.0]), (9, 11))
+        rr, cc = np.mgrid[0:9, 0:11]
+        assert np.array_equal(cover, (cc - 5) ** 2 + (rr - 4) ** 2 <= 4)
+
+    def test_overlapping_disks_stay_covered(self):
+        cover = _disk_cover(np.array([4.0, 6.0]), np.array([4.0, 4.0]),
+                            np.array([2.5, 2.5]), (9, 11))
+        assert cover[4, 2:9].all() and not cover[4, 9:].any()
 
 
 class TestBinarize:
@@ -170,6 +257,18 @@ class TestExtractMidline:
         trimmed = extract_midline(mask, SPEC, max_len_mm=GEOM.length_mm)
         assert trimmed.total_length == pytest.approx(GEOM.length_mm, abs=0.5)
         assert full.total_length > trimmed.total_length
+
+
+class TestRowCentres:
+    def test_matches_per_row_loop(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            rows = rng.random((30, int(rng.integers(1, 60)))) < 0.1
+            rows[np.arange(30), rng.integers(0, rows.shape[1], 30)] = True
+            loop = np.array([(np.flatnonzero(r).min()
+                              + np.flatnonzero(r).max()) * 0.5
+                             for r in rows])
+            assert np.array_equal(_row_centres(rows), loop)
 
 
 class TestPgmIO:
