@@ -20,11 +20,10 @@ from .actuation import ProgramSpec, build_program
 from .bayesopt import OptimizationError, history_to_csv, optimize
 from .config import CONFIG_SCHEMA, ConfigError, RunConfig, cell_window, \
     config_hash, default_config
-from .fitting import PolyCoeffs, fit_report, poly_centerline
-from .kinematics import CurvatureState, TentacleGeometry, \
-    lateral_displacements, sample_centerline, tip_positions
+from .fitting import fit_report, poly_centerline, poly_targets
+from .kinematics import CurvatureState, sample_centerline, tip_positions
 from .plotting import line_plot_svg, overlay_svg
-from .regressor import LabeledSequence, TrainingError, evaluate, forward, \
+from .regressor import LabeledSequence, TrainingError, forward, \
     load_weights, save_weights, train
 from .sim import SimTrace, SimulationError, moving_average, sensor_readout, \
     simulate, thrust_proxy, world_tip_positions
@@ -33,8 +32,7 @@ from .vision import ImageSpec, VisionError, binarize, extract_midline, \
 from .wavemetrics import ModeSet, cod, field_from_states, field_twi, \
     modeset_to_csv, tip_deflection
 
-__all__ = ["main", "CellResult", "evaluate_cell", "simulate_ramp",
-           "poly_targets"]
+__all__ = ["main", "CellResult", "evaluate_cell", "simulate_ramp"]
 
 
 def _write_manifest(outdir, command, cfg, outputs, extra=None):
@@ -89,19 +87,6 @@ def simulate_ramp(cfg: RunConfig, duration: float, seed: int) -> SimTrace:
     return trace.with_pressures(pressures)
 
 
-def poly_targets(q: np.ndarray, geom: TentacleGeometry) -> np.ndarray:
-    """(c2, c3) per step, fitted to the lateral profile of each state.
-
-    The root is clamped (x(0) = x'(0) = 0), so c0 = c1 = 0 and the fit
-    reduces to the quadratic and cubic basis columns.
-    """
-    s = np.linspace(0.0, 1.0, geom.n_samples)
-    lat = lateral_displacements(q, s, geom.length_mm)   # (N_s, T)
-    A = np.column_stack([s * s, s ** 3])
-    coef, *_ = np.linalg.lstsq(A, lat, rcond=None)      # (2, T)
-    return coef.T
-
-
 def _targets_for(cfg, trace) -> np.ndarray:
     if cfg.target == "affine":
         return trace.q
@@ -142,12 +127,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _predict_trace(cfg, weights, trace):
-    preds = forward(weights, trace.pressures)
-    truths = _targets_for(cfg, trace)
-    return preds, truths
-
-
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args)
@@ -157,16 +136,11 @@ def cmd_eval(args) -> int:
         return 1
     weights = load_weights(args.weights)
     trace = SimTrace.from_csv(os.path.join(args.data, "test.csv"))
-    preds, truths = _predict_trace(cfg, weights, trace)
+    preds = forward(weights, trace.pressures)
     geom = cfg.build_geometry()
-    truth_tip = tip_positions(trace.q, geom)
-    if cfg.target == "affine":
-        report = fit_report(preds, truths, geom, kind="affine",
-                            truth_tip=truth_tip)
-    else:
-        pad = lambda c: np.column_stack([np.zeros((len(c), 2)), c])
-        report = fit_report(pad(preds), pad(truths), geom, kind="poly",
-                            truth_tip=truth_tip)
+    report = fit_report(preds, _targets_for(cfg, trace), geom,
+                        kind=cfg.target,
+                        truth_tip=tip_positions(trace.q, geom))
     with open(os.path.join(out, "report.json"), "w") as f:
         json.dump({"target": cfg.target, "report": report.as_dict()},
                   f, indent=2, sort_keys=True)
@@ -179,8 +153,7 @@ def cmd_eval(args) -> int:
         if cfg.target == "affine":
             pred_cl = sample_centerline(CurvatureState(*preds[i]), geom)
         else:
-            pred_cl = poly_centerline(PolyCoeffs(0.0, 0.0, *preds[i]),
-                                      geom.length_mm, geom.n_samples)
+            pred_cl = poly_centerline(preds[i], geom)
         pairs.append((truth_cl, pred_cl))
     overlay_svg(pairs, os.path.join(out, "overlay.svg"),
                 title="Reconstructed vs true centerlines")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -83,6 +83,11 @@ class RunConfig:
                               f"got {self.target!r}")
         _check_keys("sensor", self.sensor, _DEFAULT_SENSOR)
         _check_keys("bo", self.bo, _DEFAULT_BO)
+        # Partial sections: the component's own defaults fill the rest.
+        for name, cls in (("geometry", TentacleGeometry), ("sim", SimParams),
+                          ("train", TrainConfig)):
+            _check_keys(name, getattr(self, name),
+                        [f.name for f in fields(cls)], complete=False)
         for name, section in (("bo", self.bo), ("train", self.train),
                               ("sensor", self.sensor)):
             seed = section.get("seed", 0)
@@ -203,12 +208,15 @@ def _is_real(v) -> bool:
             and math.isfinite(v))
 
 
-def _check_keys(name: str, section: dict, defaults: dict) -> None:
-    unknown = set(section) - set(defaults)
+def _check_keys(name: str, section: dict, keys,
+                complete: bool = True) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name}: must be a JSON object")
+    unknown = set(section) - set(keys)
     if unknown:
         raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
-    missing = set(defaults) - set(section)
-    if missing:
+    missing = set(keys) - set(section)
+    if complete and missing:
         raise ConfigError(f"{name}: missing keys {sorted(missing)}")
 
 

@@ -1,7 +1,9 @@
 """Shape-model fitting of observed centerlines and reconstruction error metrics.
 
-Two reduced models are fit to a sampled centerline: the affine curvature
-model (q1, q2) and a third-degree polynomial of the lateral displacement.
+Two reduced shape models describe a centerline: the affine curvature
+model (q1, q2), fit to a sampled centerline, and the root-clamped cubic
+x(s) = c2 s^2 + c3 s^3 of the lateral displacement, fit to a state's
+lateral profile.
 Error metrics follow the usual reconstruction-comparison conventions:
 channel-wise NRMSE plus absolute and relative tip error.
 """
@@ -12,19 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import CurvatureState, TentacleGeometry, tip_positions
+from .kinematics import CurvatureState, TentacleGeometry, \
+    lateral_displacements, tip_positions
 
 __all__ = [
     "Centerline",
-    "PolyCoeffs",
     "FitReport",
     "AffineFit",
     "fit_affine",
-    "fit_polynomial",
     "nrmse",
     "fit_report",
+    "poly_targets",
     "poly_centerline",
-    "poly_tip",
 ]
 
 
@@ -54,23 +55,6 @@ class Centerline:
     @property
     def total_length(self) -> float:
         return float(self.segment_lengths.sum())
-
-
-@dataclass(frozen=True)
-class PolyCoeffs:
-    """Cubic lateral-displacement coefficients x(s) = c0 + c1 s + c2 s^2 + c3 s^3."""
-
-    c0: float
-    c1: float
-    c2: float
-    c3: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite([self.c0, self.c1, self.c2, self.c3])):
-            raise ValueError("polynomial coefficients must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c0, self.c1, self.c2, self.c3], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -136,38 +120,46 @@ def fit_affine(cl: Centerline, L: float) -> AffineFit:
     return AffineFit(CurvatureState(float(coef[0]), float(coef[1])), rms)
 
 
-def fit_polynomial(cl: Centerline) -> PolyCoeffs:
-    """Least-squares cubic of the lateral coordinate x against uniform s."""
-    if len(cl) < 4:
-        raise ValueError("polynomial fit needs at least 4 centerline points")
-    s = np.linspace(0.0, 1.0, len(cl))
-    A = np.column_stack([np.ones_like(s), s, s * s, s**3])
-    coef, *_ = np.linalg.lstsq(A, cl.points[:, 0], rcond=None)
-    return PolyCoeffs(*(float(c) for c in coef))
+def poly_targets(q: np.ndarray, geom: TentacleGeometry) -> np.ndarray:
+    """(c2, c3) per state of a (T, 2) series, fitted to its lateral profile.
+
+    The root is clamped (x(0) = x'(0) = 0), so c0 = c1 = 0 and the fit
+    reduces to the quadratic and cubic basis columns.
+    """
+    s = np.linspace(0.0, 1.0, geom.n_samples)
+    lat = lateral_displacements(q, s, geom.length_mm)   # (N_s, T)
+    A = np.column_stack([s * s, s ** 3])
+    coef, *_ = np.linalg.lstsq(A, lat, rcond=None)      # (2, T)
+    return coef.T
 
 
-def poly_centerline(coeffs: PolyCoeffs, L: float, n: int = 200) -> np.ndarray:
-    """Centerline implied by a lateral-displacement cubic.
+def poly_centerline(coeffs, geom: TentacleGeometry) -> np.ndarray:
+    """Centerline implied by root-clamped cubics x(s) = c2 s^2 + c3 s^3.
 
-    The axial coordinate is completed from the arc-length constraint
+    `coeffs` is a (..., 2) array of (c2, c3); the result is a
+    (..., n_samples, 2) array of (x, y) in mm, root first. The axial
+    coordinate is completed from the arc-length constraint
     dx^2 + dy^2 = (L ds)^2; where the cubic's slope exceeds the arc-length
     budget (strongly deformed shapes the cubic cannot represent) the axial
     increment clamps to zero, which is what makes large-deformation tips
     poorly reconstructed by this model.
     """
-    s = np.linspace(0.0, 1.0, n)
-    c = coeffs.as_array()
-    x = c[0] + c[1] * s + c[2] * s * s + c[3] * s**3
-    dxds = c[1] + 2.0 * c[2] * s + 3.0 * c[3] * s * s
+    c = np.asarray(coeffs, dtype=float)
+    if c.ndim == 0 or c.shape[-1] != 2:
+        raise ValueError("polynomial coefficients must be (..., 2) arrays "
+                         "of (c2, c3)")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("polynomial coefficients must be finite")
+    L = geom.length_mm
+    s = np.linspace(0.0, 1.0, geom.n_samples)
+    c2, c3 = c[..., :1], c[..., 1:]
+    x = c2 * s * s + c3 * s**3
+    dxds = 2.0 * c2 * s + 3.0 * c3 * s * s
     dyds = np.sqrt(np.maximum(L * L - dxds * dxds, 0.0))
     ds = s[1] - s[0]
-    y = np.concatenate([[0.0], np.cumsum(0.5 * (dyds[1:] + dyds[:-1]) * ds)])
-    return np.column_stack([x, y])
-
-
-def poly_tip(coeffs: PolyCoeffs, L: float) -> tuple[float, float]:
-    pts = poly_centerline(coeffs, L)
-    return float(pts[-1, 0]), float(pts[-1, 1])
+    y = np.concatenate([np.zeros(c.shape[:-1] + (1,)), np.cumsum(
+        0.5 * (dyds[..., 1:] + dyds[..., :-1]) * ds, axis=-1)], axis=-1)
+    return np.stack([x, y], axis=-1)
 
 
 def nrmse(pred, truth) -> float:
@@ -186,19 +178,16 @@ def nrmse(pred, truth) -> float:
 def _tip_series(states: np.ndarray, geom: TentacleGeometry,
                 kind: str) -> np.ndarray:
     if kind == "affine":
-        return tip_positions(states[:, :2], geom)
-    if kind == "poly":
-        return np.array([poly_tip(PolyCoeffs(*row[:4]), geom.length_mm)
-                         for row in states])
-    raise ValueError(f"unknown state kind {kind!r}")
+        return tip_positions(states, geom)
+    return poly_centerline(states, geom)[:, -1]
 
 
 def fit_report(pred_states, truth_states, geom: TentacleGeometry,
                kind: str = "affine", truth_tip=None) -> FitReport:
     """Channel NRMSE and tip-error metrics of a predicted state series.
 
-    For affine states the two channels are (q1, q2); for polynomial states
-    they are (c2, c3). Tip errors are Euclidean distances between predicted
+    Both series are (T, 2): (q1, q2) for affine states, (c2, c3) for
+    polynomial states. Tip errors are Euclidean distances between predicted
     and true tip positions; the relative tip error is normalized by the
     maximum lateral tip range of the ground truth. When `truth_tip` is
     given (a (T, 2) array in mm) it overrides the model-implied true tip,
@@ -208,14 +197,12 @@ def fit_report(pred_states, truth_states, geom: TentacleGeometry,
     truth = np.asarray(truth_states, dtype=float)
     if pred.shape != truth.shape:
         raise ValueError("prediction and truth series must align")
-    if kind == "affine":
-        ch = (0, 1)
-    elif kind == "poly":
-        ch = (2, 3)
-    else:
+    if pred.ndim != 2 or pred.shape[1] != 2:
+        raise ValueError("state series must be (T, 2) arrays")
+    if kind not in ("affine", "poly"):
         raise ValueError(f"unknown state kind {kind!r}")
-    n1 = nrmse(pred[:, ch[0]], truth[:, ch[0]])
-    n2 = nrmse(pred[:, ch[1]], truth[:, ch[1]])
+    n1 = nrmse(pred[:, 0], truth[:, 0])
+    n2 = nrmse(pred[:, 1], truth[:, 1])
     tip_pred = _tip_series(pred, geom, kind)
     if truth_tip is not None:
         tip_true = np.asarray(truth_tip, dtype=float)

@@ -17,6 +17,7 @@ cosines).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,12 +66,13 @@ class TentacleGeometry:
     root_diameter_mm: float = 24.0
 
     def __post_init__(self):
-        if self.length_mm <= 0:
-            raise ValueError("length_mm must be positive")
-        if self.n_samples < 2:
-            raise ValueError("n_samples must be at least 2")
-        if self.root_diameter_mm <= 0:
-            raise ValueError("root_diameter_mm must be positive")
+        if not 0.0 < self.length_mm < math.inf:               # NaN fails too
+            raise ValueError("length_mm must be finite and positive")
+        if (not isinstance(self.n_samples, numbers.Integral)
+                or isinstance(self.n_samples, bool) or self.n_samples < 2):
+            raise ValueError("n_samples must be an integer >= 2")
+        if not 0.0 < self.root_diameter_mm < math.inf:
+            raise ValueError("root_diameter_mm must be finite and positive")
 
 
 def _check_s(s) -> np.ndarray:

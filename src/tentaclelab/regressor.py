@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fitting import FitReport, fit_report
-
 __all__ = [
     "LabeledSequence",
     "TrainConfig",
@@ -32,7 +30,6 @@ __all__ = [
     "loss",
     "gradients",
     "train",
-    "evaluate",
     "save_weights",
     "load_weights",
 ]
@@ -355,14 +352,6 @@ def train(data, cfg: TrainConfig) -> tuple:
         history.append(epoch_loss / len(chunks))
         lr *= cfg.lr_decay
     return w, np.array(history)
-
-
-def evaluate(w: RegressorWeights, data, geom, kind: str = "affine",
-             truth_tip=None) -> FitReport:
-    """FitReport of network predictions against labels across sequences."""
-    preds = np.concatenate([forward(w, s.inputs) for s in data])
-    truths = np.concatenate([s.targets for s in data])
-    return fit_report(preds, truths, geom, kind=kind, truth_tip=truth_tip)
 
 
 def _pack(params: dict) -> np.ndarray:

@@ -10,6 +10,7 @@ lateral tip velocity.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,6 +56,13 @@ class SimParams:
     dt: float = 0.005
 
     def __post_init__(self):
+        bad = [k for k, v in vars(self).items()
+               if isinstance(v, bool) or not isinstance(v, numbers.Real)
+               or not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be finite")
+        if self.dt <= 0:
+            raise ValueError("dt must be positive")
         if self.f0_hz <= 0:
             raise ValueError("f0_hz must be positive")
         if not 0.0 < self.zeta < 1.0:

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from tentaclelab.bayesopt import SearchSpace, optimize
-from tentaclelab.cli import evaluate_cell, poly_targets, simulate_ramp
+from tentaclelab.cli import evaluate_cell, simulate_ramp
 from tentaclelab.cli import main as cli_main
 from tentaclelab.config import CONFIG_SCHEMA, default_config
-from tentaclelab.fitting import Centerline, fit_affine, fit_report
+from tentaclelab.fitting import Centerline, fit_affine, fit_report, \
+    poly_targets
 from tentaclelab.kinematics import (CurvatureState, TentacleGeometry,
                                     sample_centerline, tip_position,
                                     tip_positions)
@@ -206,8 +207,7 @@ def test_criterion_6_poly_vs_affine_ordering():
     rep_affine = fit_report(trace.q, trace.q, GEOM, kind="affine",
                             truth_tip=truth_tip)
     c = poly_targets(trace.q, GEOM)
-    pad = np.column_stack([np.zeros((len(c), 2)), c])
-    rep_poly = fit_report(pad, pad, GEOM, kind="poly", truth_tip=truth_tip)
+    rep_poly = fit_report(c, c, GEOM, kind="poly", truth_tip=truth_tip)
     ok = (rep_poly.rel_tip_err > rep_affine.rel_tip_err
           and rep_poly.rel_tip_err > 0.5)
     detail = (f"soft preset rel tip err: poly {rep_poly.rel_tip_err:.2f}% > "

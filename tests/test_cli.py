@@ -133,6 +133,23 @@ class TestEval:
         svg = open(os.path.join(out, "overlay.svg")).read()
         assert svg.count("<polyline") == 12
 
+    def test_poly_target(self, tmp_path, dataset_dir):
+        cfg = tmp_path / "poly.json"
+        cfg.write_text(json.dumps({**FAST_CONFIG, "target": "poly"}))
+        model, out = str(tmp_path / "model"), str(tmp_path / "eval")
+        assert main(["train", "--config", str(cfg), "--data", dataset_dir,
+                     "--out", model]) == 0
+        assert main(["eval", "--config", str(cfg), "--data", dataset_dir,
+                     "--weights", os.path.join(model, "weights.json"),
+                     "--out", out]) == 0
+        with open(os.path.join(out, "report.json")) as f:
+            rep = json.load(f)
+        assert rep["target"] == "poly"
+        assert len(rep["report"]) == 5
+        assert all(np.isfinite(v) for v in rep["report"].values())
+        svg = open(os.path.join(out, "overlay.svg")).read()
+        assert svg.count("<polyline") == 12
+
     def test_missing_weights(self, tmp_path, fast_config, dataset_dir):
         assert main(["eval", "--config", fast_config, "--data", dataset_dir,
                      "--weights", str(tmp_path / "none.json"),
@@ -340,6 +357,47 @@ class TestBOConfigErrors:
         assert main([command, "--config", str(p), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: bo: ")
         assert not out.exists()
+
+
+# Component sections: each bad value exits 1 at load, naming its section.
+COMPONENT_ERRORS = {
+    "sim_dt_zero": ("sim", {"dt": 0}),
+    "sim_dt_negative": ("sim", {"dt": -1}),
+    "sim_f0_nan": ("sim", {"f0_hz": float("nan")}),
+    "sim_unknown_key": ("sim", {"f0": 3.2}),
+    "geometry_fractional_samples": ("geometry", {"n_samples": 2.5}),
+    "geometry_bool_samples": ("geometry", {"n_samples": True}),
+    "geometry_one_sample": ("geometry", {"n_samples": 1}),
+    "geometry_infinite_length": ("geometry", {"length_mm": float("inf")}),
+    "geometry_nan_diameter": ("geometry",
+                              {"root_diameter_mm": float("nan")}),
+    "geometry_unknown_key": ("geometry", {"length": 220.0}),
+    "train_unknown_key": ("train", {"epoch": 3}),
+    "train_not_an_object": ("train", [1]),
+}
+
+
+class TestComponentConfigErrors:
+    @pytest.mark.parametrize("section,values", COMPONENT_ERRORS.values(),
+                             ids=COMPONENT_ERRORS.keys())
+    def test_optimize_exits_1_naming_section(self, tmp_path, capsys,
+                                             section, values):
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps({"schema": CONFIG_SCHEMA, section: values}))
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {section}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section", ["geometry", "sim", "train"])
+    def test_unknown_key_is_listed(self, tmp_path, capsys, section):
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps({"schema": CONFIG_SCHEMA,
+                                 section: {"bogus": 1}}))
+        assert main(["dataset", "--config", str(p),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {section}: unknown keys ['bogus']\n")
 
 
 class TestRenderMidline:

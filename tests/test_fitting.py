@@ -1,9 +1,11 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from tentaclelab.fitting import (AffineFit, Centerline, FitReport, PolyCoeffs,
-                                 fit_affine, fit_polynomial, fit_report, nrmse,
-                                 poly_centerline, poly_tip)
+from tentaclelab.fitting import (AffineFit, Centerline, FitReport, _tip_series,
+                                 fit_affine, fit_report, nrmse,
+                                 poly_centerline, poly_targets)
 from tentaclelab.kinematics import (CurvatureState, TentacleGeometry,
                                     sample_centerline, tip_positions)
 
@@ -13,6 +15,47 @@ GEOM200 = TentacleGeometry(n_samples=200)
 
 def centerline_for(q1, q2, geom=GEOM200):
     return Centerline(sample_centerline(CurvatureState(q1, q2), geom))
+
+
+# Reference polynomial model: the former four-coefficient record and its
+# one-row centerline, kept verbatim so the vectorised (c2, c3) tips can be
+# checked against the per-row loop they replace.
+
+@dataclass(frozen=True)
+class PolyCoeffs:
+    """Cubic lateral-displacement coefficients x(s) = c0 + c1 s + c2 s^2 + c3 s^3."""
+
+    c0: float
+    c1: float
+    c2: float
+    c3: float
+
+    def __post_init__(self):
+        if not np.all(np.isfinite([self.c0, self.c1, self.c2, self.c3])):
+            raise ValueError("polynomial coefficients must be finite")
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.c0, self.c1, self.c2, self.c3], dtype=float)
+
+
+def _ref_poly_centerline(coeffs: PolyCoeffs, L: float,
+                         n: int = 200) -> np.ndarray:
+    s = np.linspace(0.0, 1.0, n)
+    c = coeffs.as_array()
+    x = c[0] + c[1] * s + c[2] * s * s + c[3] * s**3
+    dxds = c[1] + 2.0 * c[2] * s + 3.0 * c[3] * s * s
+    dyds = np.sqrt(np.maximum(L * L - dxds * dxds, 0.0))
+    ds = s[1] - s[0]
+    y = np.concatenate([[0.0], np.cumsum(0.5 * (dyds[1:] + dyds[:-1]) * ds)])
+    return np.column_stack([x, y])
+
+
+def _ref_poly_tips(c: np.ndarray, L: float) -> np.ndarray:
+    tips = []
+    for row in c:
+        pts = _ref_poly_centerline(PolyCoeffs(0.0, 0.0, *row), L)
+        tips.append((float(pts[-1, 0]), float(pts[-1, 1])))
+    return np.array(tips)
 
 
 class TestCenterline:
@@ -77,22 +120,25 @@ class TestFitAffine:
             fit_affine(centerline_for(1.0, 0.0), 0.0)
 
 
-class TestFitPolynomial:
+class TestPolyTargets:
     def test_straight(self):
-        c = fit_polynomial(centerline_for(0.0, 0.0))
-        assert abs(c.c2) < 1e-9 and abs(c.c3) < 1e-9
+        c = poly_targets(np.zeros((1, 2)), GEOM200)
+        assert c.shape == (1, 2)
+        assert np.all(np.abs(c) < 1e-9)
 
     def test_exact_cubic(self):
-        s = np.linspace(0.0, 1.0, 60)
-        pts = np.column_stack([3 * s * s - 2 * s**3, 100 * s])
-        c = fit_polynomial(Centerline(pts))
-        assert np.allclose([c.c0, c.c1, c.c2, c.c3], [0, 0, 3, -2], atol=1e-9)
+        # For small angles x(s) = -L (q1 s^2 / 2 + q2 s^3 / 6): an exact
+        # clamped cubic, up to O(q^3).
+        q = np.array([[1e-4, -2e-4], [-3e-4, 5e-5]])
+        c = poly_targets(q, GEOM200)
+        expect = np.column_stack([-L * q[:, 0] / 2, -L * q[:, 1] / 6])
+        assert np.allclose(c, expect, rtol=1e-6, atol=0.0)
 
     def test_moderate_curvature_residual(self):
         cl = centerline_for(1.0, 0.5)
-        c = fit_polynomial(cl)
+        (c2, c3), = poly_targets(np.array([[1.0, 0.5]]), GEOM200)
         s = np.linspace(0.0, 1.0, len(cl))
-        pred = c.c0 + c.c1 * s + c.c2 * s * s + c.c3 * s**3
+        pred = c2 * s * s + c3 * s**3
         resid = np.sqrt(np.mean((pred - cl.points[:, 0]) ** 2))
         tip_range = abs(cl.points[:, 0]).max()
         assert resid < 0.02 * max(tip_range, 1.0)
@@ -100,34 +146,63 @@ class TestFitPolynomial:
     @pytest.mark.parametrize("q", [(np.pi, 0.0), (0.0, np.pi), (-2.0, 2.0)])
     def test_cubic_approximates_affine_shapes(self, q):
         cl = centerline_for(*q)
-        c = fit_polynomial(cl)
+        (c2, c3), = poly_targets(np.array([q]), GEOM200)
         s = np.linspace(0.0, 1.0, len(cl))
-        pred = c.c0 + c.c1 * s + c.c2 * s * s + c.c3 * s**3
+        pred = c2 * s * s + c3 * s**3
         resid = np.sqrt(np.mean((pred - cl.points[:, 0]) ** 2))
         tip_range = np.ptp(cl.points[:, 0])
         assert resid < 0.03 * tip_range
 
-    def test_nonfinite_coeffs_rejected(self):
-        with pytest.raises(ValueError):
-            PolyCoeffs(0.0, 0.0, np.inf, 1.0)
-
 
 class TestPolyCenterline:
     def test_straight_tip(self):
-        x, y = poly_tip(PolyCoeffs(0, 0, 0, 0), L)
+        x, y = poly_centerline(np.zeros(2), GEOM200)[-1]
         assert (x, y) == pytest.approx((0.0, L))
 
     def test_arc_length_clamped(self):
         # A slope budget the cubic exceeds near the tip: the axial
         # increment clamps, so total reach stays below L.
-        pts = poly_centerline(PolyCoeffs(0, 0, 0, -300.0), L)
+        pts = poly_centerline(np.array([0.0, -300.0]), GEOM200)
         assert np.all(np.diff(pts[:, 1]) >= 0.0)
         assert pts[-1, 1] < L
 
     def test_small_lateral_reach(self):
-        pts = poly_centerline(PolyCoeffs(0, 0, 5.0, -3.0), L)
+        pts = poly_centerline(np.array([5.0, -3.0]), GEOM200)
         total = np.linalg.norm(np.diff(pts, axis=0), axis=1).sum()
         assert total == pytest.approx(L, rel=1e-3)
+
+    def test_nonfinite_coeffs_rejected(self):
+        with pytest.raises(ValueError):
+            poly_centerline(np.array([np.inf, 1.0]), GEOM200)
+
+    @pytest.mark.parametrize("c", [1.0, [1.0], [0.0, 0.0, 1.0, 2.0],
+                                   np.zeros((3, 4))])
+    def test_non_pair_rejected(self, c):
+        with pytest.raises(ValueError):
+            poly_centerline(c, GEOM200)
+
+    def test_batch_matches_rows(self):
+        c = np.random.default_rng(3).normal(0.0, 50.0, (3, 4, 2))
+        geom = TentacleGeometry(n_samples=37)
+        pts = poly_centerline(c, geom)
+        assert pts.shape == (3, 4, 37, 2)
+        for i in range(3):
+            for j in range(4):
+                assert np.array_equal(pts[i, j],
+                                      poly_centerline(c[i, j], geom))
+
+
+class TestPolyTipReference:
+    def test_tips_equal_per_row_loop(self):
+        rng = np.random.default_rng(11)
+        c = np.concatenate([rng.normal(0.0, 60.0, (200, 2)),
+                            rng.uniform(-400.0, 400.0, (50, 2)),
+                            [[0.0, -300.0], [0.0, 0.0], [5.0, -3.0]]])
+        got = _tip_series(c, GEOM200, "poly")
+        ref = _ref_poly_tips(c, L)
+        assert np.array_equal(got, ref)
+        # The large coefficients exercise the slope clamp.
+        assert np.any(ref[:, 1] < 0.99 * L)
 
 
 class TestNrmse:
@@ -174,9 +249,8 @@ class TestFitReport:
         assert 40.0 < rep.rel_tip_err < 60.0
 
     def test_poly_channels(self):
-        truth = np.array([[0, 0, 2.0, -1.0], [0, 0, -1.5, 0.5],
-                          [0, 0, 0.5, 1.0]])
-        pred = truth + np.array([0, 0, 0.1, -0.1])
+        truth = np.array([[2.0, -1.0], [-1.5, 0.5], [0.5, 1.0]])
+        pred = truth + np.array([0.1, -0.1])
         rep = fit_report(pred, truth, GEOM200, kind="poly")
         assert rep.nrmse_seg1 == pytest.approx(100 * 0.1 / 3.5)
         assert rep.nrmse_seg2 == pytest.approx(100 * 0.1 / 2.0)
@@ -190,6 +264,12 @@ class TestFitReport:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             fit_report(np.zeros((3, 2)), np.zeros((4, 2)), GEOM200)
+
+    @pytest.mark.parametrize("kind", ["affine", "poly"])
+    def test_non_pair_states_rejected(self, kind):
+        states = np.arange(12.0).reshape(3, 4)
+        with pytest.raises(ValueError):
+            fit_report(states, states, GEOM200, kind=kind)
 
     def test_zero_tip_range(self):
         states = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])

@@ -76,6 +76,22 @@ class TestCenterlinePosition:
             centerline_position(CurvatureState(1, 0), 0.5, -2.0)
 
 
+class TestGeometry:
+    @pytest.mark.parametrize("n", [2.5, True, 1, 2.0, "200"])
+    def test_n_samples_must_be_an_integer_ge_2(self, n):
+        with pytest.raises(ValueError, match="n_samples"):
+            TentacleGeometry(n_samples=n)
+
+    @pytest.mark.parametrize("field", ["length_mm", "root_diameter_mm"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    def test_lengths_must_be_finite_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TentacleGeometry(**{field: value})
+
+    def test_numpy_integer_samples_accepted(self):
+        assert TentacleGeometry(n_samples=np.int64(24)).n_samples == 24
+
+
 class TestSampleCenterline:
     def test_straight_three_points(self):
         pts = sample_centerline(CurvatureState(0, 0),

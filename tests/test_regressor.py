@@ -3,7 +3,7 @@ import pytest
 
 from tentaclelab.regressor import (LabeledSequence, RegressorWeights,
                                    TrainConfig, TrainingError, _pack, _unpack,
-                                   evaluate, forward, gradients, init_weights,
+                                   forward, gradients, init_weights,
                                    load_weights, loss, save_weights, train)
 
 rng0 = np.random.default_rng
@@ -318,16 +318,6 @@ class TestTrain:
         truth = np.concatenate([s.targets for s in data])
         nr = np.sqrt(np.mean((preds - truth) ** 2)) / np.ptp(truth)
         assert nr < 0.06
-
-
-class TestEvaluate:
-    def test_report_fields(self):
-        from tentaclelab.kinematics import TentacleGeometry
-        data = linear_dataset(n_seq=1, T=100)
-        cfg = TrainConfig(epochs=2, hidden=4, sequence_chunk=50, seed=0)
-        w, _ = train(data, cfg)
-        rep = evaluate(w, data, TentacleGeometry())
-        assert rep.nrmse_seg1 >= 0.0 and rep.rel_tip_err >= 0.0
 
 
 class TestSerialization:

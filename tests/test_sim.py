@@ -37,6 +37,17 @@ class TestSimParams:
         with pytest.raises(ValueError):
             SimParams(mode2_ratio=1.0)
 
+    @pytest.mark.parametrize("field", ["f0_hz", "zeta", "quad_drag", "dt"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, True, "1"])
+    def test_fields_must_be_finite_numbers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimParams(**{field: value})
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0])
+    def test_dt_must_be_positive(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            SimParams(dt=dt)
+
 
 class TestSimulate:
     def test_zero_drive_stays_zero(self):
