@@ -2,7 +2,10 @@
 metric sweeps, actuation optimization, rendering, and report assembly.
 
 Every command is driven by a JSON RunConfig and writes a manifest with
-the config hash, so reruns are bit-identical and traceable. Exit codes:
+the config hash, so reruns are bit-identical and traceable. `main` loads
+and checks the config, checks that `--weights` exists, creates `--out`,
+runs `cmd_<name>(cfg, args)`, which returns the files it wrote, and
+writes the manifest; `report` only reads a run directory. Exit codes:
 0 success, 1 usage/config error, 2 runtime/numerical error.
 """
 
@@ -35,17 +38,8 @@ from .wavemetrics import ModeSet, cod, field_from_states, field_twi, \
 __all__ = ["main", "CellResult", "evaluate_cell", "simulate_ramp"]
 
 
-def _write_manifest(outdir, command, cfg, outputs, extra=None):
-    doc = {
-        "command": command,
-        "schema": CONFIG_SCHEMA,
-        "config_hash": config_hash(cfg),
-        "config": cfg.to_dict(),
-        "outputs": sorted(outputs),
-    }
-    if extra:
-        doc.update(extra)
-    with open(os.path.join(outdir, "manifest.json"), "w") as f:
+def _write_json(path, doc) -> None:
+    with open(path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -60,7 +54,7 @@ _FLAG_KEYS = (("budget", "bo", "budget"),
 def _load_config(args) -> RunConfig:
     cfg = RunConfig.from_json(args.config) if args.config else default_config()
     doc = cfg.to_dict()
-    n = getattr(args, "seed", None)
+    n = args.seed
     if n is not None:
         doc.update(sensor={**cfg.sensor, "seed": n},
                    train={**cfg.train, "seed": n},
@@ -71,11 +65,6 @@ def _load_config(args) -> RunConfig:
         if getattr(args, flag, None) is not None:
             doc[section] = {**doc[section], key: getattr(args, flag)}
     return RunConfig.from_dict(doc)
-
-
-def _outdir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
 
 
 def simulate_ramp(cfg: RunConfig, duration: float, seed: int) -> SimTrace:
@@ -93,23 +82,19 @@ def _targets_for(cfg, trace) -> np.ndarray:
     return poly_targets(trace.q, cfg.build_geometry())
 
 
-def cmd_dataset(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args)
+def cmd_dataset(cfg, args) -> list:
     ds = cfg.dataset
     files = []
     for split in ("train", "test"):
         trace = simulate_ramp(cfg, ds[f"{split}_duration_s"],
                               ds[f"{split}_seed"])
-        trace.to_csv(os.path.join(out, f"{split}.csv"))
+        trace.to_csv(os.path.join(args.out, f"{split}.csv"))
         files.append(f"{split}.csv")
-    _write_manifest(out, "dataset", cfg, files)
-    return 0
+    return files
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args)
+def cmd_train(cfg, args) -> list:
+    out = args.out
     trace = SimTrace.from_csv(os.path.join(args.data, "train.csv"))
     seq = LabeledSequence(trace.pressures, _targets_for(cfg, trace),
                           trace.dt)
@@ -122,18 +107,11 @@ def cmd_train(args) -> int:
     line_plot_svg({"training loss": (np.arange(len(history)), history)},
                   os.path.join(out, "loss_history.svg"),
                   title="Training loss", xlabel="epoch", ylabel="MSE")
-    _write_manifest(out, "train", cfg,
-                    ["weights.json", "loss_history.csv", "loss_history.svg"])
-    return 0
+    return ["weights.json", "loss_history.csv", "loss_history.svg"]
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args)
-    if not os.path.exists(args.weights):
-        print(f"error: weights file not found: {args.weights}",
-              file=sys.stderr)
-        return 1
+def cmd_eval(cfg, args) -> list:
+    out = args.out
     weights = load_weights(args.weights)
     trace = SimTrace.from_csv(os.path.join(args.data, "test.csv"))
     preds = forward(weights, trace.pressures)
@@ -141,10 +119,8 @@ def cmd_eval(args) -> int:
     report = fit_report(preds, _targets_for(cfg, trace), geom,
                         kind=cfg.target,
                         truth_tip=tip_positions(trace.q, geom))
-    with open(os.path.join(out, "report.json"), "w") as f:
-        json.dump({"target": cfg.target, "report": report.as_dict()},
-                  f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(out, "report.json"),
+                {"target": cfg.target, "report": report.as_dict()})
     # Overlay a handful of evenly spaced instants.
     idx = np.linspace(0, len(preds) - 1, 6).astype(int)
     pairs = []
@@ -157,8 +133,7 @@ def cmd_eval(args) -> int:
         pairs.append((truth_cl, pred_cl))
     overlay_svg(pairs, os.path.join(out, "overlay.svg"),
                 title="Reconstructed vs true centerlines")
-    _write_manifest(out, "eval", cfg, ["report.json", "overlay.svg"])
-    return 0
+    return ["report.json", "overlay.svg"]
 
 
 class CellResult(NamedTuple):
@@ -203,9 +178,8 @@ def evaluate_cell(cfg: RunConfig, f: float, A: float,
                       float(moving_average(cyc, 3).mean()), modes)
 
 
-def cmd_metrics(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args)
+def cmd_metrics(cfg, args) -> list:
+    out = args.out
     weights = load_weights(args.weights) if args.weights else None
     f0 = cfg.build_sim_params().f0_hz
     rows, cell_modes = [], []
@@ -238,13 +212,10 @@ def cmd_metrics(args) -> int:
         line_plot_svg(series, os.path.join(out, fname), title=label,
                       xlabel="f / f0", ylabel=label)
         files.append(fname)
-    _write_manifest(out, "metrics", cfg, files)
-    return 0
+    return files
 
 
-def cmd_optimize(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args)
+def cmd_optimize(cfg, args) -> list:
     weights = load_weights(args.weights) if args.weights else None
     bo = cfg.bo
 
@@ -255,19 +226,15 @@ def cmd_optimize(args) -> int:
 
     best, history = optimize(objective, cfg.build_search_space(),
                              bo["budget"], seed=bo["seed"], rho=bo["rho"])
-    history_to_csv(history, os.path.join(out, "history.csv"))
-    with open(os.path.join(out, "best.json"), "w") as f:
-        json.dump({"f_hz": best.f, "A_deg": best.A, "twi": best.objective,
-                   "tip_defl_deg": best.tip_defl_deg,
-                   "thrust_mN": best.thrust_mN}, f, indent=2, sort_keys=True)
-        f.write("\n")
-    _write_manifest(out, "optimize", cfg, ["history.csv", "best.json"])
-    return 0
+    history_to_csv(history, os.path.join(args.out, "history.csv"))
+    _write_json(os.path.join(args.out, "best.json"),
+                {"f_hz": best.f, "A_deg": best.A, "twi": best.objective,
+                 "tip_defl_deg": best.tip_defl_deg,
+                 "thrust_mN": best.thrust_mN})
+    return ["history.csv", "best.json"]
 
 
-def cmd_render(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args)
+def cmd_render(cfg, args) -> list:
     geom = cfg.build_geometry()
     spec = ImageSpec()
     data = np.genfromtxt(args.states, delimiter=",", skip_header=1)
@@ -278,15 +245,12 @@ def cmd_render(args) -> int:
         img = render_silhouette(CurvatureState(row[q_cols[0]],
                                                row[q_cols[1]]), geom, spec)
         name = f"frame_{i:04d}.pgm"
-        write_pgm(img, os.path.join(out, name))
+        write_pgm(img, os.path.join(args.out, name))
         files.append(name)
-    _write_manifest(out, "render", cfg, files)
-    return 0
+    return files
 
 
-def cmd_midline(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args)
+def cmd_midline(cfg, args) -> list:
     geom = cfg.build_geometry()
     spec = ImageSpec()
     files = []
@@ -296,10 +260,9 @@ def cmd_midline(args) -> int:
         cl = extract_midline(binarize(img), spec,
                              max_len_mm=geom.length_mm)
         name = os.path.splitext(os.path.basename(path))[0] + "_midline.csv"
-        midline_to_csv(cl, os.path.join(out, name))
+        midline_to_csv(cl, os.path.join(args.out, name))
         files.append(name)
-    _write_manifest(out, "midline", cfg, files)
-    return 0
+    return files
 
 
 def cmd_report(args) -> int:
@@ -361,53 +324,40 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Synthetic tentacle proprioception pipeline")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, out=True):
+    def command(name, fn, help):
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--config", help="RunConfig JSON path")
         sp.add_argument("--seed", type=int, help="override config seeds")
-        if out:
-            sp.add_argument("--out", required=True, help="output directory")
+        sp.add_argument("--out", required=True, help="output directory")
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("dataset", help="generate labeled train/test CSVs")
-    common(sp)
+    sp = command("dataset", cmd_dataset, "generate labeled train/test CSVs")
     sp.add_argument("--duration", type=float, help="train duration (s)")
     sp.add_argument("--duration-test", type=float, help="test duration (s)")
-    sp.set_defaults(fn=cmd_dataset)
 
-    sp = sub.add_parser("train", help="train the regressor")
-    common(sp)
+    sp = command("train", cmd_train, "train the regressor")
     sp.add_argument("--data", required=True, help="dataset directory")
-    sp.set_defaults(fn=cmd_train)
 
-    sp = sub.add_parser("eval", help="evaluate weights on the test split")
-    common(sp)
+    sp = command("eval", cmd_eval, "evaluate weights on the test split")
     sp.add_argument("--data", required=True, help="dataset directory")
     sp.add_argument("--weights", required=True, help="weights JSON path")
-    sp.set_defaults(fn=cmd_eval)
 
-    sp = sub.add_parser("metrics", help="sweep (f, A) performance metrics")
-    common(sp)
+    sp = command("metrics", cmd_metrics, "sweep (f, A) performance metrics")
     sp.add_argument("--weights", help="compute from reconstructed states")
-    sp.set_defaults(fn=cmd_metrics)
 
-    sp = sub.add_parser("optimize", help="Bayesian-optimize actuation")
-    common(sp)
+    sp = command("optimize", cmd_optimize, "Bayesian-optimize actuation")
     sp.add_argument("--budget", type=int, help="evaluation budget")
     sp.add_argument("--weights", help="objective from reconstructed states")
-    sp.set_defaults(fn=cmd_optimize)
 
-    sp = sub.add_parser("render", help="render state CSV rows to PGM frames")
-    common(sp)
+    sp = command("render", cmd_render, "render state CSV rows to PGM frames")
     sp.add_argument("--states", required=True, help="state or trace CSV")
-    sp.set_defaults(fn=cmd_render)
 
-    sp = sub.add_parser("midline", help="extract midlines from PGM images")
-    common(sp)
+    sp = command("midline", cmd_midline, "extract midlines from PGM images")
     sp.add_argument("--images", nargs="+", required=True, help="PGM paths")
-    sp.set_defaults(fn=cmd_midline)
 
     sp = sub.add_parser("report", help="collate a run directory into HTML")
     sp.add_argument("--run", required=True, help="run directory")
-    sp.set_defaults(fn=cmd_report)
     return p
 
 
@@ -418,7 +368,18 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        if args.command == "report":
+            return cmd_report(args)
+        cfg = _load_config(args)
+        if getattr(args, "weights", None) and not os.path.exists(args.weights):
+            raise FileNotFoundError(f"weights file not found: {args.weights}")
+        os.makedirs(args.out, exist_ok=True)
+        outputs = args.fn(cfg, args)
+        _write_json(os.path.join(args.out, "manifest.json"), {
+            "command": args.command, "schema": CONFIG_SCHEMA,
+            "config_hash": config_hash(cfg), "config": cfg.to_dict(),
+            "outputs": sorted(outputs)})
+        return 0
     except (ConfigError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -61,19 +61,126 @@ class ConfigError(ValueError):
     pass
 
 
+def _section(base, check):
+    """A RunConfig section: a JSON object that `check(cfg)` accepts.
+
+    A dict `base` holds the defaults that complete the section; a
+    component class `base` names its keys and leaves it partial, for the
+    class's own defaults to fill. `check` runs with every earlier section
+    in place, and its TypeError or ValueError becomes a ConfigError that
+    names the section.
+    """
+    complete = isinstance(base, dict)
+    return field(default_factory=dict, metadata={
+        "keys": frozenset(base if complete else _names(base)),
+        "defaults": base if complete else {}, "check": check})
+
+
+def _names(cls) -> list:
+    return [f.name for f in fields(cls)]
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _check_dataset(cfg: "RunConfig") -> None:
+    """Reject a dataset section that `dataset` could not run."""
+    ds = cfg.dataset
+    if not all(_is_real(ds[k]) and ds[k] > 0
+               for k in ("train_duration_s", "test_duration_s", "dt")):
+        raise ValueError("train_duration_s, test_duration_s and dt must be "
+                         "positive numbers")
+    # The simulator's stability bound on the step.
+    max_dt = 1.0 / (50.0 * cfg.build_sim_params().f0_hz)
+    if ds["dt"] > max_dt:
+        raise ValueError(f"dt must be <= 1/(50*f0) = {max_dt:g} s")
+    if not all(_is_int(ds[k]) and ds[k] >= 0
+               for k in ("train_seed", "test_seed")):
+        raise ValueError("train_seed and test_seed must be integers >= 0")
+    ramp = ds["rpm_ramp"]
+    if (not isinstance(ramp, (list, tuple)) or len(ramp) != 2
+            or not all(map(_is_real, ramp))):
+        raise ValueError("rpm_ramp must be a list of two RPM endpoints")
+    for split in ("train", "test"):
+        cfg.build_ramp_spec(ds[f"{split}_duration_s"], ds[f"{split}_seed"])
+
+
+def _check_sweep(cfg: "RunConfig") -> None:
+    """Reject a sweep section that `metrics` or `optimize` could not run."""
+    sw, params = cfg.sweep, cfg.build_sim_params()
+    amps, ratios = sw["amplitudes_deg"], sw["freq_ratios"]
+    if (not isinstance(amps, (list, tuple)) or not amps
+            or not all(_is_real(a) and abs(a) <= 90.0 for a in amps)):
+        raise ValueError("amplitudes_deg must be a nonempty list of "
+                         "amplitudes in [-90, 90] degrees")
+    if all(a == 0 for a in amps):
+        raise ValueError("amplitudes_deg needs a nonzero amplitude; "
+                         "a zero-amplitude cell has no deformation field")
+    if (not isinstance(ratios, (list, tuple)) or not ratios
+            or not all(_is_real(r) and r > 0 for r in ratios)):
+        raise ValueError("freq_ratios must be a nonempty list of "
+                         "positive numbers")
+    cycles, transient = sw["cycles"], sw["transient_cycles"]
+    n_stations, subsample = sw["n_stations"], sw["subsample"]
+    if not all(map(_is_int, (cycles, transient, n_stations, subsample))):
+        raise ValueError("cycles, transient_cycles, n_stations and "
+                         "subsample must be integers")
+    # Thrust averages the whole cycles after the transient; a run of
+    # `cycles` cycles holds cycles - 1 of them.
+    if not 0 <= transient <= cycles - 2:
+        raise ValueError("transient_cycles must lie in "
+                         f"[0, cycles - 2] = [0, {cycles - 2}]")
+    if n_stations < 3:
+        raise ValueError("n_stations must be at least 3")
+    if subsample < 1:
+        raise ValueError("subsample must be at least 1")
+    # The deformation field needs 8 samples.
+    for r in ratios:
+        f = r * params.f0_hz
+        n_t = len(cell_window(sw, f, params.dt))
+        if n_t < 8:
+            raise ValueError(
+                f"at f = {f:g} Hz only {n_t} field samples follow "
+                "the transient, 8 are needed; raise cycles or lower "
+                "subsample")
+
+
+def _check_bo(cfg: "RunConfig") -> None:
+    """Reject a bo section that `optimize` could not run."""
+    bo = cfg.bo
+    cfg.build_search_space()
+    if not _is_int(bo["seed"]) or bo["seed"] < 0:
+        raise ValueError("seed must be an integer >= 0")
+    # optimize starts from three design points.
+    if not _is_int(bo["budget"]) or bo["budget"] < 3:
+        raise ValueError("budget must be an integer >= 3")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration with nested component settings."""
+    """Validated run configuration with nested component settings.
+
+    Every section may be partial. `sensor`, `dataset`, `sweep` and `bo`
+    are completed from their defaults, so manifests record every value;
+    `geometry`, `sim` and `train` keep only the values set, because
+    their defaults follow `material`.
+    """
 
     material: str = "dragonskin"
     target: str = "affine"
-    geometry: dict = field(default_factory=dict)
-    sim: dict = field(default_factory=dict)
-    sensor: dict = field(default_factory=lambda: dict(_DEFAULT_SENSOR))
-    train: dict = field(default_factory=dict)
-    dataset: dict = field(default_factory=lambda: dict(_DEFAULT_DATASET))
-    sweep: dict = field(default_factory=lambda: dict(_DEFAULT_SWEEP))
-    bo: dict = field(default_factory=lambda: dict(_DEFAULT_BO))
+    geometry: dict = _section(TentacleGeometry, lambda c: c.build_geometry())
+    sim: dict = _section(SimParams, lambda c: c.build_sim_params())
+    sensor: dict = _section(_DEFAULT_SENSOR, lambda c: c.build_sensor_model())
+    train: dict = _section(TrainConfig, lambda c: c.build_train_config())
+    dataset: dict = _section(_DEFAULT_DATASET, _check_dataset)
+    sweep: dict = _section(_DEFAULT_SWEEP, _check_sweep)
+    bo: dict = _section(_DEFAULT_BO, _check_bo)
 
     def __post_init__(self):
         if self.material not in ("dragonskin", "ecoflex"):
@@ -81,61 +188,34 @@ class RunConfig:
         if self.target not in ("affine", "poly"):
             raise ConfigError(f"target: must be 'affine' or 'poly', "
                               f"got {self.target!r}")
-        _check_keys("sensor", self.sensor, _DEFAULT_SENSOR)
-        _check_keys("bo", self.bo, _DEFAULT_BO)
-        # Partial sections: the component's own defaults fill the rest.
-        for name, cls in (("geometry", TentacleGeometry), ("sim", SimParams),
-                          ("train", TrainConfig)):
-            _check_keys(name, getattr(self, name),
-                        [f.name for f in fields(cls)], complete=False)
-        for name, section in (("bo", self.bo), ("train", self.train),
-                              ("sensor", self.sensor)):
-            seed = section.get("seed", 0)
-            if not _is_int(seed) or seed < 0:
-                raise ConfigError(f"{name}: seed must be an integer >= 0")
-        # Instantiate every nested component so field-level errors
-        # surface at load time with the offending section named.
-        for name, builder in (
-                ("geometry", self.build_geometry),
-                ("sim", self.build_sim_params),
-                ("sensor", self.build_sensor_model),
-                ("train", self.build_train_config),
-                ("bo", self.build_search_space),
-        ):
+        for f in fields(self):
+            if "keys" not in f.metadata:
+                continue
+            section = getattr(self, f.name)
+            if not isinstance(section, dict):
+                raise ConfigError(f"{f.name}: must be a JSON object")
+            unknown = set(section) - f.metadata["keys"]
+            if unknown:
+                raise ConfigError(f"{f.name}: unknown keys {sorted(unknown)}")
+            object.__setattr__(self, f.name,
+                               {**f.metadata["defaults"], **section})
             try:
-                builder()
-            except ConfigError:
-                raise
+                f.metadata["check"](self)
             except (TypeError, ValueError) as e:
-                raise ConfigError(f"{name}: {e}") from e
-        _check_dataset(self)
-        _check_sweep(self.sweep, self.build_sim_params())
-        # optimize starts from three design points.
-        if not _is_int(self.bo["budget"]) or self.bo["budget"] < 3:
-            raise ConfigError("bo: budget must be an integer >= 3")
+                raise ConfigError(f"{f.name}: {e}") from e
 
     def build_geometry(self) -> TentacleGeometry:
         return TentacleGeometry(**self.geometry)
 
     def build_sim_params(self) -> SimParams:
-        base = material_preset(self.material)
-        merged = {**base.__dict__, **self.sim}
-        return SimParams(**merged)
+        return replace(material_preset(self.material), **self.sim)
 
     def build_sensor_model(self) -> SensorModel:
-        s = self.sensor
-        return SensorModel(gain=np.array(s["gain"], dtype=float),
-                           rate_gain=np.array(s["rate_gain"], dtype=float),
-                           baseline_kpa=s["baseline_kpa"],
-                           lag_tau_s=s["lag_tau_s"],
-                           sat_kappa=s["sat_kappa"],
-                           noise_sigma_kpa=s["noise_sigma_kpa"],
-                           seed=s["seed"])
+        return SensorModel(**self.sensor)
 
     def build_train_config(self) -> TrainConfig:
-        t = dict(self.train)
-        t.setdefault("epochs", preset_epochs(self.material))
-        return TrainConfig(**t)
+        return TrainConfig(**{"epochs": preset_epochs(self.material),
+                              **self.train})
 
     def build_ramp_spec(self, duration_s: float, seed: int) -> ProgramSpec:
         """The `dataset` section's ramped random-amplitude program."""
@@ -149,18 +229,8 @@ class RunConfig:
                            A_set=tuple(self.bo["A_set"]))
 
     def to_dict(self) -> dict:
-        return {
-            "schema": CONFIG_SCHEMA,
-            "material": self.material,
-            "target": self.target,
-            "geometry": self.geometry,
-            "sim": self.sim,
-            "sensor": self.sensor,
-            "train": self.train,
-            "dataset": self.dataset,
-            "sweep": self.sweep,
-            "bo": self.bo,
-        }
+        return {"schema": CONFIG_SCHEMA,
+                **{f.name: getattr(self, f.name) for f in fields(self)}}
 
     def to_json(self, path) -> None:
         with open(path, "w") as f:
@@ -169,25 +239,16 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError("config: must be a JSON object")
         if doc.get("schema") != CONFIG_SCHEMA:
             raise ConfigError(f"schema: expected {CONFIG_SCHEMA}, "
                               f"got {doc.get('schema')!r}")
-        kwargs = {}
-        for key in ("material", "target", "geometry", "sim", "sensor",
-                    "train", "dataset", "sweep", "bo"):
-            if key in doc:
-                kwargs[key] = doc[key]
-        for key in ("sensor", "dataset", "sweep", "bo"):
-            if key in kwargs:
-                base = {"sensor": _DEFAULT_SENSOR, "dataset": _DEFAULT_DATASET,
-                        "sweep": _DEFAULT_SWEEP, "bo": _DEFAULT_BO}[key]
-                kwargs[key] = {**base, **kwargs[key]}
-        unknown = set(doc) - {"schema", "material", "target", "geometry",
-                              "sim", "sensor", "train", "dataset", "sweep",
-                              "bo"}
+        sections = {k: v for k, v in doc.items() if k != "schema"}
+        unknown = set(sections) - set(_names(cls))
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-        return cls(**kwargs)
+        return cls(**sections)
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -199,100 +260,11 @@ class RunConfig:
         return cls.from_dict(doc)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
-
-
-def _check_keys(name: str, section: dict, keys,
-                complete: bool = True) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name}: must be a JSON object")
-    unknown = set(section) - set(keys)
-    if unknown:
-        raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
-    missing = set(keys) - set(section)
-    if complete and missing:
-        raise ConfigError(f"{name}: missing keys {sorted(missing)}")
-
-
-def _check_dataset(cfg: RunConfig) -> None:
-    """Reject a dataset section that `dataset` could not run."""
-    ds = cfg.dataset
-    _check_keys("dataset", ds, _DEFAULT_DATASET)
-    if not all(_is_real(ds[k]) and ds[k] > 0
-               for k in ("train_duration_s", "test_duration_s", "dt")):
-        raise ConfigError("dataset: train_duration_s, test_duration_s and dt "
-                          "must be positive numbers")
-    # The simulator's stability bound on the step.
-    max_dt = 1.0 / (50.0 * cfg.build_sim_params().f0_hz)
-    if ds["dt"] > max_dt:
-        raise ConfigError(f"dataset: dt must be <= 1/(50*f0) = {max_dt:g} s")
-    if not all(_is_int(ds[k]) and ds[k] >= 0
-               for k in ("train_seed", "test_seed")):
-        raise ConfigError("dataset: train_seed and test_seed must be "
-                          "integers >= 0")
-    ramp = ds["rpm_ramp"]
-    if (not isinstance(ramp, (list, tuple)) or len(ramp) != 2
-            or not all(map(_is_real, ramp))):
-        raise ConfigError("dataset: rpm_ramp must be a list of two RPM "
-                          "endpoints")
-    for split in ("train", "test"):
-        try:
-            cfg.build_ramp_spec(ds[f"{split}_duration_s"], ds[f"{split}_seed"])
-        except ValueError as e:
-            raise ConfigError(f"dataset: {e}") from e
-
-
 def cell_window(sweep: dict, f: float, dt: float) -> range:
     """Steps of a sweep cell at frequency f that enter its deformation
     field: every `subsample`-th step after the transient cycles."""
     return range(int(sweep["transient_cycles"] / f / dt),
                  int(round(sweep["cycles"] / f / dt)), sweep["subsample"])
-
-
-def _check_sweep(sw: dict, params: SimParams) -> None:
-    """Reject a sweep section that `metrics` or `optimize` could not run."""
-    _check_keys("sweep", sw, _DEFAULT_SWEEP)
-    amps, ratios = sw["amplitudes_deg"], sw["freq_ratios"]
-    if (not isinstance(amps, (list, tuple)) or not amps
-            or not all(_is_real(a) and abs(a) <= 90.0 for a in amps)):
-        raise ConfigError("sweep: amplitudes_deg must be a nonempty list of "
-                          "amplitudes in [-90, 90] degrees")
-    if all(a == 0 for a in amps):
-        raise ConfigError("sweep: amplitudes_deg needs a nonzero amplitude; "
-                          "a zero-amplitude cell has no deformation field")
-    if (not isinstance(ratios, (list, tuple)) or not ratios
-            or not all(_is_real(r) and r > 0 for r in ratios)):
-        raise ConfigError("sweep: freq_ratios must be a nonempty list of "
-                          "positive numbers")
-    cycles, transient = sw["cycles"], sw["transient_cycles"]
-    n_stations, subsample = sw["n_stations"], sw["subsample"]
-    if not all(map(_is_int, (cycles, transient, n_stations, subsample))):
-        raise ConfigError("sweep: cycles, transient_cycles, n_stations and "
-                          "subsample must be integers")
-    # Thrust averages the whole cycles after the transient; a run of
-    # `cycles` cycles holds cycles - 1 of them.
-    if not 0 <= transient <= cycles - 2:
-        raise ConfigError("sweep: transient_cycles must lie in "
-                          f"[0, cycles - 2] = [0, {cycles - 2}]")
-    if n_stations < 3:
-        raise ConfigError("sweep: n_stations must be at least 3")
-    if subsample < 1:
-        raise ConfigError("sweep: subsample must be at least 1")
-    # The deformation field needs 8 samples.
-    for r in ratios:
-        f = r * params.f0_hz
-        n_t = len(cell_window(sw, f, params.dt))
-        if n_t < 8:
-            raise ConfigError(
-                f"sweep: at f = {f:g} Hz only {n_t} field samples follow "
-                "the transient, 8 are needed; raise cycles or lower "
-                "subsample")
 
 
 def default_config(material: str = "dragonskin") -> RunConfig:

@@ -17,6 +17,8 @@ rows, so each step makes one recurrent product for both directions.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,16 +80,21 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, least in (("epochs", 1), ("sequence_chunk", 2),
+                            ("hidden", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, numbers.Integral)
+                    or v < least):
+                raise ValueError(f"{name} must be an integer >= {least}")
+        for name in ("lr0", "lr_decay", "momentum"):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                    or not math.isfinite(v)):
+                raise ValueError(f"{name} must be a finite number")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must lie in (0, 1]")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.sequence_chunk < 2:
-            raise ValueError("sequence_chunk must be at least 2")
-        if self.hidden < 1:
-            raise ValueError("hidden size must be at least 1")
         if self.lr0 <= 0:
             raise ValueError("lr0 must be positive")
 

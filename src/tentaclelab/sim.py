@@ -98,6 +98,10 @@ class SensorModel:
             raise ValueError("rate_gain must be a 3x2 matrix")
         if self.lag_tau_s < 0 or self.noise_sigma_kpa < 0:
             raise ValueError("lag_tau_s and noise_sigma_kpa must be >= 0")
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise ValueError("seed must be an integer >= 0")
         object.__setattr__(self, "gain", g)
         object.__setattr__(self, "rate_gain", rg)
 
@@ -223,7 +227,9 @@ def sensor_readout(trace: SimTrace, model: SensorModel) -> np.ndarray:
     """Synthetic 3-channel pressure series for a simulated trace, in kPa.
 
     p = baseline + lag(G q + G_r q' + kappa (G q)^3, tau) + noise.
-    Deterministic given the model seed.
+    Deterministic given the model seed. q' is the simulator's `q_dot`;
+    a trace without it, such as one read by `SimTrace.from_csv`, uses
+    the finite difference np.gradient(q, dt, axis=0) instead.
     """
     q = trace.q
     qd = trace.q_dot

@@ -374,6 +374,13 @@ COMPONENT_ERRORS = {
     "geometry_unknown_key": ("geometry", {"length": 220.0}),
     "train_unknown_key": ("train", {"epoch": 3}),
     "train_not_an_object": ("train", [1]),
+    "train_fractional_epochs": ("train", {"epochs": 2.5}),
+    "train_bool_hidden": ("train", {"hidden": True}),
+    "train_string_lr0": ("train", {"lr0": "0.1"}),
+    "sensor_not_an_object": ("sensor", None),
+    "dataset_not_an_object": ("dataset", "dt"),
+    "sweep_not_an_object": ("sweep", 5),
+    "bo_not_an_object": ("bo", [1]),
 }
 
 
@@ -398,6 +405,28 @@ class TestComponentConfigErrors:
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
             f"error: {section}: unknown keys ['bogus']\n")
+
+    def test_config_not_an_object_exits_1(self, tmp_path, capsys):
+        p = tmp_path / "config.json"
+        p.write_text("[1, 2]")
+        out = tmp_path / "out"
+        assert main(["dataset", "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: config: must be a JSON object\n")
+        assert not out.exists()
+
+
+class TestMissingWeights:
+    @pytest.mark.parametrize("command", ["eval", "metrics", "optimize"])
+    def test_exits_1_before_output(self, tmp_path, capsys, fast_config,
+                                   command):
+        weights, out = tmp_path / "none.json", tmp_path / "out"
+        data = ["--data", str(tmp_path)] if command == "eval" else []
+        assert main([command, "--config", fast_config, "--weights",
+                     str(weights), "--out", str(out)] + data) == 1
+        assert capsys.readouterr().err == (
+            f"error: weights file not found: {weights}\n")
+        assert not out.exists()
 
 
 class TestRenderMidline:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,6 +206,19 @@ class TestTrace:
         assert np.allclose(back.pressures, trace.pressures, rtol=1e-9)
         assert np.allclose(back.tip, trace.tip, rtol=1e-9)
         assert back.dt == pytest.approx(trace.dt)
+
+    def test_csv_trace_reads_out_through_the_gradient_of_q(self, tmp_path):
+        # The CSV holds no q_dot, so the rate term differentiates q.
+        prog = build_program(ProgramSpec(duration_s=2.0, dt=0.005,
+                                         frequency_hz=2.0))
+        p = tmp_path / "trace.csv"
+        simulate(prog, SimParams()).to_csv(p)
+        back = SimTrace.from_csv(p)
+        assert back.q_dot is None
+        model = default_sensor_model()
+        with_rate = replace(back, q_dot=np.gradient(back.q, back.dt, axis=0))
+        assert np.array_equal(sensor_readout(back, model),
+                              sensor_readout(with_rate, model))
 
     @staticmethod
     def _trace(rows):
