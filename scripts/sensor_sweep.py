@@ -21,35 +21,31 @@ from tentaclelab.cli import simulate_ramp
 from tentaclelab.config import default_config
 from tentaclelab.plotting import line_plot_svg
 from tentaclelab.regressor import LabeledSequence, TrainConfig, forward, train
+from tentaclelab.sim import default_sensor_model
 
-# Master transduction map; channel subsets take the leading rows. The
-# first row alone is rank 1, so the one-channel case is unobservable.
-MASTER_GAIN = np.array([[9.0, 2.5],
-                        [-5.0, 6.0],
-                        [2.0, -7.5],
-                        [4.0, 8.0]])
-MASTER_RATE = np.array([[0.12, 0.03],
-                        [-0.06, 0.08],
-                        [0.02, -0.10],
-                        [0.05, 0.06]])
-BASELINE_KPA = 101.3
-LAG_TAU_S = 0.02
-NOISE_SIGMA_KPA = 0.05
+# The default three-channel sensor model plus one more channel; channel
+# subsets take the leading rows. The first row alone is rank 1, so the
+# one-channel case is unobservable.
+SENSOR = default_sensor_model()
+MASTER_GAIN = np.vstack([SENSOR.gain, [4.0, 8.0]])
+MASTER_RATE = np.vstack([SENSOR.rate_gain, [0.05, 0.06]])
 
 
 def channel_readout(trace, n_channels: int, seed: int) -> np.ndarray:
-    """Pressure series for the first n rows of the master sensor map."""
+    """Pressure series for the first n rows of the master sensor map,
+    without the saturation term."""
     G = MASTER_GAIN[:n_channels]
     Gr = MASTER_RATE[:n_channels]
     u = trace.q @ G.T + trace.q_dot @ Gr.T
-    a = trace.dt / (LAG_TAU_S + trace.dt)
+    a = trace.dt / (SENSOR.lag_tau_s + trace.dt)
     lagged = np.empty_like(u)
     state = u[0].copy()
     for k in range(len(u)):
         state = state + a * (u[k] - state)
         lagged[k] = state
     rng = np.random.default_rng(seed)
-    return BASELINE_KPA + lagged + rng.normal(0.0, NOISE_SIGMA_KPA, u.shape)
+    return SENSOR.baseline_kpa + lagged + rng.normal(
+        0.0, SENSOR.noise_sigma_kpa, u.shape)
 
 
 def main(argv=None) -> int:

@@ -94,9 +94,6 @@ def build_program(spec: ProgramSpec) -> ActuationProgram:
         amps = rng.uniform(-30.0, 30.0, size=n_cycles)
     else:
         amps = np.full(n_cycles, spec.amplitude_deg)
-    u = phase - cycle
-    shape = np.where(u < 0.25, 4.0 * u,
-                     np.where(u < 0.75, 2.0 - 4.0 * u, 4.0 * u - 4.0))
-    theta = amps[cycle] * shape
+    theta = amps[cycle] * triangular_wave(phase, 1.0, 1.0)
     return ActuationProgram(time=t, theta_deg=theta, dt=spec.dt,
                             cycle_index=cycle, amplitudes=amps)

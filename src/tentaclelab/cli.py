@@ -3,9 +3,9 @@ metric sweeps, actuation optimization, rendering, and report assembly.
 
 Every command is driven by a JSON RunConfig and writes a manifest with
 the config hash, so reruns are bit-identical and traceable. `main` loads
-and checks the config, checks that `--weights` exists, creates `--out`,
-runs `cmd_<name>(cfg, args)`, which returns the files it wrote, and
-writes the manifest; `report` only reads a run directory. Exit codes:
+and checks the config, checks that every input file exists, creates
+`--out`, runs `cmd_<name>(cfg, args)`, which returns the files it wrote,
+and writes the manifest; `report` only reads a run directory. Exit codes:
 0 success, 1 usage/config error, 2 runtime/numerical error.
 """
 
@@ -255,9 +255,7 @@ def cmd_midline(cfg, args) -> list:
     spec = ImageSpec()
     files = []
     for path in sorted(args.images):
-        img = read_pgm(path, scale_mm_per_px=spec.scale_mm_per_px,
-                       origin_px=spec.origin_px)
-        cl = extract_midline(binarize(img), spec,
+        cl = extract_midline(binarize(read_pgm(path)), spec,
                              max_len_mm=geom.length_mm)
         name = os.path.splitext(os.path.basename(path))[0] + "_midline.csv"
         midline_to_csv(cl, os.path.join(args.out, name))
@@ -361,6 +359,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _input_files(args) -> list:
+    """(kind, path) of every file the command reads, weights first."""
+    split = {"train": "train.csv", "eval": "test.csv"}.get(args.command)
+    files = [("weights", getattr(args, "weights", None)),
+             ("data", split and os.path.join(args.data, split)),
+             ("states", getattr(args, "states", None))]
+    files += [("image", p) for p in getattr(args, "images", None) or ()]
+    return [(kind, p) for kind, p in files if p]
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -371,8 +379,9 @@ def main(argv=None) -> int:
         if args.command == "report":
             return cmd_report(args)
         cfg = _load_config(args)
-        if getattr(args, "weights", None) and not os.path.exists(args.weights):
-            raise FileNotFoundError(f"weights file not found: {args.weights}")
+        for kind, path in _input_files(args):
+            if not os.path.isfile(path):
+                raise FileNotFoundError(f"{kind} file not found: {path}")
         os.makedirs(args.out, exist_ok=True)
         outputs = args.fn(cfg, args)
         _write_json(os.path.join(args.out, "manifest.json"), {

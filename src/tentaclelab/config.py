@@ -93,13 +93,10 @@ def _check_dataset(cfg: "RunConfig") -> None:
     """Reject a dataset section that `dataset` could not run."""
     ds = cfg.dataset
     if not all(_is_real(ds[k]) and ds[k] > 0
-               for k in ("train_duration_s", "test_duration_s", "dt")):
-        raise ValueError("train_duration_s, test_duration_s and dt must be "
+               for k in ("train_duration_s", "test_duration_s")):
+        raise ValueError("train_duration_s and test_duration_s must be "
                          "positive numbers")
-    # The simulator's stability bound on the step.
-    max_dt = 1.0 / (50.0 * cfg.build_sim_params().f0_hz)
-    if ds["dt"] > max_dt:
-        raise ValueError(f"dt must be <= 1/(50*f0) = {max_dt:g} s")
+    replace(cfg.build_sim_params(), dt=ds["dt"])    # SimParams checks dt
     if not all(_is_int(ds[k]) and ds[k] >= 0
                for k in ("train_seed", "test_seed")):
         raise ValueError("train_seed and test_seed must be integers >= 0")
@@ -160,6 +157,9 @@ def _check_bo(cfg: "RunConfig") -> None:
     # optimize starts from three design points.
     if not _is_int(bo["budget"]) or bo["budget"] < 3:
         raise ValueError("budget must be an integer >= 3")
+    # The acquisition score weighs the mean by 1 - rho.
+    if not _is_real(bo["rho"]) or not 0.0 <= bo["rho"] <= 1.0:
+        raise ValueError("rho must be a number in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -183,8 +183,10 @@ class RunConfig:
     bo: dict = _section(_DEFAULT_BO, _check_bo)
 
     def __post_init__(self):
-        if self.material not in ("dragonskin", "ecoflex"):
-            raise ConfigError(f"material: unknown preset {self.material!r}")
+        try:
+            material_preset(self.material)
+        except ValueError as e:
+            raise ConfigError(f"material: {e}") from e
         if self.target not in ("affine", "poly"):
             raise ConfigError(f"target: must be 'affine' or 'poly', "
                               f"got {self.target!r}")

@@ -41,6 +41,15 @@ class SimulationError(RuntimeError):
     pass
 
 
+def _check_finite(obj, names) -> None:
+    """Reject the attributes of `obj` that are bools or not finite reals."""
+    bad = [k for k, v in ((k, getattr(obj, k)) for k in names)
+           if isinstance(v, bool) or not isinstance(v, numbers.Real)
+           or not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"{', '.join(bad)}: expected a finite number")
+
+
 @dataclass(frozen=True)
 class SimParams:
     """Modal dynamics parameters of the driven tentacle."""
@@ -56,11 +65,7 @@ class SimParams:
     dt: float = 0.005
 
     def __post_init__(self):
-        bad = [k for k, v in vars(self).items()
-               if isinstance(v, bool) or not isinstance(v, numbers.Real)
-               or not math.isfinite(v)]
-        if bad:
-            raise ValueError(f"{', '.join(bad)} must be finite")
+        _check_finite(self, vars(self))
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.f0_hz <= 0:
@@ -69,8 +74,9 @@ class SimParams:
             raise ValueError("zeta must lie in (0, 1)")
         if self.mode2_ratio <= 1.0:
             raise ValueError("mode2_ratio must exceed 1")
-        if self.dt > 1.0 / (50.0 * self.f0_hz):
-            raise ValueError("dt must be <= 1/(50*f0)")
+        max_dt = 1.0 / (50.0 * self.f0_hz)
+        if self.dt > max_dt:
+            raise ValueError(f"dt must be <= 1/(50*f0) = {max_dt:g} s")
 
 
 @dataclass(frozen=True)
@@ -86,6 +92,8 @@ class SensorModel:
     seed: int = 0
 
     def __post_init__(self):
+        _check_finite(self, ("baseline_kpa", "lag_tau_s", "sat_kappa",
+                             "noise_sigma_kpa"))
         g = np.asarray(self.gain, dtype=float)
         if g.shape != (3, 2):
             raise ValueError("gain must be a 3x2 matrix")
@@ -162,9 +170,7 @@ def simulate(program: ActuationProgram, params: SimParams,
     angle at DC) independent of f0.
     """
     geom = geom or TentacleGeometry()
-    dt = program.dt
-    if dt > 1.0 / (50.0 * params.f0_hz):
-        raise ValueError("program dt too coarse for this f0")
+    dt = replace(params, dt=program.dt).dt      # SimParams checks the step
     theta = np.radians(program.theta_deg)
     n = len(theta)
     w1 = 2.0 * math.pi * params.f0_hz
@@ -286,21 +292,23 @@ _PRESETS = {
 }
 
 
-def material_preset(name: str) -> SimParams:
-    """SimParams preset for a silicone: 'dragonskin' or 'ecoflex'."""
-    if name not in _PRESETS:
+def _preset(name) -> dict:
+    if not isinstance(name, str) or name not in _PRESETS:
         raise ValueError(f"unknown material {name!r}; "
                          f"choose from {sorted(_PRESETS)}")
-    p = _PRESETS[name]
+    return _PRESETS[name]
+
+
+def material_preset(name: str) -> SimParams:
+    """SimParams preset for a silicone: 'dragonskin' or 'ecoflex'."""
+    p = _preset(name)
     return SimParams(f0_hz=p["f0_hz"], drive_gain1=p["drive_gain1"],
                      drive_gain2=p["drive_gain2"],
                      phase_lag_s=0.7 / p["f0_hz"])
 
 
 def preset_epochs(name: str) -> int:
-    if name not in _PRESETS:
-        raise ValueError(f"unknown material {name!r}")
-    return _PRESETS[name]["epochs"]
+    return _preset(name)["epochs"]
 
 
 def default_sensor_model(seed: int = 0) -> SensorModel:

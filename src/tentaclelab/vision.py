@@ -19,7 +19,6 @@ from .kinematics import CurvatureState, TentacleGeometry, sample_centerline
 
 __all__ = [
     "ImageSpec",
-    "GrayImage",
     "VisionError",
     "render_silhouette",
     "binarize",
@@ -60,29 +59,6 @@ class ImageSpec:
             raise ValueError("scale must be positive")
 
 
-@dataclass(frozen=True)
-class GrayImage:
-    """8-bit grayscale image with physical scale and root origin."""
-
-    pixels: np.ndarray          # (height, width) uint8
-    scale_mm_per_px: float
-    origin_px: tuple
-
-    def __post_init__(self):
-        px = np.asarray(self.pixels)
-        if px.ndim != 2 or px.shape[0] < 16 or px.shape[1] < 16:
-            raise ValueError("pixels must be (H, W) with H, W >= 16")
-        object.__setattr__(self, "pixels", px.astype(np.uint8))
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-
 def _centerline_px(q: CurvatureState, geom: TentacleGeometry,
                    spec: ImageSpec, n: int):
     """Dense centerline in pixel coordinates plus per-point half-width (px)."""
@@ -97,12 +73,13 @@ def _centerline_px(q: CurvatureState, geom: TentacleGeometry,
 
 
 def render_silhouette(q: CurvatureState, geom: TentacleGeometry,
-                      spec: ImageSpec) -> GrayImage:
+                      spec: ImageSpec) -> np.ndarray:
     """Render the tentacle as an anti-aliased dark band.
 
     The band follows the sampled centerline with a linear width taper
     from the root diameter down to 25% at the tip. Raises VisionError if
-    any part of the band leaves the frame.
+    any part of the band leaves the frame. Returns the (height, width)
+    uint8 frame.
     """
     n = max(geom.n_samples, 600)
     col, row, half = _centerline_px(q, geom, spec, n)
@@ -130,8 +107,7 @@ def render_silhouette(q: CurvatureState, geom: TentacleGeometry,
     pix = np.full((spec.height, spec.width), _BG_LEVEL, dtype=np.uint8)
     pix[r0:r1, c0:c1][cover] = np.round(
         _BG_LEVEL - alpha * (_BG_LEVEL - _FG_LEVEL))
-    return GrayImage(pixels=pix, scale_mm_per_px=spec.scale_mm_per_px,
-                     origin_px=spec.origin_px)
+    return pix
 
 
 def _disk_cover(col, row, radius, shape) -> np.ndarray:
@@ -171,22 +147,22 @@ def otsu_threshold(pixels: np.ndarray) -> int:
     return int(np.argmax(between))
 
 
-def binarize(img: GrayImage, threshold="auto") -> np.ndarray:
+def binarize(pixels: np.ndarray, threshold="auto") -> np.ndarray:
     """Boolean foreground mask of pixels darker than the threshold.
 
     `threshold="auto"` uses Otsu's histogram criterion; a number keeps
     pixels strictly below it. An empty foreground raises VisionError.
     """
     if threshold == "auto":
-        t = otsu_threshold(img.pixels)
-        mask = img.pixels <= t
+        t = otsu_threshold(pixels)
+        mask = pixels <= t
         if mask.all():
             raise VisionError("binarization found no background contrast")
     else:
         t = float(threshold)
         if not 0.0 <= t <= 255.0:
             raise ValueError("threshold must lie in [0, 255]")
-        mask = img.pixels < t
+        mask = pixels < t
     if not mask.any():
         raise VisionError("binarization produced an empty foreground")
     return mask
@@ -252,16 +228,19 @@ def _row_centres(rows: np.ndarray) -> np.ndarray:
     return (first + last) * 0.5
 
 
-def write_pgm(img: GrayImage, path) -> None:
-    """Write the image as binary PGM (P5, maxval 255)."""
+def write_pgm(pixels: np.ndarray, path) -> None:
+    """Write a (height, width) uint8 frame as binary PGM (P5, maxval 255)."""
+    if pixels.dtype != np.uint8:
+        raise ValueError(f"a frame is a uint8 array, not {pixels.dtype}")
+    h, w = pixels.shape
     with open(path, "wb") as f:
-        f.write(f"P5\n{img.width} {img.height}\n255\n".encode())
-        f.write(img.pixels.tobytes())
+        f.write(f"P5\n{w} {h}\n255\n".encode())
+        f.write(pixels.tobytes())
 
 
-def read_pgm(path, scale_mm_per_px: float = 0.5,
-             origin_px: tuple = (480.0, 40.0)) -> GrayImage:
-    """Read a P5 or P2 PGM file; scale and origin are caller-supplied."""
+def read_pgm(path) -> np.ndarray:
+    """Read a P5 or P2 PGM file as a (height, width) uint8 frame of at
+    least 16x16 px; ImageSpec describes its camera."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:2] not in (b"P5", b"P2"):
@@ -284,15 +263,18 @@ def read_pgm(path, scale_mm_per_px: float = 0.5,
     w, h, maxval = tokens
     if maxval != 255:
         raise VisionError("only maxval 255 PGM is supported")
+    if w < 16 or h < 16:
+        raise VisionError(f"PGM is {w}x{h} px; at least 16x16 is needed")
     pos += 1
     if data[:2] == b"P5":
         pix = np.frombuffer(data[pos:pos + w * h], dtype=np.uint8)
     else:
-        pix = np.array(data[pos:].split(), dtype=int).astype(np.uint8)
+        pix = np.array(data[pos:].split(), dtype=int)
+        if np.any((pix < 0) | (pix > maxval)):
+            raise VisionError(f"PGM sample outside [0, {maxval}]")
     if pix.size != w * h:
         raise VisionError("PGM pixel payload truncated")
-    return GrayImage(pixels=pix.reshape(h, w),
-                     scale_mm_per_px=scale_mm_per_px, origin_px=origin_px)
+    return pix.astype(np.uint8).reshape(h, w)
 
 
 def midline_to_csv(cl: Centerline, path) -> None:

@@ -381,6 +381,10 @@ COMPONENT_ERRORS = {
     "dataset_not_an_object": ("dataset", "dt"),
     "sweep_not_an_object": ("sweep", 5),
     "bo_not_an_object": ("bo", [1]),
+    "bo_rho_above_one": ("bo", {"rho": 5}),
+    "bo_string_rho": ("bo", {"rho": "x"}),
+    "sensor_string_baseline": ("sensor", {"baseline_kpa": "x"}),
+    "sensor_nan_sat_kappa": ("sensor", {"sat_kappa": float("nan")}),
 }
 
 
@@ -426,6 +430,32 @@ class TestMissingWeights:
                      str(weights), "--out", str(out)] + data) == 1
         assert capsys.readouterr().err == (
             f"error: weights file not found: {weights}\n")
+        assert not out.exists()
+
+
+class TestMissingInputs:
+    @pytest.mark.parametrize("command,kind", [
+        ("train", "data"), ("eval", "data"), ("render", "states"),
+        ("midline", "image")])
+    def test_exits_1_before_output(self, tmp_path, capsys, fast_config,
+                                   command, kind):
+        out, missing = tmp_path / "out", tmp_path / "nowhere"
+        weights = tmp_path / "w.json"
+        weights.write_text("{}")
+        if command == "train":
+            args, path = ["--data", str(missing)], missing / "train.csv"
+        elif command == "eval":
+            args = ["--data", str(missing), "--weights", str(weights)]
+            path = missing / "test.csv"
+        elif command == "render":
+            args, path = ["--states", str(missing)], missing
+        else:
+            path = missing / "nope.pgm"
+            args = ["--images", str(weights), str(path)]
+        assert main([command, "--config", fast_config, "--out", str(out)]
+                    + args) == 1
+        assert capsys.readouterr().err == (
+            f"error: {kind} file not found: {path}\n")
         assert not out.exists()
 
 

@@ -107,7 +107,7 @@ class TestSimulate:
 
     def test_dt_mismatch_rejected(self):
         prog = program_from_theta(np.zeros(100), 0.05)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"1/\(50\*f0\)"):
             simulate(prog, SimParams())
 
     def test_determinism(self):

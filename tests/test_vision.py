@@ -9,7 +9,7 @@ from scipy.spatial import cKDTree
 from tentaclelab.fitting import Centerline, fit_affine
 from tentaclelab.kinematics import (CurvatureState, TentacleGeometry,
                                     sample_centerline)
-from tentaclelab.vision import (GrayImage, ImageSpec, VisionError, binarize,
+from tentaclelab.vision import (ImageSpec, VisionError, binarize,
                                 extract_midline, midline_from_csv,
                                 midline_to_csv, otsu_threshold, read_pgm,
                                 render_silhouette, write_pgm)
@@ -42,13 +42,13 @@ class TestRenderSilhouette:
         img = render_silhouette(CurvatureState(0.0, 0.0), GEOM, SPEC)
         c = int(SPEC.origin_px[0])
         w = 100
-        left = img.pixels[:, c - w:c]
-        right = img.pixels[:, c + 1:c + w + 1]
+        left = img[:, c - w:c]
+        right = img[:, c + 1:c + w + 1]
         assert np.array_equal(left, right[:, ::-1])
 
     def test_mirror_symmetry(self):
-        a = render_silhouette(CurvatureState(1.0, -0.5), GEOM, SPEC).pixels
-        b = render_silhouette(CurvatureState(-1.0, 0.5), GEOM, SPEC).pixels
+        a = render_silhouette(CurvatureState(1.0, -0.5), GEOM, SPEC)
+        b = render_silhouette(CurvatureState(-1.0, 0.5), GEOM, SPEC)
         c = int(SPEC.origin_px[0])
         # Reflect about the root column.
         flipped = b[:, ::-1]
@@ -81,8 +81,8 @@ class TestRenderSilhouette:
 
     def test_levels(self):
         img = render_silhouette(CurvatureState(0.5, 0.0), GEOM, SPEC)
-        assert img.pixels.min() == 25
-        assert img.pixels.max() == 230
+        assert img.min() == 25
+        assert img.max() == 230
 
 
 # 128 x 96 px at 4 mm/px: small enough for a full distance matrix.
@@ -111,7 +111,7 @@ class TestRenderExactness:
                                    (-7.0, -4.0)])
     def test_matches_brute_force(self, q):
         img = render_silhouette(CurvatureState(*q), GEOM, SMALL)
-        assert np.array_equal(img.pixels, brute_force_render(q, SMALL))
+        assert np.array_equal(img, brute_force_render(q, SMALL))
 
     # sha256 of the pixels, computed with the full-bounding-box query
     # renderer this cover-mask renderer replaced, before it was changed.
@@ -131,7 +131,7 @@ class TestRenderExactness:
     ])
     def test_pinned_digest(self, q, digest):
         img = render_silhouette(CurvatureState(*q), GEOM, SPEC)
-        assert hashlib.sha256(img.pixels.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(img.tobytes()).hexdigest() == digest
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(-np.pi, np.pi), st.floats(-6.0, 6.0))
@@ -172,34 +172,33 @@ class TestBinarize:
         px[8:24, 8:24] = 50
         t = otsu_threshold(px)
         assert 50 <= t < 200
-        mask = binarize(GrayImage(px, 0.5, (16.0, 0.0)))
+        mask = binarize(px)
         assert mask.sum() == 16 * 16
 
     def test_numeric_threshold(self):
         px = np.full((32, 32), 200, dtype=np.uint8)
         px[0, 0] = 10
-        mask = binarize(GrayImage(px, 0.5, (16.0, 0.0)), threshold=100)
+        mask = binarize(px, threshold=100)
         assert mask.sum() == 1
 
     def test_flat_image_rejected(self):
         px = np.full((32, 32), 128, dtype=np.uint8)
         with pytest.raises(VisionError):
-            binarize(GrayImage(px, 0.5, (16.0, 0.0)))
+            binarize(px)
 
     def test_empty_foreground_rejected(self):
         px = np.full((32, 32), 200, dtype=np.uint8)
         with pytest.raises(VisionError):
-            binarize(GrayImage(px, 0.5, (16.0, 0.0)), threshold=5)
+            binarize(px, threshold=5)
 
     def test_threshold_range(self):
         px = np.full((32, 32), 200, dtype=np.uint8)
         with pytest.raises(ValueError):
-            binarize(GrayImage(px, 0.5, (16.0, 0.0)), threshold=300)
+            binarize(px, threshold=300)
 
     def test_brightness_shift_invariance(self):
         img = render_silhouette(CurvatureState(0.8, -0.4), GEOM, SPEC)
-        shifted = GrayImage(np.clip(img.pixels.astype(int) + 20, 0, 255),
-                            img.scale_mm_per_px, img.origin_px)
+        shifted = np.clip(img.astype(int) + 20, 0, 255).astype(np.uint8)
         assert np.array_equal(binarize(img), binarize(shifted))
 
 
@@ -277,8 +276,7 @@ class TestPgmIO:
         p = tmp_path / "img.pgm"
         write_pgm(img, p)
         back = read_pgm(p)
-        assert np.array_equal(back.pixels, img.pixels)
-        assert back.origin_px == SPEC.origin_px
+        assert np.array_equal(back, img)
 
     def test_p2_with_comments(self, tmp_path):
         p = tmp_path / "ascii.pgm"
@@ -286,8 +284,27 @@ class TestPgmIO:
                         for r in range(20) for c in range(20))
         p.write_text(f"P2\n# synthetic test image\n20 20\n255\n{vals}\n")
         img = read_pgm(p)
-        assert img.pixels.shape == (20, 20)
-        assert img.pixels[3, 4] == 7
+        assert img.shape == (20, 20)
+        assert img[3, 4] == 7
+
+    @pytest.mark.parametrize("sample", ["300", "-1"])
+    def test_p2_sample_out_of_range(self, tmp_path, sample):
+        p = tmp_path / "ascii.pgm"
+        vals = ["7"] * 400
+        vals[42] = sample
+        p.write_text(f"P2\n20 20\n255\n{' '.join(vals)}\n")
+        with pytest.raises(VisionError, match=r"outside \[0, 255\]"):
+            read_pgm(p)
+
+    def test_write_rejects_non_uint8(self, tmp_path):
+        with pytest.raises(ValueError, match="uint8"):
+            write_pgm(np.zeros((20, 20), dtype=int), tmp_path / "x.pgm")
+
+    def test_too_small_rejected(self, tmp_path):
+        p = tmp_path / "small.pgm"
+        p.write_bytes(b"P5\n15 20\n255\n" + bytes(15 * 20))
+        with pytest.raises(VisionError, match="15x20"):
+            read_pgm(p)
 
     def test_not_pgm(self, tmp_path):
         p = tmp_path / "bad.pgm"
