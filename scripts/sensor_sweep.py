@@ -19,6 +19,7 @@ import numpy as np
 
 from tentaclelab.cli import simulate_ramp
 from tentaclelab.config import default_config
+from tentaclelab.fitting import nrmse
 from tentaclelab.plotting import line_plot_svg
 from tentaclelab.regressor import LabeledSequence, TrainConfig, forward, train
 from tentaclelab.sim import default_sensor_model
@@ -73,8 +74,7 @@ def main(argv=None) -> int:
                                       traces["train"].dt)], cfg)
         pred = forward(w, p_test)
         truth = traces["test"].q
-        nr = [100.0 * np.sqrt(np.mean((pred[:, j] - truth[:, j]) ** 2))
-              / np.ptp(truth[:, j]) for j in range(2)]
+        nr = [nrmse(pred[:, j], truth[:, j]) for j in range(2)]
         rows.append((n, nr[0], nr[1]))
         print(f"channels={n}: test NRMSE {nr[0]:.2f}% / {nr[1]:.2f}% "
               f"({time.time() - t0:.0f}s)")

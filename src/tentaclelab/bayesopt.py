@@ -23,10 +23,7 @@ __all__ = [
     "gp_predict",
     "acquisition",
     "optimize",
-    "history_to_csv",
 ]
-
-HISTORY_HEADER = "iter,f,A,twi,tip_defl_deg,thrust_mN"
 
 _LENGTH_SCALE = 0.2     # per dimension, in unit-box coordinates
 _NOISE_VAR = 1e-4
@@ -49,9 +46,11 @@ class SearchSpace:
         lo, hi = self.f_range
         if not (np.isfinite(lo) and np.isfinite(hi)) or lo <= 0 or hi <= lo:
             raise ValueError("f_range must be a bounded positive interval")
-        if len(self.A_set) == 0:
-            raise ValueError("A_set must be nonempty")
-        object.__setattr__(self, "A_set", tuple(float(a) for a in self.A_set))
+        A = tuple(float(a) for a in self.A_set)
+        # to_unit looks amplitudes up by value.
+        if not A or not np.all(np.isfinite(A)) or len(set(A)) < len(A):
+            raise ValueError("A_set must be nonempty, finite and distinct")
+        object.__setattr__(self, "A_set", A)
 
     def to_unit(self, f, A) -> np.ndarray:
         lo, hi = self.f_range
@@ -77,9 +76,6 @@ class EvalRecord:
     f: float
     A: float
     objective: float
-    tip_defl_deg: float = float("nan")
-    thrust_mN: float = float("nan")
-    trace_id: int = -1
 
     def __post_init__(self):
         if not np.isfinite(self.objective):
@@ -169,86 +165,50 @@ def acquisition(mu: np.ndarray, sigma: np.ndarray, rho: float = 0.8) -> int:
 
 def optimize(objective_fn, space: SearchSpace, budget: int,
              seed: int = 0, rho: float = 0.8) -> tuple:
-    """Run the BO loop; returns (best EvalRecord, history list).
+    """Maximize objective_fn(f, A) -> float over the candidate grid;
+    returns (best EvalRecord, history list).
 
-    Three seeded Halton points start the design; afterwards each
-    iteration fits the GP to all successful evaluations and evaluates
-    the acquisition argmax of the candidate grid. An objective_fn call
-    that fails (ValueError, ArithmeticError or RuntimeError, which
-    includes SimulationError) is masked: the point is excluded from the
-    grid and from the history, and the loop continues; any other
-    exception is a bug and propagates. If every evaluation fails,
-    OptimizationError names the count and the last error.
-
-    objective_fn(f, A) returns either a float objective or a dict with
-    keys `objective` and optionally `tip_defl_deg` / `thrust_mN`.
+    The first three evaluations take seeded Halton points, each snapped
+    to the grid cell of its amplitude block and nearest frequency; every
+    later one fits the GP to all successful evaluations and takes the
+    acquisition argmax. An objective_fn call that fails (ValueError,
+    ArithmeticError or RuntimeError, which includes SimulationError) is
+    masked: the cell is excluded from the grid and from the history, and
+    the loop continues; any other exception is a bug and propagates. If
+    every evaluation fails, OptimizationError names the count and the
+    last error.
     """
     if budget < _N_INIT:
         raise ValueError(f"budget must be at least {_N_INIT}")
     grid = space.grid()
-    halton = qmc.Halton(d=2, seed=seed)
-    u = halton.random(_N_INIT)
     lo, hi = space.f_range
-    A_arr = np.array(space.A_set)
-    init = []
-    for row in u:
-        f = lo + row[0] * (hi - lo)
-        A = float(A_arr[int(np.minimum(len(A_arr) - 1,
-                                       np.floor(row[1] * len(A_arr))))])
-        # Snap to the candidate grid so initial points are revisitable
-        # by the acquisition bookkeeping.
-        k = int(np.argmin(np.abs(grid[:, 0] - f)
-                          + 1e6 * (grid[:, 1] != A)))
-        init.append(k)
-
+    fs, n_A = grid[:_GRID_F, 0], len(space.A_set)
+    init = [min(int(ua * n_A), n_A - 1) * _GRID_F
+            + int(np.argmin(np.abs(fs - (lo + uf * (hi - lo)))))
+            for uf, ua in qmc.Halton(d=2, seed=seed).random(_N_INIT)]
     masked = np.zeros(len(grid), dtype=bool)
-    history = []
-    trace_id = 0
-    last_error = None
-
-    def try_eval(k):
-        nonlocal trace_id, last_error
-        f, A = grid[k]
+    history, last_error = [], None
+    for n in range(budget):
+        if n < _N_INIT:
+            k = init[n]
+        else:
+            if history:
+                mu, sig = gp_predict(gp_fit(history, space), grid)
+            else:
+                mu, sig = np.zeros(len(grid)), np.ones(len(grid))
+            live = np.flatnonzero(~masked)
+            k = live[acquisition(mu[live], sig[live], rho)]
+        f, A = float(grid[k, 0]), float(grid[k, 1])
         try:
-            res = objective_fn(float(f), float(A))
+            y = objective_fn(f, A)
         except (ValueError, ArithmeticError, RuntimeError) as e:
             last_error = e
             masked[k] = True
-            trace_id += 1
-            return
-        if not isinstance(res, dict):
-            res = {"objective": res}
-        history.append(EvalRecord(
-            f=float(f), A=float(A), objective=float(res["objective"]),
-            tip_defl_deg=float(res.get("tip_defl_deg", float("nan"))),
-            thrust_mN=float(res.get("thrust_mN", float("nan"))),
-            trace_id=trace_id))
-        trace_id += 1
-
-    for k in init:
-        try_eval(k)
-    while trace_id < budget:
-        if history:
-            post = gp_fit(history, space)
-            mu, sig = gp_predict(post, grid)
-        else:
-            mu = np.zeros(len(grid))
-            sig = np.ones(len(grid))
-        live = ~masked
-        idx_live = np.flatnonzero(live)
-        k = idx_live[acquisition(mu[live], sig[live], rho)]
-        try_eval(k)
+            continue
+        history.append(EvalRecord(f=f, A=A, objective=float(y)))
     if not history:
         raise OptimizationError(
-            f"all {trace_id} objective evaluations failed; last error: "
+            f"all {budget} objective evaluations failed; last error: "
             f"{type(last_error).__name__}: {last_error}")
     best = max(history, key=lambda r: r.objective)
     return best, history
-
-
-def history_to_csv(history, path) -> None:
-    with open(path, "w") as f:
-        f.write(HISTORY_HEADER + "\n")
-        for i, r in enumerate(history):
-            f.write(f"{i},{r.f:.10g},{r.A:.10g},{r.objective:.10g},"
-                    f"{r.tip_defl_deg:.10g},{r.thrust_mN:.10g}\n")

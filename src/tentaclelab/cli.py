@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .actuation import ProgramSpec, build_program
-from .bayesopt import OptimizationError, history_to_csv, optimize
+from .bayesopt import OptimizationError, optimize
 from .config import CONFIG_SCHEMA, ConfigError, RunConfig, cell_window, \
     config_hash, default_config
 from .fitting import fit_report, poly_centerline, poly_targets
@@ -42,6 +42,13 @@ def _write_json(path, doc) -> None:
     with open(path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join(f"{v:.10g}" for v in row) + "\n")
 
 
 # Flags that each override one config key, folded in before validation
@@ -100,10 +107,8 @@ def cmd_train(cfg, args) -> list:
                           trace.dt)
     weights, history = train([seq], cfg.build_train_config())
     save_weights(weights, os.path.join(out, "weights.json"))
-    with open(os.path.join(out, "loss_history.csv"), "w") as f:
-        f.write("epoch,loss\n")
-        for e, l in enumerate(history):
-            f.write(f"{e},{l:.10g}\n")
+    _write_csv(os.path.join(out, "loss_history.csv"), "epoch,loss",
+               enumerate(history))
     line_plot_svg({"training loss": (np.arange(len(history)), history)},
                   os.path.join(out, "loss_history.svg"),
                   title="Training loss", xlabel="epoch", ylabel="MSE")
@@ -189,10 +194,8 @@ def cmd_metrics(cfg, args) -> list:
                                                          weights)
             rows.append((r * f0, A, r, thrust, defl, twi_val))
             cell_modes.append(modes)
-    with open(os.path.join(out, "metrics.csv"), "w") as f:
-        f.write("f_hz,A_deg,freq_ratio,thrust_mN,tip_defl_deg,twi\n")
-        for row in rows:
-            f.write(",".join(f"{v:.10g}" for v in row) + "\n")
+    _write_csv(os.path.join(out, "metrics.csv"),
+               "f_hz,A_deg,freq_ratio,thrust_mN,tip_defl_deg,twi", rows)
     # Mode shapes of the cell with the highest TWI (zero-amplitude cells
     # have none; the config guarantees a nonzero amplitude).
     best = max((i for i, m in enumerate(cell_modes) if m is not None),
@@ -218,32 +221,41 @@ def cmd_metrics(cfg, args) -> list:
 def cmd_optimize(cfg, args) -> list:
     weights = load_weights(args.weights) if args.weights else None
     bo = cfg.bo
+    cells = []      # cells[i] scores history[i]: a failed cell raises first
 
     def objective(f, A):
-        cell = evaluate_cell(cfg, f, A, weights)
-        return {"objective": cell.twi, "tip_defl_deg": cell.tip_defl_deg,
-                "thrust_mN": cell.thrust_mN}
+        cells.append(evaluate_cell(cfg, f, A, weights))
+        return cells[-1].twi
 
     best, history = optimize(objective, cfg.build_search_space(),
                              bo["budget"], seed=bo["seed"], rho=bo["rho"])
-    history_to_csv(history, os.path.join(args.out, "history.csv"))
+    _write_csv(os.path.join(args.out, "history.csv"),
+               "iter,f,A,twi,tip_defl_deg,thrust_mN",
+               [(i, r.f, r.A, c.twi, c.tip_defl_deg, c.thrust_mN)
+                for i, (r, c) in enumerate(zip(history, cells))])
+    top = cells[history.index(best)]
     _write_json(os.path.join(args.out, "best.json"),
-                {"f_hz": best.f, "A_deg": best.A, "twi": best.objective,
-                 "tip_defl_deg": best.tip_defl_deg,
-                 "thrust_mN": best.thrust_mN})
+                {"f_hz": best.f, "A_deg": best.A, "twi": top.twi,
+                 "tip_defl_deg": top.tip_defl_deg,
+                 "thrust_mN": top.thrust_mN})
     return ["history.csv", "best.json"]
 
 
 def cmd_render(cfg, args) -> list:
     geom = cfg.build_geometry()
     spec = ImageSpec()
-    data = np.genfromtxt(args.states, delimiter=",", skip_header=1)
-    data = np.atleast_2d(data)
-    q_cols = (2, 3) if data.shape[1] >= 10 else (0, 1)
+    # State and trace CSVs both name their q1 and q2 columns.
+    with open(args.states) as f:
+        lines = [line for line in f if line.strip()]
+    names = lines[0].strip().split(",") if lines else []
+    if not {"q1", "q2"} <= set(names) or len(lines) < 2:
+        raise ValueError(f"{args.states}: a state CSV needs a header naming "
+                         "q1 and q2 and at least one row")
+    q = np.loadtxt(lines[1:], delimiter=",", ndmin=2,
+                   usecols=(names.index("q1"), names.index("q2")))
     files = []
-    for i, row in enumerate(data):
-        img = render_silhouette(CurvatureState(row[q_cols[0]],
-                                               row[q_cols[1]]), geom, spec)
+    for i, (q1, q2) in enumerate(q):
+        img = render_silhouette(CurvatureState(q1, q2), geom, spec)
         name = f"frame_{i:04d}.pgm"
         write_pgm(img, os.path.join(args.out, name))
         files.append(name)

@@ -112,10 +112,7 @@ def _check_sweep(cfg: "RunConfig") -> None:
     """Reject a sweep section that `metrics` or `optimize` could not run."""
     sw, params = cfg.sweep, cfg.build_sim_params()
     amps, ratios = sw["amplitudes_deg"], sw["freq_ratios"]
-    if (not isinstance(amps, (list, tuple)) or not amps
-            or not all(_is_real(a) and abs(a) <= 90.0 for a in amps)):
-        raise ValueError("amplitudes_deg must be a nonempty list of "
-                         "amplitudes in [-90, 90] degrees")
+    _check_amplitudes("amplitudes_deg", amps)
     if all(a == 0 for a in amps):
         raise ValueError("amplitudes_deg needs a nonzero amplitude; "
                          "a zero-amplitude cell has no deformation field")
@@ -137,21 +134,34 @@ def _check_sweep(cfg: "RunConfig") -> None:
         raise ValueError("n_stations must be at least 3")
     if subsample < 1:
         raise ValueError("subsample must be at least 1")
-    # The deformation field needs 8 samples.
-    for r in ratios:
-        f = r * params.f0_hz
-        n_t = len(cell_window(sw, f, params.dt))
+    _check_field_samples(cfg, [r * params.f0_hz for r in ratios])
+
+
+def _check_amplitudes(name, amps) -> None:
+    if (not isinstance(amps, (list, tuple)) or not amps
+            or not all(_is_real(a) and abs(a) <= 90.0 for a in amps)):
+        raise ValueError(f"{name} must be a nonempty list of "
+                         "amplitudes in [-90, 90] degrees")
+
+
+def _check_field_samples(cfg: "RunConfig", freqs) -> None:
+    """Reject a frequency whose sweep cell leaves its deformation field
+    fewer than the 8 samples it needs."""
+    dt = cfg.build_sim_params().dt
+    for f in freqs:
+        n_t = len(cell_window(cfg.sweep, f, dt))
         if n_t < 8:
-            raise ValueError(
-                f"at f = {f:g} Hz only {n_t} field samples follow "
-                "the transient, 8 are needed; raise cycles or lower "
-                "subsample")
+            raise ValueError(f"at f = {f:g} Hz only {n_t} field samples "
+                             "follow the transient, 8 are needed; raise "
+                             "sweep cycles or lower sweep subsample")
 
 
 def _check_bo(cfg: "RunConfig") -> None:
-    """Reject a bo section that `optimize` could not run."""
+    """Reject a bo section that `optimize` could not run: every cell of
+    its grid must be one that `evaluate_cell` can score."""
     bo = cfg.bo
-    cfg.build_search_space()
+    _check_amplitudes("A_set", bo["A_set"])
+    _check_field_samples(cfg, np.unique(cfg.build_search_space().grid()[:, 0]))
     if not _is_int(bo["seed"]) or bo["seed"] < 0:
         raise ValueError("seed must be an integer >= 0")
     # optimize starts from three design points.

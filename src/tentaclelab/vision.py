@@ -8,6 +8,7 @@ its midline by per-row boundary averaging. Images travel as PGM files
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,11 @@ _BG_LEVEL = 230
 _TIP_TAPER = 0.25
 
 MIDLINE_HEADER = "s,x_mm,y_mm"
+
+# PGM header: magic, width, height and maxval, separated by whitespace
+# and '#' comment lines, then one whitespace byte before the pixels.
+_PGM_HEADER = re.compile(rb"(P[25])" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3
+                         + rb"\s")
 
 
 class VisionError(RuntimeError):
@@ -243,37 +249,24 @@ def read_pgm(path) -> np.ndarray:
     least 16x16 px; ImageSpec describes its camera."""
     with open(path, "rb") as f:
         data = f.read()
-    if data[:2] not in (b"P5", b"P2"):
-        raise VisionError(f"not a PGM file: {path}")
-    # Header: magic, width, height, maxval, separated by whitespace and
-    # optional '#' comment lines.
-    tokens = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        tokens.append(int(data[start:pos]))
-    w, h, maxval = tokens
+    m = _PGM_HEADER.match(data)
+    if m is None:
+        raise VisionError(f"not a PGM file or malformed PGM header: {path}")
+    w, h, maxval = (int(v) for v in m.group(2, 3, 4))
     if maxval != 255:
         raise VisionError("only maxval 255 PGM is supported")
     if w < 16 or h < 16:
         raise VisionError(f"PGM is {w}x{h} px; at least 16x16 is needed")
-    pos += 1
-    if data[:2] == b"P5":
-        pix = np.frombuffer(data[pos:pos + w * h], dtype=np.uint8)
+    payload = data[m.end():]
+    if m[1] == b"P5":
+        pix = np.frombuffer(payload, dtype=np.uint8)
     else:
-        pix = np.array(data[pos:].split(), dtype=int)
+        pix = np.array(payload.split(), dtype=int)
         if np.any((pix < 0) | (pix > maxval)):
             raise VisionError(f"PGM sample outside [0, {maxval}]")
     if pix.size != w * h:
-        raise VisionError("PGM pixel payload truncated")
+        raise VisionError(f"PGM payload holds {pix.size} samples, "
+                          f"{w}x{h} px need {w * h}: {path}")
     return pix.astype(np.uint8).reshape(h, w)
 
 

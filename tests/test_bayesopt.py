@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from tentaclelab.bayesopt import (HISTORY_HEADER, EvalRecord, SearchSpace,
-                                  acquisition, gp_fit, gp_predict,
-                                  history_to_csv, optimize)
+from tentaclelab.bayesopt import (EvalRecord, SearchSpace, acquisition,
+                                  gp_fit, gp_predict, optimize)
 
 SPACE = SearchSpace()
 
@@ -28,15 +27,17 @@ class TestSearchSpace:
         with pytest.raises(ValueError):
             SearchSpace(A_set=())
 
+    @pytest.mark.parametrize("A_set", [(10.0, np.nan), (10.0, np.inf),
+                                       (10.0, 20.0, 10.0)])
+    def test_amplitudes_finite_and_distinct(self, A_set):
+        with pytest.raises(ValueError, match="A_set"):
+            SearchSpace(A_set=A_set)
+
 
 class TestEvalRecord:
     def test_nonfinite_objective(self):
         with pytest.raises(ValueError):
             EvalRecord(f=1.0, A=20.0, objective=np.nan)
-
-    def test_aux_defaults(self):
-        r = EvalRecord(f=1.0, A=20.0, objective=0.5)
-        assert np.isnan(r.tip_defl_deg) and np.isnan(r.thrust_mN)
 
 
 class TestGP:
@@ -178,24 +179,24 @@ class TestOptimize:
         with pytest.raises(RuntimeError):
             optimize(broken, SPACE, budget=4, seed=0)
 
-    def test_dict_objective(self):
-        def obj(f, A):
-            return {"objective": f, "tip_defl_deg": 2 * f, "thrust_mN": 3 * f}
+    # Frequency index on the 64-point grid and amplitude of the first three
+    # evaluations on SearchSpace(), per seed.
+    FIRST_THREE = {
+        0: [(6, 10.0), (38, 30.0), (22, 20.0)],
+        1: [(10, 30.0), (41, 20.0), (25, 10.0)],
+        2: [(26, 30.0), (57, 10.0), (10, 20.0)],
+        3: [(34, 10.0), (3, 20.0), (50, 30.0)],
+        4: [(37, 10.0), (6, 20.0), (53, 30.0)],
+        5: [(50, 10.0), (19, 30.0), (34, 20.0)],
+        6: [(33, 10.0), (1, 20.0), (48, 30.0)],
+        7: [(6, 30.0), (38, 10.0), (22, 20.0)],
+        8: [(53, 30.0), (22, 10.0), (37, 20.0)],
+        9: [(30, 20.0), (62, 10.0), (14, 30.0)],
+    }
 
-        best, hist = optimize(obj, SPACE, budget=5, seed=0)
-        assert best.tip_defl_deg == pytest.approx(2 * best.f)
-        assert best.thrust_mN == pytest.approx(3 * best.f)
-
-
-class TestHistoryCsv:
-    def test_format(self, tmp_path):
-        _, hist = optimize(lambda f, A: f + A, SPACE, budget=4, seed=0)
-        p = tmp_path / "history.csv"
-        history_to_csv(hist, p)
-        lines = p.read_text().strip().split("\n")
-        assert lines[0] == HISTORY_HEADER
-        assert len(lines) == 5
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert float(first[3]) == pytest.approx(float(first[1])
-                                                + float(first[2]))
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeded_design_points(self, seed):
+        fs = np.linspace(0.32, 3.2, 64)
+        _, hist = optimize(self.parabola, SPACE, budget=3, seed=seed)
+        assert [(r.f, r.A) for r in hist] == \
+            [(fs[j], A) for j, A in self.FIRST_THREE[seed]]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tentaclelab import cli
+from tentaclelab.bayesopt import EvalRecord
 from tentaclelab.cli import main
 from tentaclelab.config import CONFIG_SCHEMA, default_config
 
@@ -219,8 +220,27 @@ class TestOptimize:
         assert not os.path.exists(os.path.join(out, "best.json"))
 
 
-class _Stop(Exception):
-    pass
+class TestHistoryCsv:
+    def test_format(self, tmp_path, monkeypatch, fast_config):
+        def fake_cell(cfg, f, A, weights=None):
+            return cli.CellResult(f + A, 2.0 * f, 3.0 * f, None)
+
+        monkeypatch.setattr(cli, "evaluate_cell", fake_cell)
+        out = tmp_path / "opt"
+        assert main(["optimize", "--config", fast_config, "--budget", "4",
+                     "--out", str(out)]) == 0
+        lines = (out / "history.csv").read_text().strip().split("\n")
+        assert lines[0] == "iter,f,A,twi,tip_defl_deg,thrust_mN"
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert [row[0] for row in rows] == [0, 1, 2, 3]
+        for _, f, A, twi, tip, thrust in rows:
+            assert twi == pytest.approx(f + A)
+            assert tip == pytest.approx(2.0 * f)
+            assert thrust == pytest.approx(3.0 * f)
+        best = json.loads((out / "best.json").read_text())
+        top = max(rows, key=lambda row: row[3])
+        assert [best[k] for k in ("f_hz", "A_deg", "twi", "tip_defl_deg",
+                                  "thrust_mN")] == pytest.approx(top[1:])
 
 
 class TestOneCellEvaluation:
@@ -240,23 +260,24 @@ class TestOneCellEvaluation:
 
         f0 = default_config().build_sim_params().f0_hz
         sw = FAST_CONFIG["sweep"]
-        seen = {}
 
         def fake_optimize(objective, space, budget, seed, rho):
-            for A in sw["amplitudes_deg"]:
-                for r in sw["freq_ratios"]:
-                    seen[(r, A)] = objective(r * f0, A)
-            raise _Stop
+            hist = [EvalRecord(r * f0, A, objective(r * f0, A))
+                    for A in sw["amplitudes_deg"]
+                    for r in sw["freq_ratios"]]
+            return hist[0], hist
 
         monkeypatch.setattr(cli, "optimize", fake_optimize)
-        with pytest.raises(_Stop):
-            main(["optimize", "--config", fast_config, "--budget", "4",
-                  "--out", str(tmp_path / "opt")] + extra)
-        assert len(seen) == len(rows)
-        for row in rows:
-            got = seen[(float(row[2]), float(row[1]))]
-            assert [f"{got[k]:.10g}" for k in
-                    ("thrust_mN", "tip_defl_deg", "objective")] == row[3:]
+        opt = str(tmp_path / "opt")
+        assert main(["optimize", "--config", fast_config, "--budget", "4",
+                     "--out", opt] + extra) == 0
+        with open(os.path.join(opt, "history.csv")) as f:
+            hist = [line.strip().split(",") for line in f.readlines()[1:]]
+        # metrics: f_hz,A_deg,freq_ratio,thrust_mN,tip_defl_deg,twi
+        # history: iter,f,A,twi,tip_defl_deg,thrust_mN
+        assert len(hist) == len(rows)
+        for h, row in zip(hist, rows):
+            assert h[1:3] + h[3:][::-1] == row[:2] + row[3:]
 
 
 class TestEvaluateCell:
@@ -383,6 +404,11 @@ COMPONENT_ERRORS = {
     "bo_not_an_object": ("bo", [1]),
     "bo_rho_above_one": ("bo", {"rho": 5}),
     "bo_string_rho": ("bo", {"rho": "x"}),
+    "bo_amplitude_above_90": ("bo", {"A_set": [10, 120], "budget": 8}),
+    "bo_nan_amplitude": ("bo", {"A_set": [10, float("nan")]}),
+    "bo_repeated_amplitude": ("bo", {"A_set": [10, 20, 10]}),
+    "bo_f_range_past_field_samples": ("bo", {"f_range": [0.32, 80],
+                                             "budget": 12}),
     "sensor_string_baseline": ("sensor", {"baseline_kpa": "x"}),
     "sensor_nan_sat_kappa": ("sensor", {"sat_kappa": float("nan")}),
 }
@@ -479,6 +505,41 @@ class TestRenderMidline:
         assert data.shape[1] == 3
         # Frame 0 held q1=0.5: the midline leans to negative x.
         assert data[-1, 1] < -20.0
+
+    def test_columns_taken_by_header_name(self, tmp_path, fast_config):
+        frames = {}
+        for name, text in (("plain", "q1,q2\n0.5,-0.2\n"),
+                           ("reordered", "t,q2,x,q1\n9,-0.2,7,0.5\n")):
+            states = tmp_path / f"{name}.csv"
+            states.write_text(text)
+            out = tmp_path / name
+            assert main(["render", "--config", fast_config, "--states",
+                         str(states), "--out", str(out)]) == 0
+            frames[name] = (out / "frame_0000.pgm").read_bytes()
+        assert frames["plain"] == frames["reordered"]
+
+    @pytest.mark.parametrize("text", [
+        "q1,q2\n", ",".join("abcdefghij") + "\n" + ",".join("0" * 10) + "\n"],
+        ids=["header_only", "no_q_columns"])
+    def test_bad_states_exit_2_before_frames(self, tmp_path, capsys,
+                                              fast_config, text):
+        states, out = tmp_path / "states.csv", tmp_path / "frames"
+        states.write_text(text)
+        assert main(["render", "--config", fast_config, "--states",
+                     str(states), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {states}: a state CSV needs a header naming q1 and q2 "
+            "and at least one row\n")
+        assert os.listdir(out) == []
+
+    def test_malformed_pgm_exits_2_naming_file(self, tmp_path, capsys,
+                                               fast_config):
+        img = tmp_path / "hdr.pgm"
+        img.write_bytes(b"P5\n")
+        assert main(["midline", "--config", fast_config, "--images",
+                     str(img), "--out", str(tmp_path / "mid")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: not a PGM file or malformed PGM header: {img}\n")
 
 
 class TestReport:

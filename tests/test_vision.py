@@ -318,6 +318,21 @@ class TestPgmIO:
         with pytest.raises(VisionError):
             read_pgm(p)
 
+    @pytest.mark.parametrize("header", [b"P5\n", b"P5\n20 20",
+                                        b"P5\n20 x 255\n", b"P2\n20 20 255"])
+    def test_malformed_header_names_file(self, tmp_path, header):
+        p = tmp_path / "hdr.pgm"
+        p.write_bytes(header)
+        with pytest.raises(VisionError, match=r"malformed PGM header: .*hdr"):
+            read_pgm(p)
+
+    @pytest.mark.parametrize("extra", [1, 400])
+    def test_trailing_payload_bytes_rejected(self, tmp_path, extra):
+        p = tmp_path / "long.pgm"
+        p.write_bytes(b"P5\n20 20\n255\n" + bytes(400 + extra))
+        with pytest.raises(VisionError, match=f"holds {400 + extra} samples"):
+            read_pgm(p)
+
 
 class TestMidlineCsv:
     def test_roundtrip(self, tmp_path):
