@@ -19,14 +19,14 @@ __all__ = ["ActuationProgram", "ProgramSpec", "triangular_wave", "build_program"
 RPM_TO_HZ = 0.04
 
 
-def triangular_wave(t, f: float, A: float, phase: float = 0.0):
+def triangular_wave(t, f: float, A: float):
     """Zero-mean triangular wave of period 1/f and peak +-A, in degrees.
 
     Starts at zero, rising: the first peak +A occurs at a quarter period.
     """
     if f <= 0:
         raise ValueError("frequency must be positive")
-    u = np.mod(np.asarray(t, dtype=float) * f + phase, 1.0)
+    u = np.mod(np.asarray(t, dtype=float) * f, 1.0)
     out = np.where(u < 0.25, 4.0 * u,
                    np.where(u < 0.75, 2.0 - 4.0 * u, 4.0 * u - 4.0)) * A
     return float(out) if out.ndim == 0 else out
@@ -47,6 +47,9 @@ class ProgramSpec:
     def __post_init__(self):
         if self.duration_s <= 0 or self.dt <= 0:
             raise ValueError("duration and dt must be positive")
+        if round(self.duration_s / self.dt) < 2:
+            raise ValueError(f"duration {self.duration_s:g} s is shorter "
+                             f"than 2 steps of {self.dt:g} s")
         if abs(self.amplitude_deg) > 90.0:
             raise ValueError("|amplitude| must not exceed 90 degrees")
         if self.amplitude_mode not in ("fixed", "random"):

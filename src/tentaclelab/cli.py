@@ -265,14 +265,18 @@ def cmd_render(cfg, args) -> list:
 def cmd_midline(cfg, args) -> list:
     geom = cfg.build_geometry()
     spec = ImageSpec()
-    files = []
+    paths = {}      # output name -> image, checked before any is written
     for path in sorted(args.images):
+        name = os.path.splitext(os.path.basename(path))[0] + "_midline.csv"
+        if name in paths:
+            raise ValueError(f"{paths[name]} and {path} would both write "
+                             f"{name}")
+        paths[name] = path
+    for name, path in paths.items():
         cl = extract_midline(binarize(read_pgm(path)), spec,
                              max_len_mm=geom.length_mm)
-        name = os.path.splitext(os.path.basename(path))[0] + "_midline.csv"
         midline_to_csv(cl, os.path.join(args.out, name))
-        files.append(name)
-    return files
+    return list(paths)
 
 
 def cmd_report(args) -> int:

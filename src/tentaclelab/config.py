@@ -244,11 +244,6 @@ class RunConfig:
         return {"schema": CONFIG_SCHEMA,
                 **{f.name: getattr(self, f.name) for f in fields(self)}}
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
-
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         if not isinstance(doc, dict):

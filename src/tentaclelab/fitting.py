@@ -52,10 +52,6 @@ class Centerline:
     def __len__(self):
         return len(self.points)
 
-    @property
-    def total_length(self) -> float:
-        return float(self.segment_lengths.sum())
-
 
 @dataclass(frozen=True)
 class AffineFit:
@@ -183,15 +179,15 @@ def _tip_series(states: np.ndarray, geom: TentacleGeometry,
 
 
 def fit_report(pred_states, truth_states, geom: TentacleGeometry,
-               kind: str = "affine", truth_tip=None) -> FitReport:
+               kind: str, truth_tip) -> FitReport:
     """Channel NRMSE and tip-error metrics of a predicted state series.
 
     Both series are (T, 2): (q1, q2) for affine states, (c2, c3) for
-    polynomial states. Tip errors are Euclidean distances between predicted
-    and true tip positions; the relative tip error is normalized by the
-    maximum lateral tip range of the ground truth. When `truth_tip` is
-    given (a (T, 2) array in mm) it overrides the model-implied true tip,
-    so polynomial predictions can be judged against the actual tip.
+    polynomial states. Tip errors are Euclidean distances between the
+    predicted tips and `truth_tip`, the (T, 2) true tip positions in mm,
+    so polynomial predictions are judged against the actual tip; the
+    relative tip error is normalized by the maximum lateral tip range of
+    the ground truth.
     """
     pred = np.asarray(pred_states, dtype=float)
     truth = np.asarray(truth_states, dtype=float)
@@ -204,12 +200,9 @@ def fit_report(pred_states, truth_states, geom: TentacleGeometry,
     n1 = nrmse(pred[:, 0], truth[:, 0])
     n2 = nrmse(pred[:, 1], truth[:, 1])
     tip_pred = _tip_series(pred, geom, kind)
-    if truth_tip is not None:
-        tip_true = np.asarray(truth_tip, dtype=float)
-        if tip_true.shape != tip_pred.shape:
-            raise ValueError("truth_tip must align with the state series")
-    else:
-        tip_true = _tip_series(truth, geom, kind)
+    tip_true = np.asarray(truth_tip, dtype=float)
+    if tip_true.shape != tip_pred.shape:
+        raise ValueError("truth_tip must align with the state series")
     err = np.linalg.norm(tip_pred - tip_true, axis=1)
     tip_range = float(tip_true[:, 0].max() - tip_true[:, 0].min())
     if tip_range == 0.0:

@@ -25,8 +25,6 @@ import numpy as np
 __all__ = [
     "CurvatureState",
     "TentacleGeometry",
-    "axis_angle",
-    "centerline_position",
     "lateral_displacements",
     "sample_centerline",
     "tip_position",
@@ -82,16 +80,6 @@ def _check_s(s) -> np.ndarray:
     return s
 
 
-def axis_angle(q: CurvatureState, s):
-    """Axis angle alpha(s) = q1*s + q2*s**2/2 in radians.
-
-    Accepts a scalar or array s in [0, 1].
-    """
-    s = _check_s(s)
-    out = q.q1 * s + 0.5 * q.q2 * s * s
-    return float(out) if out.ndim == 0 else out
-
-
 def _integrals(q_series, stations, fns) -> list:
     """int_0^s fn(alpha(v)) dv for (T, 2) states and (N_s,) stations.
 
@@ -134,34 +122,21 @@ def _integrals(q_series, stations, fns) -> list:
     return outs
 
 
-def centerline_position(q: CurvatureState, s, L: float):
-    """Cartesian position (x, y) in mm of the centerline point at s.
-
-    x = -int_0^s L sin(alpha(v)) dv, y = +int_0^s L cos(alpha(v)) dv.
-    A scalar s gives an (x, y) tuple, an array s an (n, 2) array.
-    """
-    if L <= 0:
-        raise ValueError("L must be positive")
-    s_arr = np.atleast_1d(_check_s(s))
-    x, y = _integrals(q.as_array()[None, :], s_arr, (np.sin, np.cos))
-    if np.ndim(s) == 0:
-        return float(-L * x[0, 0]), float(L * y[0, 0])
-    return np.column_stack([-L * x[0], L * y[0]])
-
-
 def sample_centerline(q: CurvatureState, geom: TentacleGeometry) -> np.ndarray:
     """Centerline sampled at n uniform arc-coordinate points, root first.
 
     Returns an (n_samples, 2) array of (x, y) in mm; the first row is the
-    origin.
+    origin. x = -int_0^s L sin(alpha(v)) dv, y = +int_0^s L cos(alpha(v)) dv.
     """
-    return centerline_position(q, np.linspace(0.0, 1.0, geom.n_samples),
-                               geom.length_mm)
+    x, y = _integrals(q.as_array()[None, :],
+                      np.linspace(0.0, 1.0, geom.n_samples), (np.sin, np.cos))
+    return np.column_stack([-geom.length_mm * x[0], geom.length_mm * y[0]])
 
 
 def tip_position(q: CurvatureState, geom: TentacleGeometry):
-    """Tip point (s = 1) of the deformed centerline, in mm."""
-    return centerline_position(q, 1.0, geom.length_mm)
+    """Tip point (s = 1) of the deformed centerline: an (x, y) tuple in mm."""
+    x, y = tip_positions(q.as_array()[None, :], geom)[0]
+    return float(x), float(y)
 
 
 def lateral_displacements(q_series: np.ndarray, stations: np.ndarray,

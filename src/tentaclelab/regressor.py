@@ -29,7 +29,6 @@ __all__ = [
     "RegressorWeights",
     "TrainingError",
     "forward",
-    "loss",
     "gradients",
     "train",
     "save_weights",
@@ -263,15 +262,6 @@ def forward(w: RegressorWeights, seq: np.ndarray) -> np.ndarray:
     xn = (x - w.in_mean) / w.in_std
     yn, _ = _forward_norm(w, xn)
     return yn * w.out_std + w.out_mean
-
-
-def loss(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean squared error over all steps and channels (normalized space)."""
-    pred = np.asarray(pred, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if pred.shape != target.shape:
-        raise ValueError("prediction and target shapes must match")
-    return float(np.mean((pred - target) ** 2))
 
 
 def gradients(w: RegressorWeights, batch) -> tuple:

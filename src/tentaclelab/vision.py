@@ -39,6 +39,11 @@ _TIP_TAPER = 0.25
 
 MIDLINE_HEADER = "s,x_mm,y_mm"
 
+# Points of an extracted midline: few enough that segments stay long
+# relative to the half-pixel midpoint quantization, which is what
+# heading-based fitting wants.
+MIDLINE_POINTS = 50
+
 # PGM header: magic, width, height and maxval, separated by whitespace
 # and '#' comment lines, then one whitespace byte before the pixels.
 _PGM_HEADER = re.compile(rb"(P[25])" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3
@@ -153,44 +158,31 @@ def otsu_threshold(pixels: np.ndarray) -> int:
     return int(np.argmax(between))
 
 
-def binarize(pixels: np.ndarray, threshold="auto") -> np.ndarray:
-    """Boolean foreground mask of pixels darker than the threshold.
+def binarize(pixels: np.ndarray) -> np.ndarray:
+    """Boolean foreground mask of the pixels at or below Otsu's threshold.
 
-    `threshold="auto"` uses Otsu's histogram criterion; a number keeps
-    pixels strictly below it. An empty foreground raises VisionError.
+    A mask that is all foreground or all background raises VisionError.
     """
-    if threshold == "auto":
-        t = otsu_threshold(pixels)
-        mask = pixels <= t
-        if mask.all():
-            raise VisionError("binarization found no background contrast")
-    else:
-        t = float(threshold)
-        if not 0.0 <= t <= 255.0:
-            raise ValueError("threshold must lie in [0, 255]")
-        mask = pixels < t
+    mask = pixels <= otsu_threshold(pixels)
+    if mask.all():
+        raise VisionError("binarization found no background contrast")
     if not mask.any():
         raise VisionError("binarization produced an empty foreground")
     return mask
 
 
 def extract_midline(mask: np.ndarray, spec: ImageSpec,
-                    n_samples: int = 50,
-                    max_len_mm: float | None = None) -> Centerline:
+                    max_len_mm: float) -> Centerline:
     """Midline of a binary band by per-row boundary averaging.
 
     Per image row, the midpoint of the leftmost and rightmost foreground
-    pixels is taken; points are converted to root-relative mm and
-    resampled to n uniform arc-length points starting at the root.
-    Requires a single 4-connected component touching the root row.
-    When the physical length is known, `max_len_mm` cuts the polyline at
-    that arc length first, discarding the rounded tip cap of the band.
-    The default density keeps segments long relative to the half-pixel
-    midpoint quantization, which is what heading-based fitting wants.
+    pixels is taken; points are converted to root-relative mm, cut at the
+    physical length `max_len_mm` (discarding the rounded tip cap of the
+    band) and resampled to MIDLINE_POINTS uniform arc-length points
+    starting at the root. Requires a single 4-connected component
+    touching the root row.
     """
     mask = np.asarray(mask, dtype=bool)
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
     on_row = mask.any(axis=1)
     rows = np.flatnonzero(on_row)
     if len(rows) == 0:
@@ -220,8 +212,8 @@ def extract_midline(mask: np.ndarray, spec: ImageSpec,
 
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
-    end = cum[-1] if max_len_mm is None else min(cum[-1], float(max_len_mm))
-    target = np.linspace(0.0, end, n_samples)
+    target = np.linspace(0.0, min(cum[-1], float(max_len_mm)),
+                         MIDLINE_POINTS)
     res = np.column_stack([np.interp(target, cum, pts[:, 0]),
                            np.interp(target, cum, pts[:, 1])])
     return Centerline(res)
@@ -254,16 +246,21 @@ def read_pgm(path) -> np.ndarray:
         raise VisionError(f"not a PGM file or malformed PGM header: {path}")
     w, h, maxval = (int(v) for v in m.group(2, 3, 4))
     if maxval != 255:
-        raise VisionError("only maxval 255 PGM is supported")
+        raise VisionError(f"only maxval 255 PGM is supported: {path}")
     if w < 16 or h < 16:
-        raise VisionError(f"PGM is {w}x{h} px; at least 16x16 is needed")
+        raise VisionError(f"PGM is {w}x{h} px; at least 16x16 is needed: "
+                          f"{path}")
     payload = data[m.end():]
     if m[1] == b"P5":
         pix = np.frombuffer(payload, dtype=np.uint8)
     else:
-        pix = np.array(payload.split(), dtype=int)
+        try:
+            pix = np.array(payload.split(), dtype=int)
+        except (ValueError, OverflowError):
+            raise VisionError(f"PGM sample is not an integer: {path}") \
+                from None
         if np.any((pix < 0) | (pix > maxval)):
-            raise VisionError(f"PGM sample outside [0, {maxval}]")
+            raise VisionError(f"PGM sample outside [0, {maxval}]: {path}")
     if pix.size != w * h:
         raise VisionError(f"PGM payload holds {pix.size} samples, "
                           f"{w}x{h} px need {w * h}: {path}")

@@ -145,16 +145,10 @@ def field_from_states(q_series, geom: TentacleGeometry,
     return DeformationField(lateral=lat, dt=dt, stations=stations)
 
 
-def modeset_to_csv(modes: ModeSet, path, n_modes: int = 2) -> None:
-    """Write the leading mode shapes as CSV: station, Re/Im per mode."""
-    n = min(n_modes, modes.modes.shape[1])
-    header = "station," + ",".join(
-        f"mode{i+1}_re,mode{i+1}_im" for i in range(n))
+def modeset_to_csv(modes: ModeSet, path) -> None:
+    """Write the two leading mode shapes as CSV: station, Re/Im per mode."""
     with open(path, "w") as f:
-        f.write(header + "\n")
-        for j, s in enumerate(modes.stations):
-            row = [f"{s:.10g}"]
-            for i in range(n):
-                row.append(f"{modes.modes[j, i].real:.10g}")
-                row.append(f"{modes.modes[j, i].imag:.10g}")
-            f.write(",".join(row) + "\n")
+        f.write("station,mode1_re,mode1_im,mode2_re,mode2_im\n")
+        for s, (m1, m2) in zip(modes.stations, modes.modes[:, :2]):
+            f.write(f"{s:.10g},{m1.real:.10g},{m1.imag:.10g},"
+                    f"{m2.real:.10g},{m2.imag:.10g}\n")

@@ -80,8 +80,9 @@ class TestDataset:
         assert main(["dataset", "--config", fast_config, "--duration", "0",
                      "--out", str(tmp_path / "x")]) == 1
 
+    # 0.006 s and 0.001 s are under 2 steps of the 5 ms dataset dt.
     @pytest.mark.parametrize("flag", ["--duration", "--duration-test"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "0.006", "0.001"])
     def test_bad_duration_exits_1_before_output(self, tmp_path, capsys,
                                                 fast_config, flag, value):
         out = tmp_path / "x"
@@ -530,6 +531,23 @@ class TestRenderMidline:
         assert capsys.readouterr().err == (
             f"error: {states}: a state CSV needs a header naming q1 and q2 "
             "and at least one row\n")
+        assert os.listdir(out) == []
+
+    def test_same_output_name_exits_2_before_writing(self, tmp_path, capsys,
+                                                      fast_config):
+        states = tmp_path / "states.csv"
+        states.write_text("q1,q2\n0.5,-0.2\n")
+        images = []
+        for d in ("a", "b"):
+            assert main(["render", "--config", fast_config, "--states",
+                         str(states), "--out", str(tmp_path / d)]) == 0
+            images.append(str(tmp_path / d / "frame_0000.pgm"))
+        out = tmp_path / "mid"
+        assert main(["midline", "--config", fast_config, "--images",
+                     *images, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {images[0]} and {images[1]} would both write "
+            "frame_0000_midline.csv\n")
         assert os.listdir(out) == []
 
     def test_malformed_pgm_exits_2_naming_file(self, tmp_path, capsys,

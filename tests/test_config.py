@@ -85,7 +85,7 @@ class TestSerialization:
         cfg = RunConfig(material="ecoflex", target="poly",
                         sim={"zeta": 0.25}, train={"hidden": 16})
         p = tmp_path / "config.json"
-        cfg.to_json(p)
+        p.write_text(json.dumps(cfg.to_dict()))
         back = RunConfig.from_json(p)
         assert back == cfg
         assert config_hash(back) == config_hash(cfg)
@@ -132,7 +132,7 @@ class TestRoundTrip:
         cfg = RunConfig(material=material, target=target, sweep=sweep,
                         bo=bo, train=train)
         path = tmp_path_factory.getbasetemp() / "roundtrip.json"
-        cfg.to_json(path)
+        path.write_text(json.dumps(cfg.to_dict()))
         for back in (RunConfig.from_dict(cfg.to_dict()),
                      RunConfig.from_json(path)):
             assert back == cfg

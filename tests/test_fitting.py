@@ -62,7 +62,7 @@ class TestCenterline:
     def test_basic_properties(self):
         cl = Centerline([[0, 0], [0, 1], [1, 1]])
         assert len(cl) == 3
-        assert cl.total_length == pytest.approx(2.0)
+        assert cl.segment_lengths.sum() == pytest.approx(2.0)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
@@ -234,7 +234,8 @@ class TestNrmse:
 class TestFitReport:
     def test_identical_series_zero(self):
         states = np.array([[0.5, -0.2], [1.0, 0.3], [-0.4, 0.1]])
-        rep = fit_report(states, states, GEOM200)
+        rep = fit_report(states, states, GEOM200, "affine",
+                         tip_positions(states, GEOM200))
         assert rep.nrmse_seg1 == 0.0
         assert rep.nrmse_seg2 == 0.0
         assert rep.abs_tip_err_mean == 0.0
@@ -245,33 +246,39 @@ class TestFitReport:
         # range, so the relative tip error approaches 50%.
         truth = np.array([[0.8, 0.1], [-0.8, -0.1]] * 20)
         pred = np.zeros_like(truth)
-        rep = fit_report(pred, truth, GEOM200)
+        rep = fit_report(pred, truth, GEOM200, "affine",
+                         tip_positions(truth, GEOM200))
         assert 40.0 < rep.rel_tip_err < 60.0
 
     def test_poly_channels(self):
         truth = np.array([[2.0, -1.0], [-1.5, 0.5], [0.5, 1.0]])
         pred = truth + np.array([0.1, -0.1])
-        rep = fit_report(pred, truth, GEOM200, kind="poly")
+        rep = fit_report(pred, truth, GEOM200, "poly",
+                         poly_centerline(truth, GEOM200)[:, -1])
         assert rep.nrmse_seg1 == pytest.approx(100 * 0.1 / 3.5)
         assert rep.nrmse_seg2 == pytest.approx(100 * 0.1 / 2.0)
 
     def test_truth_tip_override(self):
         truth = np.array([[0.5, 0.0], [-0.5, 0.0], [0.2, 0.1]])
         tips = tip_positions(truth, GEOM200)
-        rep_a = fit_report(truth, truth, GEOM200, truth_tip=tips)
+        rep_a = fit_report(truth, truth, GEOM200, "affine", tips)
         assert rep_a.abs_tip_err_mean == pytest.approx(0.0, abs=1e-9)
+        with pytest.raises(ValueError, match="align"):
+            fit_report(truth, truth, GEOM200, "affine", tips[:2])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            fit_report(np.zeros((3, 2)), np.zeros((4, 2)), GEOM200)
+            fit_report(np.zeros((3, 2)), np.zeros((4, 2)), GEOM200,
+                       "affine", np.zeros((4, 2)))
 
     @pytest.mark.parametrize("kind", ["affine", "poly"])
     def test_non_pair_states_rejected(self, kind):
         states = np.arange(12.0).reshape(3, 4)
         with pytest.raises(ValueError):
-            fit_report(states, states, GEOM200, kind=kind)
+            fit_report(states, states, GEOM200, kind, np.zeros((3, 2)))
 
     def test_zero_tip_range(self):
         states = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
-            fit_report(states, states, GEOM200)
+            fit_report(states, states, GEOM200, "affine",
+                       tip_positions(states, GEOM200))

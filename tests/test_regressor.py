@@ -4,7 +4,7 @@ import pytest
 from tentaclelab.regressor import (LabeledSequence, RegressorWeights,
                                    TrainConfig, TrainingError, _pack, _unpack,
                                    forward, gradients, init_weights,
-                                   load_weights, loss, save_weights, train)
+                                   load_weights, save_weights, train)
 
 rng0 = np.random.default_rng
 
@@ -149,28 +149,44 @@ class TestTrainConfig:
             TrainConfig(**kw)
 
 
+def constant_model(out_mean, out_std=None):
+    """Weights whose every prediction is out_mean: all parameters zero."""
+    w = init_weights(3, 2, 8, 0, out_mean=out_mean, out_std=out_std)
+    for k in w.params:
+        w.params[k] = np.zeros_like(w.params[k])
+    return w
+
+
+def training_loss(w, targets):
+    seq = LabeledSequence(np.zeros((len(targets), 3)), targets, 0.01)
+    return gradients(w, [seq])[0]
+
+
 class TestForwardLoss:
+    """The training loss is the mean squared error over all steps and
+    channels in normalized space."""
+
     def test_loss_identical(self):
-        y = rng0(0).normal(size=(10, 2))
-        assert loss(y, y) == 0.0
+        w = constant_model([1.5, -2.0], [0.5, 3.0])
+        assert training_loss(w, np.tile([1.5, -2.0], (10, 1))) == 0.0
 
     def test_loss_offset_one(self):
-        y = np.zeros((7, 2))
-        assert loss(y + 1.0, y) == pytest.approx(1.0)
+        w = constant_model([1.5, -2.0], [0.5, 3.0])
+        assert training_loss(w, np.tile([2.0, 1.0], (7, 1))) == \
+            pytest.approx(1.0)
 
     def test_loss_brute_force(self):
-        rng = rng0(1)
-        a, b = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
-        assert loss(a, b) == pytest.approx(((a - b) ** 2).sum() / 12)
+        w = constant_model([1.5, -2.0], [0.5, 3.0])
+        y = rng0(1).normal(size=(6, 2))
+        ref = (((y - [1.5, -2.0]) / [0.5, 3.0]) ** 2).sum() / 12
+        assert training_loss(w, y) == pytest.approx(ref)
 
     def test_loss_shape_mismatch(self):
         with pytest.raises(ValueError):
-            loss(np.zeros((3, 2)), np.zeros((4, 2)))
+            LabeledSequence(np.zeros((3, 3)), np.zeros((4, 2)), 0.01)
 
     def test_zero_weights_predict_output_mean(self):
-        w = init_weights(3, 2, 8, 0, out_mean=[1.5, -2.0])
-        for k in w.params:
-            w.params[k] = np.zeros_like(w.params[k])
+        w = constant_model([1.5, -2.0])
         y = forward(w, np.zeros((10, 3)))
         assert np.allclose(y, [1.5, -2.0])
 

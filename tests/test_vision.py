@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from scipy.spatial import cKDTree
 from tentaclelab.fitting import Centerline, fit_affine
 from tentaclelab.kinematics import (CurvatureState, TentacleGeometry,
                                     sample_centerline)
-from tentaclelab.vision import (ImageSpec, VisionError, binarize,
-                                extract_midline, midline_from_csv,
+from tentaclelab.vision import (MIDLINE_POINTS, ImageSpec, VisionError,
+                                binarize, extract_midline, midline_from_csv,
                                 midline_to_csv, otsu_threshold, read_pgm,
                                 render_silhouette, write_pgm)
 from tentaclelab.vision import _centerline_px, _disk_cover, _row_centres
@@ -175,12 +176,6 @@ class TestBinarize:
         mask = binarize(px)
         assert mask.sum() == 16 * 16
 
-    def test_numeric_threshold(self):
-        px = np.full((32, 32), 200, dtype=np.uint8)
-        px[0, 0] = 10
-        mask = binarize(px, threshold=100)
-        assert mask.sum() == 1
-
     def test_flat_image_rejected(self):
         px = np.full((32, 32), 128, dtype=np.uint8)
         with pytest.raises(VisionError):
@@ -188,13 +183,8 @@ class TestBinarize:
 
     def test_empty_foreground_rejected(self):
         px = np.full((32, 32), 200, dtype=np.uint8)
-        with pytest.raises(VisionError):
-            binarize(px, threshold=5)
-
-    def test_threshold_range(self):
-        px = np.full((32, 32), 200, dtype=np.uint8)
-        with pytest.raises(ValueError):
-            binarize(px, threshold=300)
+        with pytest.raises(VisionError, match="empty foreground"):
+            binarize(px)
 
     def test_brightness_shift_invariance(self):
         img = render_silhouette(CurvatureState(0.8, -0.4), GEOM, SPEC)
@@ -209,7 +199,8 @@ class TestExtractMidline:
         mask[40:180, 45:56] = True
         spec = ImageSpec(width=100, height=200, scale_mm_per_px=1.0,
                          origin_px=(50.0, 40.0))
-        cl = extract_midline(mask, spec, n_samples=20)
+        cl = extract_midline(mask, spec, max_len_mm=200.0)
+        assert len(cl) == MIDLINE_POINTS
         assert np.allclose(cl.points[:, 0], 0.0, atol=0.5)
         assert cl.points[-1, 1] == pytest.approx(139.0, abs=1.0)
 
@@ -236,26 +227,28 @@ class TestExtractMidline:
         mask[40:60, 60:70] = True
         spec = ImageSpec(width=100, height=100, origin_px=(15.0, 40.0))
         with pytest.raises(VisionError):
-            extract_midline(mask, spec)
+            extract_midline(mask, spec, max_len_mm=100.0)
 
     def test_empty_mask_rejected(self):
         spec = ImageSpec(width=100, height=100, origin_px=(50.0, 40.0))
         with pytest.raises(VisionError):
-            extract_midline(np.zeros((100, 100), dtype=bool), spec)
+            extract_midline(np.zeros((100, 100), dtype=bool), spec,
+                            max_len_mm=100.0)
 
     def test_detached_from_root_rejected(self):
         mask = np.zeros((100, 100), dtype=bool)
         mask[60:90, 40:50] = True
         spec = ImageSpec(width=100, height=100, origin_px=(45.0, 10.0))
         with pytest.raises(VisionError):
-            extract_midline(mask, spec)
+            extract_midline(mask, spec, max_len_mm=100.0)
 
     def test_max_len_trims_tip_cap(self):
         mask = render_mask(0.0, 0.0)
-        full = extract_midline(mask, SPEC)
+        full = extract_midline(mask, SPEC, max_len_mm=2 * GEOM.length_mm)
         trimmed = extract_midline(mask, SPEC, max_len_mm=GEOM.length_mm)
-        assert trimmed.total_length == pytest.approx(GEOM.length_mm, abs=0.5)
-        assert full.total_length > trimmed.total_length
+        length = trimmed.segment_lengths.sum()
+        assert length == pytest.approx(GEOM.length_mm, abs=0.5)
+        assert full.segment_lengths.sum() > length
 
 
 class TestRowCentres:
@@ -332,6 +325,32 @@ class TestPgmIO:
         p.write_bytes(b"P5\n20 20\n255\n" + bytes(400 + extra))
         with pytest.raises(VisionError, match=f"holds {400 + extra} samples"):
             read_pgm(p)
+
+
+def _p2(samples):
+    vals = ["7"] * 400
+    vals[42] = samples
+    return f"P2\n20 20\n255\n{' '.join(vals)}\n".encode()
+
+
+# Malformed PGM files: each raises VisionError naming the file.
+PGM_ERRORS = {
+    "header": b"P5\n20 x 255\n",
+    "maxval": b"P5\n20 20\n65535\n" + bytes(800),
+    "too_small": b"P5\n15 20\n255\n" + bytes(15 * 20),
+    "sample_not_integer": _p2("x"),
+    "sample_too_large_for_int": _p2("9" * 30),
+    "sample_out_of_range": _p2("300"),
+    "short_payload": b"P5\n20 20\n255\n" + bytes(100),
+}
+
+
+@pytest.mark.parametrize("data", PGM_ERRORS.values(), ids=PGM_ERRORS.keys())
+def test_pgm_error_names_file(tmp_path, data):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(data)
+    with pytest.raises(VisionError, match=f": {re.escape(str(p))}$"):
+        read_pgm(p)
 
 
 class TestMidlineCsv:

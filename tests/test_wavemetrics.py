@@ -162,6 +162,18 @@ class TestFieldFromStates:
         amp = np.ptp(field.lateral, axis=1)
         assert np.argmax(amp) == 7
 
+    def test_two_function_field_can_travel(self):
+        # The q1 and q2 lateral shapes are nearly collinear, yet a
+        # small-angle field with q2/q1 = 3.4 at a phase of 190 degrees
+        # reads a dominant-mode TWI of 0.917: the amplitude ratio and
+        # phase the dynamics produce, not the shape basis, bound the TWI.
+        t = np.arange(400) / 100.0
+        q = 0.01 * np.column_stack([np.cos(2 * np.pi * t), 3.4 * np.cos(
+            2 * np.pi * t + np.radians(190.0))])
+        field = field_from_states(q, TentacleGeometry(), n_stations=16,
+                                  dt=0.01)
+        assert field_twi(cod(field)) > 0.9
+
 
 class TestModesetCsv:
     def test_header_and_rows(self, tmp_path):
