@@ -106,19 +106,34 @@ def _integrals(q_series, stations, fns) -> list:
     # Column p of `cum` holds the integral over the first p panels, so
     # knot j (the end of gap j - 1) sits in column ends[j].
     col = ends[where[1:]]
-    outs = [np.empty((len(q_series), len(stations))) for _ in fns]
-    # Time blocks keep the (block, nodes) temporary small. No BLAS here:
-    # threaded BLAS products slowed the GP and COD after them in a sweep.
-    block = max(1, int(2e6) // max(1, v.size))
-    for k in range(0, len(q_series), block):
+    half_h = 0.5 * h
+    n_t = len(q_series)
+    outs = [np.empty((n_t, len(stations))) for _ in fns]
+    # Time blocks of about 32k angles (256 kB per buffer): `alpha`, the
+    # integrand buffer and `cum` are allocated once per call, refilled in
+    # place and stay in a core's L2 cache, where blocks of 2e6 angles
+    # spent more time writing multi-MB temporaries than in sin and cos.
+    # No BLAS here: threaded BLAS products slowed the GP and COD after
+    # them in a sweep.
+    block = max(1, 32768 // max(1, v.size))
+    rows = min(block, n_t)
+    alpha = np.empty((rows, v.size))
+    buf = np.empty((rows, v.size))
+    cum = np.zeros((rows, len(h) + 1))
+    for k in range(0, n_t, block):
         q = q_series[k:k + block]
-        alpha = q[:, :1] * v + q[:, 1:] * half_v2
-        cum = np.zeros((len(q), len(h) + 1))
+        n = len(q)
+        a, b, c = alpha[:n], buf[:n], cum[:n]
+        np.multiply(q[:, :1], v, out=a)
+        np.multiply(q[:, 1:], half_v2, out=b)
+        a += b
         for out, fn in zip(outs, fns):
-            per_panel = np.einsum("tpk,k->tp", fn(alpha).reshape(
-                len(q), len(h), _GL_ORDER), _GL_WEIGHTS)
-            np.cumsum(per_panel * (0.5 * h), axis=1, out=cum[:, 1:])
-            out[k:k + block] = cum[:, col]
+            fn(a, out=b)
+            per_panel = np.einsum("tpk,k->tp",
+                                  b.reshape(n, len(h), _GL_ORDER), _GL_WEIGHTS)
+            per_panel *= half_h
+            np.cumsum(per_panel, axis=1, out=c[:, 1:])
+            out[k:k + n] = c[:, col]
     return outs
 
 
@@ -149,10 +164,10 @@ def lateral_displacements(q_series: np.ndarray, stations: np.ndarray,
         L: undeformed length in mm.
 
     Returns:
-        (N_s, T) array of x positions in mm.
+        (N_s, T) C-contiguous array of x positions in mm.
     """
     x, = _integrals(q_series, _check_s(stations), (np.sin,))
-    return -L * x.T
+    return np.multiply(-L, x.T, order="C")
 
 
 def tip_positions(q_series: np.ndarray, geom: TentacleGeometry) -> np.ndarray:

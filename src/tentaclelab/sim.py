@@ -186,19 +186,29 @@ def simulate(program: ActuationProgram, params: SimParams,
 
     # The step runs on Python floats; the hoisted products keep the
     # original left-to-right evaluation order, so results are unchanged.
+    # Each step yields (x1, x2, v1, v2) straight into one flat float64
+    # record, with no per-column Python lists to convert afterwards.
     damp1, stiff1 = 2.0 * params.zeta * w1, w1 * w1
     damp2, stiff2 = 2.0 * params.zeta * w2, w2 * w2
     cq = params.quad_drag
-    x1s, x2s, v1s, v2s = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
-    v1 = v2 = x1 = x2 = 0.0
-    for k in range(n):
-        v1 += dt * (drive1[k] - damp1 * v1 - cq * abs(v1) * v1 - stiff1 * x1)
-        x1 += dt * v1
-        v2 += dt * (drive2[k] - damp2 * v2 - cq * abs(v2) * v2 - stiff2 * x2)
-        x2 += dt * v2
-        x1s[k], x2s[k], v1s[k], v2s[k] = x1, x2, v1, v2
-    q = np.column_stack([x1s, x2s])
-    qd = np.column_stack([v1s, v2s])
+
+    def steps():
+        v1 = v2 = x1 = x2 = 0.0
+        for k in range(n):
+            v1 += dt * (drive1[k] - damp1 * v1 - cq * abs(v1) * v1
+                        - stiff1 * x1)
+            x1 += dt * v1
+            v2 += dt * (drive2[k] - damp2 * v2 - cq * abs(v2) * v2
+                        - stiff2 * x2)
+            x2 += dt * v2
+            yield x1
+            yield x2
+            yield v1
+            yield v2
+
+    record = np.fromiter(steps(), float, 4 * n).reshape(n, 4)
+    q = np.ascontiguousarray(record[:, :2])
+    qd = np.ascontiguousarray(record[:, 2:])
     over = np.flatnonzero((np.abs(q) > 10.0).any(axis=1))
     if len(over):
         k = over[0]

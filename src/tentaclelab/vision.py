@@ -161,13 +161,13 @@ def otsu_threshold(pixels: np.ndarray) -> int:
 def binarize(pixels: np.ndarray) -> np.ndarray:
     """Boolean foreground mask of the pixels at or below Otsu's threshold.
 
-    A mask that is all foreground or all background raises VisionError.
+    On a frame with two or more grey levels the threshold lies at or above
+    the darkest and below the brightest, so the mask has both classes; a
+    flat frame raises VisionError.
     """
     mask = pixels <= otsu_threshold(pixels)
-    if mask.all():
+    if mask.all() or not mask.any():
         raise VisionError("binarization found no background contrast")
-    if not mask.any():
-        raise VisionError("binarization produced an empty foreground")
     return mask
 
 

@@ -72,22 +72,23 @@ def tip_deflection(tip_lateral, ell: float) -> float:
 def analytic_signal(x) -> np.ndarray:
     """Discrete analytic signal of a real series (mean removed).
 
-    FFT construction: zero the negative-frequency bins and double the
-    positive ones, keeping DC and Nyquist with unit weight.
+    Transforms along the last axis, so an (N_s, N_t) field takes one
+    `fft` and one `ifft` call. FFT construction: zero the
+    negative-frequency bins and double the positive ones, keeping DC and
+    Nyquist with unit weight. The input is made C-contiguous first, so
+    each row's mean and transform equal those of the row alone, bit for
+    bit.
     """
-    x = np.asarray(x, dtype=float)
-    n = len(x)
+    x = np.ascontiguousarray(x, dtype=float)
+    n = x.shape[-1]
     if n < 8:
         raise ValueError("need at least 8 samples")
-    X = np.fft.fft(x - x.mean())
+    X = np.fft.fft(x - x.mean(axis=-1, keepdims=True))
     h = np.zeros(n)
+    h[0] = 1.0
+    h[1:(n + 1) // 2] = 2.0
     if n % 2 == 0:
-        h[0] = 1.0
         h[n // 2] = 1.0
-        h[1:n // 2] = 2.0
-    else:
-        h[0] = 1.0
-        h[1:(n + 1) // 2] = 2.0
     return np.fft.ifft(X * h)
 
 
@@ -112,9 +113,8 @@ def cod(field: DeformationField) -> ModeSet:
     lat = field.lateral
     if np.allclose(lat, lat[:, :1]):
         raise ValueError("degenerate field: no temporal variation")
-    n_t = lat.shape[1]
-    Z = np.array([analytic_signal(row) for row in lat])
-    R = Z @ Z.conj().T / n_t
+    Z = analytic_signal(lat)
+    R = Z @ Z.conj().T / lat.shape[1]
     vals, vecs = np.linalg.eigh(R)
     order = np.argsort(vals)[::-1]
     vals = np.maximum(vals[order], 0.0)

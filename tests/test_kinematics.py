@@ -256,14 +256,30 @@ class TestSharedNodeQuadrature:
         assert np.allclose(got, ref, rtol=0.0, atol=1e-12 * L)
 
     def test_time_blocks_agree(self):
-        # 200 stations use 1990 nodes per state, so 2000 states span two
-        # evaluation blocks.
+        # 200 stations use 1990 nodes per state, so a time block holds 16
+        # states and 2000 states span 125 blocks.
         q = _states(4.0, n=2000, seed=1)
         s = np.linspace(0.0, 1.0, 200)
         whole = lateral_displacements(q, s, L)
         parts = np.hstack([lateral_displacements(q[:700], s, L),
                            lateral_displacements(q[700:], s, L)])
         assert np.array_equal(whole, parts)
+        # Across many blocks, each state equals that state alone: the tip
+        # (80 nodes, 409 states a block), 16 stations (150 nodes, 218
+        # states a block), 200 stations, and 16 shuffled stations with
+        # repeats.
+        q = q[:1000]
+        s16 = np.linspace(0.0, 1.0, 16)
+        shuffled = np.random.default_rng(5).permutation(
+            np.concatenate([s16, s16[2:7], [0.0, 1.0]]))
+        whole = tip_positions(q, GEOM)
+        alone = np.vstack([tip_positions(qi[None], GEOM) for qi in q])
+        assert np.array_equal(whole, alone)
+        for s in (s16, np.linspace(0.0, 1.0, 200), shuffled):
+            whole = lateral_displacements(q, s, L)
+            alone = np.hstack([lateral_displacements(qi[None], s, L)
+                               for qi in q])
+            assert np.array_equal(whole, alone)
 
     def test_empty_inputs(self):
         assert lateral_displacements(np.zeros((0, 2)),

@@ -171,6 +171,7 @@ class TestReferenceLoop:
         trace = simulate(prog, params)
         q, qd, tip, thrust = reference_simulate(prog, params)
         assert trace.q.flags.c_contiguous
+        assert trace.q_dot.flags.c_contiguous
         for got, want in ((trace.q, q), (trace.q_dot, qd), (trace.tip, tip),
                           (trace.thrust, thrust)):
             assert np.array_equal(got, want)

@@ -182,9 +182,11 @@ class TestBinarize:
             binarize(px)
 
     def test_empty_foreground_rejected(self):
-        px = np.full((32, 32), 200, dtype=np.uint8)
-        with pytest.raises(VisionError, match="empty foreground"):
-            binarize(px)
+        # A flat frame has no contrast, whatever its level.
+        for level in (0, 128, 255):
+            px = np.full((32, 32), level, dtype=np.uint8)
+            with pytest.raises(VisionError, match="no background contrast"):
+                binarize(px)
 
     def test_brightness_shift_invariance(self):
         img = render_silhouette(CurvatureState(0.8, -0.4), GEOM, SPEC)

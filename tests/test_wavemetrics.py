@@ -65,6 +65,15 @@ class TestAnalyticSignal:
         with pytest.raises(ValueError):
             analytic_signal([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("n_t", [128, 101])
+    def test_field_equals_stacked_rows(self, n_t):
+        rng = np.random.default_rng(n_t)
+        lat = rng.normal(size=(16, n_t)) + 3.0
+        # The transposed input is F-ordered: a (n_t, 16) array viewed as T.
+        for field in (lat, rng.normal(size=(n_t, 16)).T + 3.0):
+            want = np.array([analytic_signal(row) for row in field])
+            assert np.array_equal(analytic_signal(field), want)
+
 
 class TestTwi:
     def test_pure_traveling_mode(self):
@@ -87,7 +96,43 @@ class TestTwi:
             twi(np.zeros(5))
 
 
+def row_by_row_cod(lat):
+    """COD with one FFT pair per station row, written out independently."""
+    rows = []
+    for x in lat:
+        n = len(x)
+        h = np.zeros(n)
+        h[0] = 1.0
+        h[1:(n + 1) // 2] = 2.0
+        if n % 2 == 0:
+            h[n // 2] = 1.0
+        rows.append(np.fft.ifft(np.fft.fft(x - x.mean()) * h))
+    Z = np.array(rows)
+    vals, vecs = np.linalg.eigh(Z @ Z.conj().T / lat.shape[1])
+    order = np.argsort(vals)[::-1]
+    vals, vecs = np.maximum(vals[order], 0.0), vecs[:, order]
+    twis = []
+    for v, w in zip(vals, vecs.T):
+        sv = np.linalg.svd(np.column_stack([w.real, w.imag]),
+                           compute_uv=False)
+        twis.append(sv[1] / sv[0] if v > 0 else 0.0)
+    return vecs, vals, np.array(twis)
+
+
 class TestCod:
+    @pytest.mark.parametrize("n_t", [1250, 999])
+    def test_matches_row_by_row_reference(self, n_t):
+        t = np.arange(n_t) * 0.004
+        q = np.column_stack([1.2 * np.sin(2 * np.pi * 2.5 * t),
+                             -0.8 * np.sin(2 * np.pi * 2.5 * t - 2.0)])
+        field = field_from_states(q, TentacleGeometry(), 16, 0.004)
+        assert field.lateral.flags.c_contiguous
+        modes = cod(field)
+        vecs, vals, twis = row_by_row_cod(field.lateral)
+        assert np.array_equal(modes.modes, vecs)
+        assert np.array_equal(modes.eigenvalues, vals)
+        assert np.array_equal(modes.twi, twis)
+
     def test_traveling_wave_high_twi(self):
         modes = cod(wave_field(1.0))
         assert field_twi(modes) > 0.99
