@@ -7,6 +7,10 @@ and checks the config, checks that every input file exists, creates
 `--out`, runs `cmd_<name>(cfg, args)`, which returns the files it wrote,
 and writes the manifest; `report` only reads a run directory. Exit codes:
 0 success, 1 usage/config error, 2 runtime/numerical error.
+
+`metrics` and `optimize` score each actuation cell with `evaluate_cell`,
+which integrates every step of the cell but takes the world tip and the
+thrust only from its first scored step.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from .kinematics import CurvatureState, sample_centerline, tip_positions
 from .plotting import line_plot_svg, overlay_svg
 from .regressor import LabeledSequence, TrainingError, forward, \
     load_weights, save_weights, train
-from .sim import SimTrace, SimulationError, moving_average, sensor_readout, \
-    simulate, thrust_proxy, world_tip_positions
+from .sim import SimTrace, SimulationError, integrate, moving_average, \
+    run_trace, sensor_readout, simulate, thrust_proxy, world_tip_positions
 from .vision import ImageSpec, VisionError, binarize, extract_midline, \
     midline_to_csv, read_pgm, render_silhouette, write_pgm
 from .wavemetrics import ModeSet, cod, field_from_states, field_twi, \
@@ -157,8 +161,15 @@ def evaluate_cell(cfg: RunConfig, f: float, A: float,
     TWI and tip deflection come from the states the metrics are computed
     from: the simulated states, or under `weights` the states the
     regressor reconstructs from the cell's pressures. Thrust always comes
-    from the simulated trace. A zero amplitude scores zero and has no
+    from the simulated run. A zero amplitude scores zero and has no
     modes.
+
+    The cell integrates every step, since the dynamics need the
+    transient, but computes the world tip and thrust only from its first
+    scored step s0: the earlier of the field window's start and the step
+    before the first post-transient cycle, so every scored thrust value
+    is the central difference a full trace would hold. Pressures, and
+    so reconstructed states, still come from every step.
     """
     if A == 0.0:
         return CellResult(0.0, 0.0, 0.0, None)
@@ -168,18 +179,22 @@ def evaluate_cell(cfg: RunConfig, f: float, A: float,
     prog = build_program(ProgramSpec(
         duration_s=sw["cycles"] / f, dt=params.dt, amplitude_deg=A,
         frequency_hz=f))
-    trace = simulate(prog, params, geom)
+    run = integrate(prog, params)
     win = cell_window(sw, f, params.dt)
+    cycle = np.floor(prog.time * f).astype(int)
+    tc = sw["transient_cycles"]
+    s0 = max(0, min(win.start, int(np.searchsorted(cycle, tc)) - 1))
+    trace = run_trace(prog, run, geom, s0)
     if weights is None:
-        q, tipx = trace.q, trace.tip[:, 0]
+        q, tipx = run.q, trace.tip[:, 0]
     else:
-        q = forward(weights, sensor_readout(trace, cfg.build_sensor_model()))
-        tipx = world_tip_positions(q, trace.base_angle_deg, geom)[:, 0]
+        q = forward(weights, sensor_readout(run, cfg.build_sensor_model()))
+        tipx = world_tip_positions(q[s0:], trace.base_angle_deg, geom)[:, 0]
     modes = cod(field_from_states(q[win.start:win.stop:win.step], geom,
                                   sw["n_stations"], params.dt * win.step))
-    cyc = thrust_proxy(trace, f)[sw["transient_cycles"]:]
+    cyc = thrust_proxy(trace, f)[tc - cycle[s0]:]
     return CellResult(field_twi(modes),
-                      tip_deflection(tipx[win.start:], geom.length_mm),
+                      tip_deflection(tipx[win.start - s0:], geom.length_mm),
                       float(moving_average(cyc, 3).mean()), modes)
 
 

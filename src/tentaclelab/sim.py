@@ -5,6 +5,11 @@ angle; embedded pressure sensors are modeled as a gained, lagged,
 mildly saturating map of the state with additive Gaussian noise; thrust
 is replaced by a reactive proxy proportional to the mean squared
 lateral tip velocity.
+
+`integrate` steps the modal states; `run_trace` adds the world tip and
+thrust from a given step on. `simulate` traces every step, as datasets
+need; a sweep cell integrates every step, since the dynamics need the
+transient, but takes the tip and thrust only from its first scored step.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +29,9 @@ __all__ = [
     "SensorModel",
     "SimTrace",
     "SimulationError",
+    "ModalRun",
+    "integrate",
+    "run_trace",
     "simulate",
     "sensor_readout",
     "thrust_proxy",
@@ -158,8 +167,15 @@ class SimTrace:
                    thrust=data[:, 9], dt=float(t[1] - t[0]))
 
 
-def simulate(program: ActuationProgram, params: SimParams,
-             geom: TentacleGeometry | None = None) -> SimTrace:
+class ModalRun(NamedTuple):
+    """Modal states of an integrated run, one row per program step."""
+
+    q: np.ndarray                 # (T, 2) rad
+    q_dot: np.ndarray             # (T, 2) rad/s
+    dt: float
+
+
+def integrate(program: ActuationProgram, params: SimParams) -> ModalRun:
     """Integrate the two modal oscillators driven by the base angle.
 
     Per mode i: qi'' + 2*zeta*wi*qi' + wi^2*qi = ki * theta(t - delay_i)
@@ -167,9 +183,9 @@ def simulate(program: ActuationProgram, params: SimParams,
     delay_2 = phase_lag_s; semi-implicit Euler at the program's step.
     The forcing coefficient is ki = drive_gain_i * wi^2, so drive_gain_i
     is the dimensionless static gain (rad of modal state per rad of base
-    angle at DC) independent of f0.
+    angle at DC) independent of f0. Raises SimulationError once a modal
+    state exceeds 10 rad.
     """
-    geom = geom or TentacleGeometry()
     dt = replace(params, dt=program.dt).dt      # SimParams checks the step
     theta = np.radians(program.theta_deg)
     n = len(theta)
@@ -208,7 +224,6 @@ def simulate(program: ActuationProgram, params: SimParams,
 
     record = np.fromiter(steps(), float, 4 * n).reshape(n, 4)
     q = np.ascontiguousarray(record[:, :2])
-    qd = np.ascontiguousarray(record[:, 2:])
     over = np.flatnonzero((np.abs(q) > 10.0).any(axis=1))
     if len(over):
         k = over[0]
@@ -216,13 +231,35 @@ def simulate(program: ActuationProgram, params: SimParams,
             f"modal state exceeded 10 rad at t={k * dt:.4f} s "
             f"(q1={q[k, 0]:.3f}, q2={q[k, 1]:.3f}); reduce drive or check "
             "params")
+    return ModalRun(q, np.ascontiguousarray(record[:, 2:]), dt)
 
-    tip = world_tip_positions(q, program.theta_deg, geom)
-    vx = np.gradient(tip[:, 0], dt)
-    thrust = C_T * vx * vx
-    return SimTrace(time=program.time.copy(), base_angle_deg=program.theta_deg.copy(),
-                    q=q, pressures=np.zeros((n, 3)), tip=tip, thrust=thrust,
-                    dt=dt, q_dot=qd)
+
+def run_trace(program: ActuationProgram, run: ModalRun,
+              geom: TentacleGeometry, start: int) -> SimTrace:
+    """Trace of steps `start`.. of an integrated run.
+
+    The world tip and the thrust proxy are computed for those steps only.
+    Thrust differentiates the tip with np.gradient, so every value but
+    the first (a one-sided difference) equals the full run's bit for bit.
+    """
+    sl = slice(start, None)
+    tip = world_tip_positions(run.q[sl], program.theta_deg[sl], geom)
+    vx = np.gradient(tip[:, 0], run.dt)
+    return SimTrace(time=program.time[sl].copy(),
+                    base_angle_deg=program.theta_deg[sl].copy(),
+                    q=run.q[sl], pressures=np.zeros((len(tip), 3)), tip=tip,
+                    thrust=C_T * vx * vx, dt=run.dt, q_dot=run.q_dot[sl])
+
+
+def simulate(program: ActuationProgram, params: SimParams,
+             geom: TentacleGeometry | None = None) -> SimTrace:
+    """Full trace of a program: `integrate`, then the world tip and
+    thrust proxy of every step. A sweep cell instead integrates every
+    step but takes the tip and thrust only from its first scored step
+    (`run_trace` with a later start).
+    """
+    return run_trace(program, integrate(program, params),
+                     geom or TentacleGeometry(), 0)
 
 
 def world_tip_positions(q: np.ndarray, base_angle_deg: np.ndarray,
@@ -239,8 +276,10 @@ def world_tip_positions(q: np.ndarray, base_angle_deg: np.ndarray,
                             s * tip_body[:, 0] + c * tip_body[:, 1]])
 
 
-def sensor_readout(trace: SimTrace, model: SensorModel) -> np.ndarray:
-    """Synthetic 3-channel pressure series for a simulated trace, in kPa.
+def sensor_readout(trace: SimTrace | ModalRun,
+                   model: SensorModel) -> np.ndarray:
+    """Synthetic 3-channel pressure series for a simulated trace or an
+    integrated run, in kPa.
 
     p = baseline + lag(G q + G_r q' + kappa (G q)^3, tau) + noise.
     Deterministic given the model seed. q' is the simulator's `q_dot`;
@@ -268,16 +307,21 @@ def sensor_readout(trace: SimTrace, model: SensorModel) -> np.ndarray:
 
 
 def thrust_proxy(trace: SimTrace, frequency_hz: float) -> np.ndarray:
-    """Per-cycle mean thrust proxy of a fixed-frequency run, in mN."""
+    """Per-cycle mean thrust proxy of a fixed-frequency run, in mN.
+
+    Cycle k holds the steps with floor(time * f) = k. Entry i is the mean
+    of cycle c + i, where c is the cycle of the trace's first step (0 for
+    a whole run), up to the last whole cycle of the run; the final,
+    partial cycle is left out.
+    """
     if frequency_hz <= 0:
         raise ValueError("frequency must be positive")
-    n_cycles = int(np.floor(trace.time[-1] * frequency_hz))
-    if n_cycles < 2:
-        raise ValueError("trace must span at least 2 actuation cycles")
     cycle = np.floor(trace.time * frequency_hz).astype(int)
-    keep = cycle < n_cycles
-    return (np.bincount(cycle[keep], weights=trace.thrust[keep])
-            / np.bincount(cycle[keep]))
+    if cycle[-1] < 2:
+        raise ValueError("trace must span at least 2 actuation cycles")
+    keep = cycle < cycle[-1]
+    k = cycle[keep] - cycle[0]
+    return np.bincount(k, weights=trace.thrust[keep]) / np.bincount(k)
 
 
 def moving_average(series, k: int) -> np.ndarray:

@@ -92,15 +92,20 @@ def analytic_signal(x) -> np.ndarray:
     return np.fft.ifft(X * h)
 
 
-def twi(mode) -> float:
-    """Traveling wave index of a complex mode: sigma_min / sigma_max of
-    the two-column real matrix [Re(w), Im(w)]."""
-    w = np.asarray(mode, dtype=complex)
-    if np.linalg.norm(w) == 0.0:
+def twi(modes):
+    """Traveling wave index of complex modes: sigma_min / sigma_max of
+    the two-column real matrix [Re(w), Im(w)] of each mode w.
+
+    One (N_s,) mode gives a float; a (..., N_s) stack of modes gives an
+    array, from one batched SVD.
+    """
+    w = np.asarray(modes, dtype=complex)
+    if np.any(np.linalg.norm(w, axis=-1) == 0.0):
         raise ValueError("mode vector must be nonzero")
-    M = np.column_stack([w.real, w.imag])
-    sv = np.linalg.svd(M, compute_uv=False)
-    return float(sv[1] / sv[0])
+    sv = np.linalg.svd(np.stack([w.real, w.imag], axis=-1),
+                       compute_uv=False)
+    ratio = sv[..., 1] / sv[..., 0]
+    return float(ratio) if w.ndim == 1 else ratio
 
 
 def cod(field: DeformationField) -> ModeSet:
@@ -120,8 +125,7 @@ def cod(field: DeformationField) -> ModeSet:
     vals = np.maximum(vals[order], 0.0)
     vecs = vecs[:, order]
     total = vals.sum()
-    twis = np.array([twi(vecs[:, i]) if vals[i] > 0 else 0.0
-                     for i in range(len(vals))])
+    twis = np.where(vals > 0, twi(vecs.T), 0.0)
     return ModeSet(
         modes=vecs,
         eigenvalues=vals,

@@ -7,8 +7,9 @@ import pytest
 from tentaclelab.actuation import ActuationProgram, ProgramSpec, build_program
 from tentaclelab.sim import (TRACE_HEADER, SensorModel, SimParams, SimTrace,
                              SimulationError, default_sensor_model,
-                             material_preset, moving_average, preset_epochs,
-                             sensor_readout, simulate, thrust_proxy)
+                             integrate, material_preset, moving_average,
+                             preset_epochs, run_trace, sensor_readout,
+                             simulate, thrust_proxy)
 from tentaclelab.kinematics import TentacleGeometry, tip_positions
 
 LINEAR = SimParams(f0_hz=3.2, zeta=0.2, quad_drag=0.0, vel_coupling=0.0)
@@ -342,8 +343,36 @@ class TestThrust:
     def test_too_short_trace(self):
         prog = program_from_theta(np.zeros(100), 0.005)
         trace = simulate(prog, SimParams())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trace must span at least 2 "
+                                             "actuation cycles"):
             thrust_proxy(trace, 2.0)
+
+
+class TestRunTrace:
+    def setup_method(self):
+        self.prog = build_program(ProgramSpec(
+            duration_s=3.0, dt=0.005, amplitude_deg=20.0, frequency_hz=2.0))
+        self.full = simulate(self.prog, SimParams())
+        self.run = integrate(self.prog, SimParams())
+
+    def test_later_start_matches_full_trace(self):
+        # Step 130 lies in cycle 1 (t = 0.65 s at 2 Hz); only its own
+        # thrust is a one-sided difference.
+        part = run_trace(self.prog, self.run, TentacleGeometry(), 130)
+        assert np.array_equal(part.time, self.full.time[130:])
+        assert np.array_equal(part.q, self.full.q[130:])
+        assert np.array_equal(part.tip, self.full.tip[130:])
+        assert np.array_equal(part.thrust[1:], self.full.thrust[131:])
+        assert part.thrust[0] != self.full.thrust[130]
+        # Entry i of the per-cycle means is cycle 1 + i.
+        cyc = thrust_proxy(part, 2.0)
+        assert len(cyc) == len(thrust_proxy(self.full, 2.0)) - 1
+        assert np.array_equal(cyc[1:], thrust_proxy(self.full, 2.0)[2:])
+
+    def test_readout_of_run_equals_readout_of_trace(self):
+        model = default_sensor_model(seed=2)
+        assert np.array_equal(sensor_readout(self.run, model),
+                              sensor_readout(self.full, model))
 
 
 class TestMovingAverage:

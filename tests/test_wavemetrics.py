@@ -95,6 +95,19 @@ class TestTwi:
         with pytest.raises(ValueError):
             twi(np.zeros(5))
 
+    def test_stack_matches_one_mode_at_a_time(self):
+        rng = np.random.default_rng(4)
+        w = rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16))
+        stacked = twi(w)
+        assert stacked.shape == (5,)
+        assert np.array_equal(stacked, [twi(m) for m in w])
+
+    def test_zero_mode_in_stack_rejected(self):
+        w = np.ones((3, 4), dtype=complex)
+        w[1] = 0.0
+        with pytest.raises(ValueError, match="nonzero"):
+            twi(w)
+
 
 def row_by_row_cod(lat):
     """COD with one FFT pair per station row, written out independently."""
@@ -120,11 +133,16 @@ def row_by_row_cod(lat):
 
 
 class TestCod:
-    @pytest.mark.parametrize("n_t", [1250, 999])
-    def test_matches_row_by_row_reference(self, n_t):
+    # The in-phase ("standing") states bend one fixed shape: a
+    # rank-deficient field, where 7 of the 16 eigenvalues clamp to 0.
+    @pytest.mark.parametrize("n_t, lag", [
+        pytest.param(1250, 2.0, id="1250"),
+        pytest.param(999, 2.0, id="999"),
+        pytest.param(1250, 0.0, id="standing")])
+    def test_matches_row_by_row_reference(self, n_t, lag):
         t = np.arange(n_t) * 0.004
         q = np.column_stack([1.2 * np.sin(2 * np.pi * 2.5 * t),
-                             -0.8 * np.sin(2 * np.pi * 2.5 * t - 2.0)])
+                             -0.8 * np.sin(2 * np.pi * 2.5 * t - lag)])
         field = field_from_states(q, TentacleGeometry(), 16, 0.004)
         assert field.lateral.flags.c_contiguous
         modes = cod(field)
