@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from tentaclelab.config import default_config
 from tentaclelab.fitting import nrmse
 from tentaclelab.plotting import line_plot_svg
 from tentaclelab.regressor import LabeledSequence, TrainConfig, forward, train
-from tentaclelab.sim import default_sensor_model
+from tentaclelab.sim import default_sensor_model, sensor_readout
 
 # The default three-channel sensor model plus one more channel; channel
 # subsets take the leading rows. The first row alone is rank 1, so the
@@ -35,18 +36,9 @@ MASTER_RATE = np.vstack([SENSOR.rate_gain, [0.05, 0.06]])
 def channel_readout(trace, n_channels: int, seed: int) -> np.ndarray:
     """Pressure series for the first n rows of the master sensor map,
     without the saturation term."""
-    G = MASTER_GAIN[:n_channels]
-    Gr = MASTER_RATE[:n_channels]
-    u = trace.q @ G.T + trace.q_dot @ Gr.T
-    a = trace.dt / (SENSOR.lag_tau_s + trace.dt)
-    lagged = np.empty_like(u)
-    state = u[0].copy()
-    for k in range(len(u)):
-        state = state + a * (u[k] - state)
-        lagged[k] = state
-    rng = np.random.default_rng(seed)
-    return SENSOR.baseline_kpa + lagged + rng.normal(
-        0.0, SENSOR.noise_sigma_kpa, u.shape)
+    return sensor_readout(trace, replace(
+        SENSOR, gain=MASTER_GAIN[:n_channels],
+        rate_gain=MASTER_RATE[:n_channels], sat_kappa=0.0, seed=seed))
 
 
 def main(argv=None) -> int:

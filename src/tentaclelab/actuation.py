@@ -34,14 +34,14 @@ def triangular_wave(t, f: float, A: float):
 
 @dataclass(frozen=True)
 class ProgramSpec:
-    """Declarative description of an actuation program."""
+    """An actuation program: a fixed frequency and amplitude, or with
+    `rpm_ramp` a frequency ramp and a random amplitude per cycle."""
 
     duration_s: float
     dt: float
     amplitude_deg: float = 20.0
     frequency_hz: float | None = 2.0
-    amplitude_mode: str = "fixed"       # "fixed" | "random"
-    rpm_ramp: tuple | None = None       # (start, end), overrides frequency
+    rpm_ramp: tuple | None = None       # (start, end), overrides both
     seed: int = 0
 
     def __post_init__(self):
@@ -52,8 +52,6 @@ class ProgramSpec:
                              f"than 2 steps of {self.dt:g} s")
         if abs(self.amplitude_deg) > 90.0:
             raise ValueError("|amplitude| must not exceed 90 degrees")
-        if self.amplitude_mode not in ("fixed", "random"):
-            raise ValueError(f"unknown amplitude_mode {self.amplitude_mode!r}")
         if self.rpm_ramp is not None:
             lo, hi = self.rpm_ramp
             if not (12.0 <= lo <= 80.0 and 12.0 <= hi <= 80.0):
@@ -76,9 +74,9 @@ class ActuationProgram:
 def build_program(spec: ProgramSpec) -> ActuationProgram:
     """Sample a program on a uniform grid, deterministic given the seed.
 
-    Per-cycle random amplitudes are drawn uniformly in [-30, 30] degrees
-    at each new cycle; ramp programs sweep the instantaneous frequency
-    linearly between the RPM endpoints (RPM_TO_HZ Hz per RPM).
+    Ramp programs sweep the instantaneous frequency linearly between the
+    RPM endpoints (RPM_TO_HZ Hz per RPM) and draw a random amplitude
+    uniformly in [-30, 30] degrees at each new cycle.
     """
     n = int(round(spec.duration_s / spec.dt))
     t = np.arange(n) * spec.dt
@@ -93,7 +91,7 @@ def build_program(spec: ProgramSpec) -> ActuationProgram:
     cycle = np.floor(phase).astype(int)
     n_cycles = cycle[-1] + 1
     rng = np.random.default_rng(spec.seed)
-    if spec.amplitude_mode == "random":
+    if spec.rpm_ramp is not None:
         amps = rng.uniform(-30.0, 30.0, size=n_cycles)
     else:
         amps = np.full(n_cycles, spec.amplitude_deg)

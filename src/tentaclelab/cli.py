@@ -33,7 +33,8 @@ from .plotting import line_plot_svg, overlay_svg
 from .regressor import LabeledSequence, TrainingError, forward, \
     load_weights, save_weights, train
 from .sim import SimTrace, SimulationError, integrate, moving_average, \
-    run_trace, sensor_readout, simulate, thrust_proxy, world_tip_positions
+    sensor_readout, simulate, thrust_proxy, thrust_series, \
+    world_tip_positions
 from .vision import ImageSpec, VisionError, binarize, extract_midline, \
     midline_to_csv, read_pgm, render_silhouette, write_pgm
 from .wavemetrics import ModeSet, cod, field_from_states, field_twi, \
@@ -167,9 +168,9 @@ def evaluate_cell(cfg: RunConfig, f: float, A: float,
     The cell integrates every step, since the dynamics need the
     transient, but computes the world tip and thrust only from its first
     scored step s0: the earlier of the field window's start and the step
-    before the first post-transient cycle, so every scored thrust value
-    is the central difference a full trace would hold. Pressures, and
-    so reconstructed states, still come from every step.
+    before the first post-transient step k_tc, so every scored thrust
+    value is the central difference a full trace would hold. Pressures,
+    and so reconstructed states, still come from every step.
     """
     if A == 0.0:
         return CellResult(0.0, 0.0, 0.0, None)
@@ -182,17 +183,18 @@ def evaluate_cell(cfg: RunConfig, f: float, A: float,
     run = integrate(prog, params)
     win = cell_window(sw, f, params.dt)
     cycle = np.floor(prog.time * f).astype(int)
-    tc = sw["transient_cycles"]
-    s0 = max(0, min(win.start, int(np.searchsorted(cycle, tc)) - 1))
-    trace = run_trace(prog, run, geom, s0)
-    if weights is None:
-        q, tipx = run.q, trace.tip[:, 0]
-    else:
+    k_tc = int(np.searchsorted(cycle, sw["transient_cycles"]))
+    s0 = max(0, min(win.start, k_tc - 1))
+    theta = prog.theta_deg[s0:]
+    tipx = world_tip_positions(run.q[s0:], theta, geom)[:, 0]
+    thrust = thrust_series(tipx, run.dt)
+    q = run.q
+    if weights is not None:
         q = forward(weights, sensor_readout(run, cfg.build_sensor_model()))
-        tipx = world_tip_positions(q[s0:], trace.base_angle_deg, geom)[:, 0]
+        tipx = world_tip_positions(q[s0:], theta, geom)[:, 0]
     modes = cod(field_from_states(q[win.start:win.stop:win.step], geom,
                                   sw["n_stations"], params.dt * win.step))
-    cyc = thrust_proxy(trace, f)[tc - cycle[s0]:]
+    cyc = thrust_proxy(thrust[k_tc - s0:], cycle[k_tc:])
     return CellResult(field_twi(modes),
                       tip_deflection(tipx[win.start - s0:], geom.length_mm),
                       float(moving_average(cyc, 3).mean()), modes)
@@ -268,12 +270,26 @@ def cmd_render(cfg, args) -> list:
                          "q1 and q2 and at least one row")
     q = np.loadtxt(lines[1:], delimiter=",", ndmin=2,
                    usecols=(names.index("q1"), names.index("q2")))
-    files = []
-    for i, (q1, q2) in enumerate(q):
-        img = render_silhouette(CurvatureState(q1, q2), geom, spec)
-        name = f"frame_{i:04d}.pgm"
-        write_pgm(img, os.path.join(args.out, name))
-        files.append(name)
+    # Frames are written under a temporary name and renamed only once
+    # every state has rendered, so a failure leaves no frame behind.
+    files, parts = [], []
+    try:
+        for i, (q1, q2) in enumerate(q):
+            try:
+                img = render_silhouette(CurvatureState(q1, q2), geom, spec)
+            except VisionError as e:
+                raise VisionError(f"{args.states} row {i + 1} (q1={q1:g}, "
+                                  f"q2={q2:g}): {e}") from None
+            files.append(f"frame_{i:04d}.pgm")
+            parts.append(os.path.join(args.out, files[-1] + ".part"))
+            write_pgm(img, parts[-1])
+    except BaseException:
+        for part in parts:
+            if os.path.exists(part):
+                os.remove(part)
+        raise
+    for name, part in zip(files, parts):
+        os.replace(part, os.path.join(args.out, name))
     return files
 
 
@@ -287,11 +303,18 @@ def cmd_midline(cfg, args) -> list:
             raise ValueError(f"{paths[name]} and {path} would both write "
                              f"{name}")
         paths[name] = path
+    # Every midline is extracted before any is written.
+    lines = {}
     for name, path in paths.items():
-        cl = extract_midline(binarize(read_pgm(path)), spec,
-                             max_len_mm=geom.length_mm)
+        img = read_pgm(path)
+        try:
+            lines[name] = extract_midline(binarize(img), spec,
+                                          max_len_mm=geom.length_mm)
+        except VisionError as e:
+            raise VisionError(f"{path}: {e}") from None
+    for name, cl in lines.items():
         midline_to_csv(cl, os.path.join(args.out, name))
-    return list(paths)
+    return list(lines)
 
 
 def cmd_report(args) -> int:

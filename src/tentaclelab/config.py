@@ -223,6 +223,9 @@ class RunConfig:
         return replace(material_preset(self.material), **self.sim)
 
     def build_sensor_model(self) -> SensorModel:
+        # A trace holds three pressure columns; SensorModel takes any n.
+        if np.shape(self.sensor["gain"]) != (3, 2):
+            raise ValueError("gain must be a 3x2 matrix")
         return SensorModel(**self.sensor)
 
     def build_train_config(self) -> TrainConfig:
@@ -233,7 +236,6 @@ class RunConfig:
         """The `dataset` section's ramped random-amplitude program."""
         ds = self.dataset
         return ProgramSpec(duration_s=duration_s, dt=ds["dt"],
-                           amplitude_mode="random",
                            rpm_ramp=tuple(ds["rpm_ramp"]), seed=seed)
 
     def build_search_space(self) -> SearchSpace:

@@ -6,10 +6,10 @@ mildly saturating map of the state with additive Gaussian noise; thrust
 is replaced by a reactive proxy proportional to the mean squared
 lateral tip velocity.
 
-`integrate` steps the modal states; `run_trace` adds the world tip and
-thrust from a given step on. `simulate` traces every step, as datasets
-need; a sweep cell integrates every step, since the dynamics need the
-transient, but takes the tip and thrust only from its first scored step.
+`integrate` steps the modal states; `simulate` adds the world tip and
+thrust of every step, as datasets need. A sweep cell integrates every
+step, since the dynamics need the transient, but takes the tip and
+`thrust_series` only from its first scored step.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ __all__ = [
     "SimulationError",
     "ModalRun",
     "integrate",
-    "run_trace",
     "simulate",
     "sensor_readout",
+    "thrust_series",
     "thrust_proxy",
     "world_tip_positions",
     "moving_average",
@@ -90,10 +90,10 @@ class SimParams:
 
 @dataclass(frozen=True)
 class SensorModel:
-    """Pressure transduction model: 3 channels from the 2-D bending state."""
+    """Pressure transduction model: n channels from the 2-D bending state."""
 
-    gain: np.ndarray                       # (3, 2), kPa per rad
-    rate_gain: np.ndarray = None           # (3, 2), kPa*s per rad
+    gain: np.ndarray                       # (n, 2), kPa per rad
+    rate_gain: np.ndarray = None           # (n, 2), kPa*s per rad
     baseline_kpa: float = 101.3
     lag_tau_s: float = 0.02
     sat_kappa: float = 0.0                 # cubic term coefficient, 1/kPa^2
@@ -104,15 +104,15 @@ class SensorModel:
         _check_finite(self, ("baseline_kpa", "lag_tau_s", "sat_kappa",
                              "noise_sigma_kpa"))
         g = np.asarray(self.gain, dtype=float)
-        if g.shape != (3, 2):
-            raise ValueError("gain must be a 3x2 matrix")
-        if np.linalg.matrix_rank(g) < 2:
-            raise ValueError("gain must have rank 2 for the state to be "
-                             "recoverable")
+        if g.ndim != 2 or g.shape[1] != 2 or len(g) < 1:
+            raise ValueError("gain must be an n x 2 matrix, n >= 1")
+        rank = min(len(g), 2)
+        if np.linalg.matrix_rank(g) < rank:
+            raise ValueError(f"gain must have rank min(n, 2) = {rank}")
         rg = self.rate_gain
-        rg = np.zeros((3, 2)) if rg is None else np.asarray(rg, dtype=float)
-        if rg.shape != (3, 2):
-            raise ValueError("rate_gain must be a 3x2 matrix")
+        rg = np.zeros(g.shape) if rg is None else np.asarray(rg, dtype=float)
+        if rg.shape != g.shape:
+            raise ValueError(f"rate_gain must have the gain's shape {g.shape}")
         if self.lag_tau_s < 0 or self.noise_sigma_kpa < 0:
             raise ValueError("lag_tau_s and noise_sigma_kpa must be >= 0")
         if (isinstance(self.seed, bool)
@@ -234,32 +234,17 @@ def integrate(program: ActuationProgram, params: SimParams) -> ModalRun:
     return ModalRun(q, np.ascontiguousarray(record[:, 2:]), dt)
 
 
-def run_trace(program: ActuationProgram, run: ModalRun,
-              geom: TentacleGeometry, start: int) -> SimTrace:
-    """Trace of steps `start`.. of an integrated run.
-
-    The world tip and the thrust proxy are computed for those steps only.
-    Thrust differentiates the tip with np.gradient, so every value but
-    the first (a one-sided difference) equals the full run's bit for bit.
-    """
-    sl = slice(start, None)
-    tip = world_tip_positions(run.q[sl], program.theta_deg[sl], geom)
-    vx = np.gradient(tip[:, 0], run.dt)
-    return SimTrace(time=program.time[sl].copy(),
-                    base_angle_deg=program.theta_deg[sl].copy(),
-                    q=run.q[sl], pressures=np.zeros((len(tip), 3)), tip=tip,
-                    thrust=C_T * vx * vx, dt=run.dt, q_dot=run.q_dot[sl])
-
-
 def simulate(program: ActuationProgram, params: SimParams,
              geom: TentacleGeometry | None = None) -> SimTrace:
     """Full trace of a program: `integrate`, then the world tip and
-    thrust proxy of every step. A sweep cell instead integrates every
-    step but takes the tip and thrust only from its first scored step
-    (`run_trace` with a later start).
-    """
-    return run_trace(program, integrate(program, params),
-                     geom or TentacleGeometry(), 0)
+    thrust proxy of every step."""
+    run = integrate(program, params)
+    tip = world_tip_positions(run.q, program.theta_deg,
+                              geom or TentacleGeometry())
+    return SimTrace(time=program.time, base_angle_deg=program.theta_deg,
+                    q=run.q, pressures=np.zeros((len(tip), 3)), tip=tip,
+                    thrust=thrust_series(tip[:, 0], run.dt), dt=run.dt,
+                    q_dot=run.q_dot)
 
 
 def world_tip_positions(q: np.ndarray, base_angle_deg: np.ndarray,
@@ -282,14 +267,13 @@ def sensor_readout(trace: SimTrace | ModalRun,
     integrated run, in kPa.
 
     p = baseline + lag(G q + G_r q' + kappa (G q)^3, tau) + noise.
-    Deterministic given the model seed. q' is the simulator's `q_dot`;
-    a trace without it, such as one read by `SimTrace.from_csv`, uses
-    the finite difference np.gradient(q, dt, axis=0) instead.
+    Deterministic given the model seed. q' is the simulator's `q_dot`,
+    which a trace read by `SimTrace.from_csv` does not hold.
     """
-    q = trace.q
-    qd = trace.q_dot
+    q, qd = trace.q, trace.q_dot
     if qd is None:
-        qd = np.gradient(q, trace.dt, axis=0)
+        raise ValueError("sensor readout needs the simulated rate q_dot, "
+                         "which a trace read from CSV does not hold")
     u = q @ model.gain.T
     u = u + qd @ model.rate_gain.T + model.sat_kappa * (q @ model.gain.T) ** 3
     if model.lag_tau_s > 0:
@@ -306,22 +290,25 @@ def sensor_readout(trace: SimTrace | ModalRun,
     return model.baseline_kpa + u + noise
 
 
-def thrust_proxy(trace: SimTrace, frequency_hz: float) -> np.ndarray:
-    """Per-cycle mean thrust proxy of a fixed-frequency run, in mN.
+def thrust_series(tip_x: np.ndarray, dt: float) -> np.ndarray:
+    """Instantaneous thrust proxy C_T * vx^2 in mN, vx = np.gradient(tip_x);
+    a series from a later start equals the full run's from its 2nd value."""
+    vx = np.gradient(tip_x, dt)
+    return C_T * vx * vx
 
-    Cycle k holds the steps with floor(time * f) = k. Entry i is the mean
-    of cycle c + i, where c is the cycle of the trace's first step (0 for
-    a whole run), up to the last whole cycle of the run; the final,
-    partial cycle is left out.
+
+def thrust_proxy(thrust: np.ndarray, cycle: np.ndarray) -> np.ndarray:
+    """Per-cycle mean of a thrust series, in mN.
+
+    `cycle` labels each step with its nondecreasing integer cycle. Entry
+    i is the mean of cycle cycle[0] + i, up to the last whole cycle; the
+    final, partial cycle is left out.
     """
-    if frequency_hz <= 0:
-        raise ValueError("frequency must be positive")
-    cycle = np.floor(trace.time * frequency_hz).astype(int)
-    if cycle[-1] < 2:
-        raise ValueError("trace must span at least 2 actuation cycles")
     keep = cycle < cycle[-1]
+    if not keep.any():
+        raise ValueError("thrust needs at least one whole actuation cycle")
     k = cycle[keep] - cycle[0]
-    return np.bincount(k, weights=trace.thrust[keep]) / np.bincount(k)
+    return np.bincount(k, weights=thrust[keep]) / np.bincount(k)
 
 
 def moving_average(series, k: int) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Stands in for the camera pipeline: a known configuration is rendered as
 a dark tapered band on a light background, thresholded, and reduced to
-its midline by per-row boundary averaging. Images travel as PGM files
-(P5 written, P5/P2 read), midlines as CSV.
+its midline by per-row boundary averaging. Images travel as binary
+(P5) PGM files, midlines as CSV.
 """
 
 from __future__ import annotations
@@ -44,10 +44,9 @@ MIDLINE_HEADER = "s,x_mm,y_mm"
 # heading-based fitting wants.
 MIDLINE_POINTS = 50
 
-# PGM header: magic, width, height and maxval, separated by whitespace
+# P5 header: magic, width, height and maxval, separated by whitespace
 # and '#' comment lines, then one whitespace byte before the pixels.
-_PGM_HEADER = re.compile(rb"(P[25])" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3
-                         + rb"\s")
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
 class VisionError(RuntimeError):
@@ -237,30 +236,20 @@ def write_pgm(pixels: np.ndarray, path) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a P5 or P2 PGM file as a (height, width) uint8 frame of at
+    """Read a binary (P5) PGM file as a (height, width) uint8 frame of at
     least 16x16 px; ImageSpec describes its camera."""
     with open(path, "rb") as f:
         data = f.read()
     m = _PGM_HEADER.match(data)
     if m is None:
         raise VisionError(f"not a PGM file or malformed PGM header: {path}")
-    w, h, maxval = (int(v) for v in m.group(2, 3, 4))
+    w, h, maxval = (int(v) for v in m.groups())
     if maxval != 255:
         raise VisionError(f"only maxval 255 PGM is supported: {path}")
     if w < 16 or h < 16:
         raise VisionError(f"PGM is {w}x{h} px; at least 16x16 is needed: "
                           f"{path}")
-    payload = data[m.end():]
-    if m[1] == b"P5":
-        pix = np.frombuffer(payload, dtype=np.uint8)
-    else:
-        try:
-            pix = np.array(payload.split(), dtype=int)
-        except (ValueError, OverflowError):
-            raise VisionError(f"PGM sample is not an integer: {path}") \
-                from None
-        if np.any((pix < 0) | (pix > maxval)):
-            raise VisionError(f"PGM sample outside [0, {maxval}]: {path}")
+    pix = np.frombuffer(data[m.end():], dtype=np.uint8)
     if pix.size != w * h:
         raise VisionError(f"PGM payload holds {pix.size} samples, "
                           f"{w}x{h} px need {w * h}: {path}")

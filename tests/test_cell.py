@@ -36,7 +36,8 @@ def reference_cell(cfg, f, A, weights=None):
         tipx = world_tip_positions(q, trace.base_angle_deg, geom)[:, 0]
     modes = cod(field_from_states(q[win.start:win.stop:win.step], geom,
                                   sw["n_stations"], params.dt * win.step))
-    cyc = thrust_proxy(trace, f)[sw["transient_cycles"]:]
+    cycle = np.floor(trace.time * f).astype(int)
+    cyc = thrust_proxy(trace.thrust, cycle)[sw["transient_cycles"]:]
     return CellResult(field_twi(modes),
                       tip_deflection(tipx[win.start:], geom.length_mm),
                       float(moving_average(cyc, 3).mean()), modes)

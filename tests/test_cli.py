@@ -8,6 +8,7 @@ from tentaclelab import cli
 from tentaclelab.bayesopt import EvalRecord
 from tentaclelab.cli import main
 from tentaclelab.config import CONFIG_SCHEMA, default_config
+from tentaclelab.vision import write_pgm
 
 FAST_CONFIG = {
     "schema": CONFIG_SCHEMA,
@@ -412,6 +413,9 @@ COMPONENT_ERRORS = {
                                              "budget": 12}),
     "sensor_string_baseline": ("sensor", {"baseline_kpa": "x"}),
     "sensor_nan_sat_kappa": ("sensor", {"sat_kappa": float("nan")}),
+    # SensorModel takes any (n, 2) gain; a trace holds three pressures.
+    "sensor_four_channel_gain": ("sensor", {"gain": [[9.0, 2.5], [-5.0, 6.0],
+                                                     [2.0, -7.5], [4.0, 8.0]]}),
 }
 
 
@@ -548,6 +552,34 @@ class TestRenderMidline:
         assert capsys.readouterr().err == (
             f"error: {images[0]} and {images[1]} would both write "
             "frame_0000_midline.csv\n")
+        assert os.listdir(out) == []
+
+    def test_state_out_of_frame_leaves_no_frame(self, tmp_path, capsys,
+                                                fast_config):
+        states, out = tmp_path / "states.csv", tmp_path / "frames"
+        states.write_text("q1,q2\n0.5,-0.2\n3.0,3.0\n-0.3,0.1\n")
+        assert main(["render", "--config", fast_config, "--states",
+                     str(states), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {states} row 2 (q1=3, q2=3): configuration leaves the "
+            "frame")
+        assert os.listdir(out) == []
+
+    def test_blank_image_leaves_no_midline(self, tmp_path, capsys,
+                                           fast_config):
+        states = tmp_path / "states.csv"
+        states.write_text("q1,q2\n0.5,-0.2\n")
+        frames = tmp_path / "frames"
+        assert main(["render", "--config", fast_config, "--states",
+                     str(states), "--out", str(frames)]) == 0
+        # Sorted after the good frame, so that one is extracted first.
+        blank = tmp_path / "z_blank.pgm"
+        write_pgm(np.full((560, 960), 230, dtype=np.uint8), blank)
+        out = tmp_path / "mid"
+        assert main(["midline", "--config", fast_config, "--images",
+                     str(frames / "frame_0000.pgm"), str(blank),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {blank}: ")
         assert os.listdir(out) == []
 
     def test_malformed_pgm_exits_2_naming_file(self, tmp_path, capsys,

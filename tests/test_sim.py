@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +7,16 @@ from tentaclelab.actuation import ActuationProgram, ProgramSpec, build_program
 from tentaclelab.sim import (TRACE_HEADER, SensorModel, SimParams, SimTrace,
                              SimulationError, default_sensor_model,
                              integrate, material_preset, moving_average,
-                             preset_epochs, run_trace, sensor_readout,
-                             simulate, thrust_proxy)
+                             preset_epochs, sensor_readout, simulate,
+                             thrust_proxy, thrust_series,
+                             world_tip_positions)
 from tentaclelab.kinematics import TentacleGeometry, tip_positions
 
 LINEAR = SimParams(f0_hz=3.2, zeta=0.2, quad_drag=0.0, vel_coupling=0.0)
+
+
+def cycle_labels(trace, f):
+    return np.floor(trace.time * f).astype(int)
 
 
 def program_from_theta(theta_deg, dt):
@@ -112,9 +116,8 @@ class TestSimulate:
             simulate(prog, SimParams())
 
     def test_determinism(self):
-        prog = build_program(ProgramSpec(duration_s=5.0, dt=0.005,
-                                         amplitude_mode="random", seed=2,
-                                         frequency_hz=2.0))
+        prog = build_program(ProgramSpec(duration_s=5.0, dt=0.005, seed=2,
+                                         rpm_ramp=(12.0, 80.0)))
         a = simulate(prog, SimParams())
         b = simulate(prog, SimParams())
         assert np.array_equal(a.q, b.q)
@@ -166,8 +169,7 @@ class TestReferenceLoop:
         material_preset("dragonskin"), material_preset("ecoflex"),
         SimParams(quad_drag=0.0)], ids=["dragonskin", "ecoflex", "linear"])
     def test_bit_identical(self, params):
-        prog = build_program(ProgramSpec(duration_s=20.0, dt=0.005,
-                                         amplitude_mode="random", seed=4,
+        prog = build_program(ProgramSpec(duration_s=20.0, dt=0.005, seed=4,
                                          rpm_ramp=(12.0, 80.0)))
         trace = simulate(prog, params)
         q, qd, tip, thrust = reference_simulate(prog, params)
@@ -209,18 +211,16 @@ class TestTrace:
         assert np.allclose(back.tip, trace.tip, rtol=1e-9)
         assert back.dt == pytest.approx(trace.dt)
 
-    def test_csv_trace_reads_out_through_the_gradient_of_q(self, tmp_path):
-        # The CSV holds no q_dot, so the rate term differentiates q.
+    def test_csv_trace_readout_names_q_dot(self, tmp_path):
+        # The CSV holds no q_dot, and q' has no other source.
         prog = build_program(ProgramSpec(duration_s=2.0, dt=0.005,
                                          frequency_hz=2.0))
         p = tmp_path / "trace.csv"
         simulate(prog, SimParams()).to_csv(p)
         back = SimTrace.from_csv(p)
         assert back.q_dot is None
-        model = default_sensor_model()
-        with_rate = replace(back, q_dot=np.gradient(back.q, back.dt, axis=0))
-        assert np.array_equal(sensor_readout(back, model),
-                              sensor_readout(with_rate, model))
+        with pytest.raises(ValueError, match="q_dot"):
+            sensor_readout(back, default_sensor_model())
 
     @staticmethod
     def _trace(rows):
@@ -320,6 +320,32 @@ class TestSensorReadout:
         with pytest.raises(ValueError):
             SensorModel(gain=np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
 
+    @pytest.mark.parametrize("gain", [
+        [[9.0, 2.5]],
+        [[9.0, 2.5], [-5.0, 6.0], [2.0, -7.5], [4.0, 8.0]]],
+        ids=["1x2", "4x2"])
+    def test_any_channel_count(self, gain):
+        g = np.array(gain)
+        assert SensorModel(gain=g).rate_gain.shape == g.shape
+        q = np.random.default_rng(2).normal(0.0, 0.5, (60, 2))
+        p = sensor_readout(self.make_trace(q), self.clean_model(
+            gain=g, rate_gain=np.zeros(g.shape)))
+        assert np.allclose(p, 100.0 + q @ g.T, atol=1e-12)
+
+    @pytest.mark.parametrize("gain", [
+        [[0.0, 0.0]],
+        [[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [-1.0, -2.0]]],
+        ids=["1x2_rank0", "4x2_rank1"])
+    def test_gain_below_rank_min_n_2_rejected(self, gain):
+        with pytest.raises(ValueError, match=r"rank min\(n, 2\)"):
+            SensorModel(gain=np.array(gain))
+
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 3), (2,)])
+    def test_rate_gain_of_another_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="rate_gain must have the gain's "
+                                             r"shape \(3, 2\)"):
+            self.clean_model(rate_gain=np.zeros(shape))
+
 
 class TestThrust:
     def test_static_zero(self):
@@ -336,19 +362,29 @@ class TestThrust:
                                              amplitude_deg=A,
                                              frequency_hz=2.0))
             trace = simulate(prog, LINEAR)
-            cyc = thrust_proxy(trace, 2.0)
+            cyc = thrust_proxy(trace.thrust, cycle_labels(trace, 2.0))
             out.append(cyc[4:].mean())
         assert out[1] / out[0] == pytest.approx(4.0, rel=0.1)
 
     def test_too_short_trace(self):
+        # 0.5 s at 2 Hz: every step lies in cycle 0, which never ends.
         prog = program_from_theta(np.zeros(100), 0.005)
         trace = simulate(prog, SimParams())
-        with pytest.raises(ValueError, match="trace must span at least 2 "
-                                             "actuation cycles"):
-            thrust_proxy(trace, 2.0)
+        with pytest.raises(ValueError, match="at least one whole actuation "
+                                             "cycle"):
+            thrust_proxy(trace.thrust, cycle_labels(trace, 2.0))
+
+    def test_means_per_cycle_from_first_label(self):
+        thrust = np.array([1.0, 3.0, 2.0, 4.0, 6.0, 10.0, 20.0, 7.0, 9.0])
+        cycle = np.array([3, 3, 4, 4, 4, 5, 5, 6, 6])
+        # Entry i is cycle 3 + i; the partial cycle 6 is left out.
+        assert np.array_equal(thrust_proxy(thrust, cycle), [2.0, 4.0, 15.0])
 
 
 class TestRunTrace:
+    """Steps of an integrated run taken from a later start, as a sweep
+    cell takes them, equal the full trace's."""
+
     def setup_method(self):
         self.prog = build_program(ProgramSpec(
             duration_s=3.0, dt=0.005, amplitude_deg=20.0, frequency_hz=2.0))
@@ -358,16 +394,19 @@ class TestRunTrace:
     def test_later_start_matches_full_trace(self):
         # Step 130 lies in cycle 1 (t = 0.65 s at 2 Hz); only its own
         # thrust is a one-sided difference.
-        part = run_trace(self.prog, self.run, TentacleGeometry(), 130)
-        assert np.array_equal(part.time, self.full.time[130:])
-        assert np.array_equal(part.q, self.full.q[130:])
-        assert np.array_equal(part.tip, self.full.tip[130:])
-        assert np.array_equal(part.thrust[1:], self.full.thrust[131:])
-        assert part.thrust[0] != self.full.thrust[130]
-        # Entry i of the per-cycle means is cycle 1 + i.
-        cyc = thrust_proxy(part, 2.0)
-        assert len(cyc) == len(thrust_proxy(self.full, 2.0)) - 1
-        assert np.array_equal(cyc[1:], thrust_proxy(self.full, 2.0)[2:])
+        assert np.array_equal(self.run.q, self.full.q)
+        tip = world_tip_positions(self.run.q[130:], self.prog.theta_deg[130:],
+                                  TentacleGeometry())
+        thrust = thrust_series(tip[:, 0], self.run.dt)
+        assert np.array_equal(tip, self.full.tip[130:])
+        assert np.array_equal(thrust[1:], self.full.thrust[131:])
+        assert thrust[0] != self.full.thrust[130]
+        # From the first step of cycle 2 on, the per-cycle means are the
+        # full run's from entry 2.
+        cycle = cycle_labels(self.full, 2.0)
+        k = int(np.searchsorted(cycle, 2))
+        assert np.array_equal(thrust_proxy(thrust[k - 130:], cycle[k:]),
+                              thrust_proxy(self.full.thrust, cycle)[2:])
 
     def test_readout_of_run_equals_readout_of_trace(self):
         model = default_sensor_model(seed=2)
