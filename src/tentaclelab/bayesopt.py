@@ -1,9 +1,10 @@
 """Gaussian-process Bayesian optimization over actuation parameters.
 
-A squared-exponential GP with fixed hyperparameters is fit to observed
-(frequency, amplitude) -> objective evaluations; the next point is the
+A squared-exponential GP with fixed hyperparameters is fit to the
+objective at the evaluated cells of a fixed (frequency, amplitude)
+candidate grid, in the grid's unit-box coordinates; the next cell is the
 argmax of an exploration-weighted blend of min-max normalized posterior
-mean and standard deviation over a fixed candidate grid.
+mean and standard deviation over the grid.
 """
 
 from __future__ import annotations
@@ -87,12 +88,10 @@ class GPosterior:
     """Exact GP posterior with fixed SE kernel on unit-box inputs."""
 
     X: np.ndarray                 # (n, 2) unit coordinates
-    y: np.ndarray                 # (n,) standardized observations
     y_mean: float
     y_std: float
     chol: tuple = field(repr=False, default=None)
     alpha: np.ndarray = field(repr=False, default=None)
-    space: SearchSpace = None
 
 
 def _kernel(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -100,21 +99,19 @@ def _kernel(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * d2 / _LENGTH_SCALE ** 2)
 
 
-def gp_fit(records, space: SearchSpace) -> GPosterior:
-    """Fit the fixed-hyperparameter GP to a nonempty record list.
+def gp_fit(X: np.ndarray, y: np.ndarray) -> GPosterior:
+    """Fit the fixed-hyperparameter GP to observations y at (n, 2) unit-box
+    points X, n >= 1.
 
     Observations are standardized; the kernel matrix gets 1e-8 jitter,
     escalating tenfold until the Cholesky factorization succeeds.
     """
-    if not records:
-        raise ValueError("gp_fit needs at least one record")
-    X = space.to_unit([r.f for r in records], [r.A for r in records])
-    y_raw = np.array([r.objective for r in records])
-    y_mean = float(y_raw.mean())
-    y_std = float(y_raw.std())
+    if len(X) == 0:
+        raise ValueError("gp_fit needs at least one observation")
+    y_mean = float(y.mean())
+    y_std = float(y.std())
     if y_std == 0.0:
         y_std = 1.0
-    y = (y_raw - y_mean) / y_std
     K = _kernel(X, X) + _NOISE_VAR * np.eye(len(X))
     jitter = 1e-8
     while True:
@@ -125,14 +122,12 @@ def gp_fit(records, space: SearchSpace) -> GPosterior:
             jitter *= 10.0
             if jitter > 1.0:
                 raise
-    alpha = cho_solve(c, y)
-    return GPosterior(X=X, y=y, y_mean=y_mean, y_std=y_std,
-                      chol=c, alpha=alpha, space=space)
+    alpha = cho_solve(c, (y - y_mean) / y_std)
+    return GPosterior(X=X, y_mean=y_mean, y_std=y_std, chol=c, alpha=alpha)
 
 
-def gp_predict(post: GPosterior, cand: np.ndarray) -> tuple:
-    """Posterior mean and standard deviation at raw (f, A) candidates."""
-    Xc = post.space.to_unit(cand[:, 0], cand[:, 1])
+def gp_predict(post: GPosterior, Xc: np.ndarray) -> tuple:
+    """Posterior mean and standard deviation at (m, 2) unit-box points."""
     Ks = _kernel(Xc, post.X)
     mu = Ks @ post.alpha
     v = cho_solve(post.chol, Ks.T)
@@ -186,14 +181,17 @@ def optimize(objective_fn, space: SearchSpace, budget: int,
     init = [min(int(ua * n_A), n_A - 1) * _GRID_F
             + int(np.argmin(np.abs(fs - (lo + uf * (hi - lo)))))
             for uf, ua in qmc.Halton(d=2, seed=seed).random(_N_INIT)]
+    unit = space.to_unit(grid[:, 0], grid[:, 1])
     masked = np.zeros(len(grid), dtype=bool)
-    history, last_error = [], None
+    history, done, last_error = [], [], None
     for n in range(budget):
         if n < _N_INIT:
             k = init[n]
         else:
             if history:
-                mu, sig = gp_predict(gp_fit(history, space), grid)
+                post = gp_fit(unit[done],
+                              np.array([r.objective for r in history]))
+                mu, sig = gp_predict(post, unit)
             else:
                 mu, sig = np.zeros(len(grid)), np.ones(len(grid))
             live = np.flatnonzero(~masked)
@@ -206,6 +204,7 @@ def optimize(objective_fn, space: SearchSpace, budget: int,
             masked[k] = True
             continue
         history.append(EvalRecord(f=f, A=A, objective=float(y)))
+        done.append(k)
     if not history:
         raise OptimizationError(
             f"all {budget} objective evaluations failed; last error: "

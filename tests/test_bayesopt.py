@@ -7,10 +7,6 @@ from tentaclelab.bayesopt import (EvalRecord, SearchSpace, acquisition,
 SPACE = SearchSpace()
 
 
-def records_from(fn, pts):
-    return [EvalRecord(f=f, A=A, objective=fn(f, A)) for f, A in pts]
-
-
 class TestSearchSpace:
     def test_grid_shape(self):
         g = SPACE.grid()
@@ -40,22 +36,28 @@ class TestEvalRecord:
             EvalRecord(f=1.0, A=20.0, objective=np.nan)
 
 
+def unit_points(pts):
+    return SPACE.to_unit([f for f, _ in pts], [A for _, A in pts])
+
+
+def objectives(fn, pts):
+    return np.array([fn(f, A) for f, A in pts])
+
+
 class TestGP:
     def test_mean_interpolates_data(self):
-        recs = records_from(lambda f, A: np.sin(f) + A / 30.0,
-                            [(0.5, 10.0), (1.5, 20.0), (2.5, 30.0),
-                             (3.0, 10.0)])
-        post = gp_fit(recs, SPACE)
-        cand = np.array([[r.f, r.A] for r in recs])
-        mu, sigma = gp_predict(post, cand)
-        y = np.array([r.objective for r in recs])
+        pts = [(0.5, 10.0), (1.5, 20.0), (2.5, 30.0), (3.0, 10.0)]
+        X = unit_points(pts)
+        y = objectives(lambda f, A: np.sin(f) + A / 30.0, pts)
+        post = gp_fit(X, y)
+        mu, sigma = gp_predict(post, X)
         assert np.allclose(mu, y, atol=1e-2 * np.ptp(y) + 1e-8)
         assert np.all(sigma < 0.05 * post.y_std + 1e-8)
 
     def test_far_point_reverts_to_prior(self):
-        recs = records_from(lambda f, A: f, [(0.4, 10.0), (0.5, 10.0)])
-        post = gp_fit(recs, SPACE)
-        mu, sigma = gp_predict(post, np.array([[3.2, 30.0]]))
+        pts = [(0.4, 10.0), (0.5, 10.0)]
+        post = gp_fit(unit_points(pts), objectives(lambda f, A: f, pts))
+        mu, sigma = gp_predict(post, unit_points([(3.2, 30.0)]))
         # Far from the data the posterior reverts to the observation mean
         # with full prior spread.
         assert mu[0] == pytest.approx(post.y_mean, abs=0.01 * post.y_std)
@@ -63,33 +65,29 @@ class TestGP:
 
     def test_brute_force_solve(self):
         rng = np.random.default_rng(0)
-        pts = [(float(f), float(A)) for f, A in
-               zip(rng.uniform(0.32, 3.2, 6),
-                   rng.choice([10.0, 20.0, 30.0], 6))]
-        recs = records_from(lambda f, A: np.cos(2 * f) * A, pts)
-        post = gp_fit(recs, SPACE)
-        X = SPACE.to_unit([p[0] for p in pts], [p[1] for p in pts])
+        X = np.column_stack([rng.uniform(0.0, 1.0, 6),
+                             rng.choice([0.0, 0.5, 1.0], 6)])
+        y = np.cos(2 * X[:, 0]) * X[:, 1]
+        post = gp_fit(X, y)
         d2 = ((X[:, None] - X[None]) ** 2).sum(axis=2)
         K = np.exp(-0.5 * d2 / 0.04) + 1e-4 * np.eye(6) + 1e-8 * np.eye(6)
-        y = np.array([r.objective for r in recs])
         yn = (y - y.mean()) / y.std()
         alpha = np.linalg.solve(K, yn)
-        cand = np.array([[1.0, 20.0], [2.7, 30.0]])
-        Xc = SPACE.to_unit(cand[:, 0], cand[:, 1])
+        Xc = np.array([[0.2, 0.5], [0.8, 1.0]])
         d2c = ((Xc[:, None] - X[None]) ** 2).sum(axis=2)
         mu_ref = np.exp(-0.5 * d2c / 0.04) @ alpha * y.std() + y.mean()
-        mu, _ = gp_predict(post, cand)
+        mu, _ = gp_predict(post, Xc)
         assert np.allclose(mu, mu_ref, atol=1e-9)
 
     def test_constant_observations(self):
-        recs = records_from(lambda f, A: 2.0, [(0.5, 10.0), (1.5, 20.0)])
-        post = gp_fit(recs, SPACE)
-        mu, _ = gp_predict(post, np.array([[1.0, 10.0]]))
+        pts = [(0.5, 10.0), (1.5, 20.0)]
+        post = gp_fit(unit_points(pts), objectives(lambda f, A: 2.0, pts))
+        mu, _ = gp_predict(post, unit_points([(1.0, 10.0)]))
         assert mu[0] == pytest.approx(2.0, abs=1e-6)
 
     def test_empty_records(self):
         with pytest.raises(ValueError):
-            gp_fit([], SPACE)
+            gp_fit(np.empty((0, 2)), np.empty(0))
 
 
 class TestAcquisition:
