@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import qmc
 
 __all__ = [
     "OptimizationError",
@@ -163,24 +162,20 @@ def optimize(objective_fn, space: SearchSpace, budget: int,
     """Maximize objective_fn(f, A) -> float over the candidate grid;
     returns (best EvalRecord, history list).
 
-    The first three evaluations take seeded Halton points, each snapped
-    to the grid cell of its amplitude block and nearest frequency; every
-    later one fits the GP to all successful evaluations and takes the
-    acquisition argmax. An objective_fn call that fails (ValueError,
-    ArithmeticError or RuntimeError, which includes SimulationError) is
-    masked: the cell is excluded from the grid and from the history, and
-    the loop continues; any other exception is a bug and propagates. If
-    every evaluation fails, OptimizationError names the count and the
-    last error.
+    The first three evaluations take three distinct grid cells drawn at
+    random from `seed`; every later one fits the GP to all successful
+    evaluations and takes the acquisition argmax. An objective_fn call
+    that fails (ValueError, ArithmeticError or RuntimeError, which
+    includes SimulationError) is masked: the cell is excluded from the
+    grid and from the history, and the loop continues; any other
+    exception is a bug and propagates. If every evaluation fails,
+    OptimizationError names the count and the last error.
     """
     if budget < _N_INIT:
         raise ValueError(f"budget must be at least {_N_INIT}")
     grid = space.grid()
-    lo, hi = space.f_range
-    fs, n_A = grid[:_GRID_F, 0], len(space.A_set)
-    init = [min(int(ua * n_A), n_A - 1) * _GRID_F
-            + int(np.argmin(np.abs(fs - (lo + uf * (hi - lo)))))
-            for uf, ua in qmc.Halton(d=2, seed=seed).random(_N_INIT)]
+    init = np.random.default_rng(seed).choice(len(grid), _N_INIT,
+                                              replace=False)
     unit = space.to_unit(grid[:, 0], grid[:, 1])
     masked = np.zeros(len(grid), dtype=bool)
     history, done, last_error = [], [], None

@@ -182,8 +182,7 @@ def evaluate_cell(cfg: RunConfig, f: float, A: float,
         frequency_hz=f))
     run = integrate(prog, params)
     win = cell_window(sw, f, params.dt)
-    cycle = np.floor(prog.time * f).astype(int)
-    k_tc = int(np.searchsorted(cycle, sw["transient_cycles"]))
+    k_tc = int(np.searchsorted(prog.cycle_index, sw["transient_cycles"]))
     s0 = max(0, min(win.start, k_tc - 1))
     theta = prog.theta_deg[s0:]
     tipx = world_tip_positions(run.q[s0:], theta, geom)[:, 0]
@@ -194,7 +193,7 @@ def evaluate_cell(cfg: RunConfig, f: float, A: float,
         tipx = world_tip_positions(q[s0:], theta, geom)[:, 0]
     modes = cod(field_from_states(q[win.start:win.stop:win.step], geom,
                                   sw["n_stations"], params.dt * win.step))
-    cyc = thrust_proxy(thrust[k_tc - s0:], cycle[k_tc:])
+    cyc = thrust_proxy(thrust[k_tc - s0:], prog.cycle_index[k_tc:])
     return CellResult(field_twi(modes),
                       tip_deflection(tipx[win.start - s0:], geom.length_mm),
                       float(moving_average(cyc, 3).mean()), modes)

@@ -9,7 +9,7 @@ its midline by per-row boundary averaging. Images travel as binary
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
@@ -72,9 +72,7 @@ class ImageSpec:
 def _centerline_px(q: CurvatureState, geom: TentacleGeometry,
                    spec: ImageSpec, n: int):
     """Dense centerline in pixel coordinates plus per-point half-width (px)."""
-    dense = TentacleGeometry(length_mm=geom.length_mm, n_samples=n,
-                             root_diameter_mm=geom.root_diameter_mm)
-    pts = sample_centerline(q, dense)            # (n, 2) mm, (x, y)
+    pts = sample_centerline(q, replace(geom, n_samples=n))    # (n, 2) mm
     s = np.linspace(0.0, 1.0, n)
     half_mm = 0.5 * geom.root_diameter_mm * (1.0 - (1.0 - _TIP_TAPER) * s)
     col = spec.origin_px[0] + pts[:, 0] / spec.scale_mm_per_px

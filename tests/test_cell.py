@@ -36,8 +36,7 @@ def reference_cell(cfg, f, A, weights=None):
         tipx = world_tip_positions(q, trace.base_angle_deg, geom)[:, 0]
     modes = cod(field_from_states(q[win.start:win.stop:win.step], geom,
                                   sw["n_stations"], params.dt * win.step))
-    cycle = np.floor(trace.time * f).astype(int)
-    cyc = thrust_proxy(trace.thrust, cycle)[sw["transient_cycles"]:]
+    cyc = thrust_proxy(trace.thrust, prog.cycle_index)[sw["transient_cycles"]:]
     return CellResult(field_twi(modes),
                       tip_deflection(tipx[win.start:], geom.length_mm),
                       float(moving_average(cyc, 3).mean()), modes)
@@ -62,9 +61,11 @@ def weights():
 
 
 def first_post_transient_step(cfg, f):
-    n = int(round(cfg.sweep["cycles"] / f / cfg.build_sim_params().dt))
-    t = np.arange(n) * cfg.build_sim_params().dt
-    return int(np.searchsorted(np.floor(t * f), cfg.sweep["transient_cycles"]))
+    prog = build_program(ProgramSpec(
+        duration_s=cfg.sweep["cycles"] / f, dt=cfg.build_sim_params().dt,
+        amplitude_deg=20.0, frequency_hz=f))
+    return int(np.searchsorted(prog.cycle_index,
+                               cfg.sweep["transient_cycles"]))
 
 
 # Off-grid frequencies (Hz): at 0.45 and 1.5 the field window starts one

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -618,3 +620,12 @@ class TestUsage:
 
     def test_missing_required_arg(self):
         assert main(["train", "--out", "x"]) == 1
+
+    def test_import_leaves_scipy_stats_out(self):
+        # Every command pays for what importing the CLI loads.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = ("import sys, tentaclelab.cli; "
+                "sys.exit('scipy.stats' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code],
+                              env=env).returncode == 0
