@@ -177,11 +177,9 @@ class TestOptimize:
         with pytest.raises(RuntimeError):
             optimize(broken, SPACE, budget=4, seed=0)
 
-    @staticmethod
-    def first_three(seed):
-        return [(r.f, r.A) for r in
-                optimize(TestOptimize.parabola, SPACE, budget=3,
-                         seed=seed)[1]]
+    def first_three(self, seed):
+        _, hist = optimize(self.parabola, SPACE, budget=3, seed=seed)
+        return [(r.f, r.A) for r in hist]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_seeded_design_points(self, seed):
