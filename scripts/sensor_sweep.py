@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Sensor-count experiment: test NRMSE vs number of pressure channels.
 
-Trains the sequence regressor on synthetic datasets with 1 to 4 pressure
-channels and reports the test reconstruction NRMSE for each count. One
-channel is rank-deficient (both bending coordinates alias onto a single
-pressure), so its error stays high; two or more channels make the state
-observable and the error drops sharply.
+Trains the sequence regressor on the default `dataset` ramp read through
+1 to 4 pressure channels, without the saturation term, and reports the
+test reconstruction NRMSE for each count. One channel is rank-deficient
+(both bending coordinates alias onto a single pressure), so its error
+stays high; two or more channels make the state observable and the error
+drops sharply.
 
 Usage: python3 scripts/sensor_sweep.py [--out DIR] [--duration S]
 """
@@ -14,31 +15,20 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from tentaclelab.cli import simulate_ramp
-from tentaclelab.config import default_config
+from tentaclelab.config import RunConfig, default_config
+from tentaclelab.csvio import write_csv
 from tentaclelab.fitting import nrmse
 from tentaclelab.plotting import line_plot_svg
-from tentaclelab.regressor import LabeledSequence, TrainConfig, forward, train
-from tentaclelab.sim import default_sensor_model, sensor_readout
+from tentaclelab.regressor import LabeledSequence, forward, train
 
-# The default three-channel sensor model plus one more channel; channel
-# subsets take the leading rows. The first row alone is rank 1, so the
-# one-channel case is unobservable.
-SENSOR = default_sensor_model()
-MASTER_GAIN = np.vstack([SENSOR.gain, [4.0, 8.0]])
-MASTER_RATE = np.vstack([SENSOR.rate_gain, [0.05, 0.06]])
-
-
-def channel_readout(trace, n_channels: int, seed: int) -> np.ndarray:
-    """Pressure series for the first n rows of the master sensor map,
-    without the saturation term."""
-    return sensor_readout(trace, replace(
-        SENSOR, gain=MASTER_GAIN[:n_channels],
-        rate_gain=MASTER_RATE[:n_channels], sat_kappa=0.0, seed=seed))
+# The default sensor's three rows plus a fourth; n channels take the
+# leading n rows. The first row alone is rank 1.
+GAIN = default_config().sensor["gain"] + [[4.0, 8.0]]
+RATE_GAIN = default_config().sensor["rate_gain"] + [[0.05, 0.06]]
 
 
 def main(argv=None) -> int:
@@ -51,31 +41,24 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
 
-    # States of the default `dataset` ramp; channel_readout reads them
-    # through each channel subset.
-    traces = {"train": simulate_ramp(default_config(), args.duration, 0),
-              "test": simulate_ramp(default_config(), 0.4 * args.duration, 1)}
-
     rows = []
     for n in (1, 2, 3, 4):
         t0 = time.time()
-        p_train = channel_readout(traces["train"], n, seed=0)
-        p_test = channel_readout(traces["test"], n, seed=1)
-        cfg = TrainConfig(epochs=args.epochs)
-        w, _ = train([LabeledSequence(p_train, traces["train"].q,
-                                      traces["train"].dt)], cfg)
-        pred = forward(w, p_test)
-        truth = traces["test"].q
-        nr = [nrmse(pred[:, j], truth[:, j]) for j in range(2)]
+        cfg = RunConfig(sensor={"gain": GAIN[:n], "rate_gain": RATE_GAIN[:n],
+                                "sat_kappa": 0.0},
+                        train={"epochs": args.epochs})
+        tr = simulate_ramp(cfg, args.duration, cfg.dataset["train_seed"])
+        te = simulate_ramp(cfg, 0.4 * args.duration, cfg.dataset["test_seed"])
+        w, _ = train([LabeledSequence(tr.pressures, tr.q, tr.dt)],
+                     cfg.build_train_config())
+        pred = forward(w, te.pressures)
+        nr = [nrmse(pred[:, j], te.q[:, j]) for j in range(2)]
         rows.append((n, nr[0], nr[1]))
         print(f"channels={n}: test NRMSE {nr[0]:.2f}% / {nr[1]:.2f}% "
               f"({time.time() - t0:.0f}s)")
 
     csv_path = os.path.join(args.out, "sensor_sweep.csv")
-    with open(csv_path, "w") as f:
-        f.write("n_channels,nrmse_seg1_pct,nrmse_seg2_pct\n")
-        for n, a, b in rows:
-            f.write(f"{n},{a:.10g},{b:.10g}\n")
+    write_csv(csv_path, "n_channels,nrmse_seg1_pct,nrmse_seg2_pct", rows)
     arr = np.array(rows)
     line_plot_svg({"segment 1": (arr[:, 0], arr[:, 1]),
                    "segment 2": (arr[:, 0], arr[:, 2])},

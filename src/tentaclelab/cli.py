@@ -2,11 +2,11 @@
 metric sweeps, actuation optimization, rendering, and report assembly.
 
 Every command is driven by a JSON RunConfig and writes a manifest with
-the config hash, so reruns are bit-identical and traceable. `main` loads
-and checks the config, checks that every input file exists, creates
-`--out`, runs `cmd_<name>(cfg, args)`, which returns the files it wrote,
-and writes the manifest; `report` only reads a run directory. Exit codes:
-0 success, 1 usage/config error, 2 runtime/numerical error.
+the config hash, so reruns are bit-identical and traceable. `main` checks
+the config and its input files, loads `--weights` as `args.model`,
+creates `--out`, runs `cmd_<name>(cfg, args)`, which returns the files
+it wrote, and writes the manifest; `report` only reads a run directory.
+Exit codes: 0 success, 1 usage/config error, 2 runtime/numerical error.
 
 `metrics` and `optimize` score each actuation cell with `evaluate_cell`,
 which integrates every step of the cell but takes the world tip and the
@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +28,7 @@ from .actuation import ProgramSpec, build_program
 from .bayesopt import OptimizationError, optimize
 from .config import CONFIG_SCHEMA, ConfigError, RunConfig, cell_window, \
     config_hash, default_config
+from .csvio import read_csv, write_csv
 from .fitting import fit_report, poly_centerline, poly_targets
 from .kinematics import CurvatureState, sample_centerline, tip_positions
 from .plotting import line_plot_svg, overlay_svg
@@ -47,13 +49,6 @@ def _write_json(path, doc) -> None:
     with open(path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(",".join(f"{v:.10g}" for v in row) + "\n")
 
 
 # Flags that each override one config key, folded in before validation
@@ -80,12 +75,12 @@ def _load_config(args) -> RunConfig:
 
 
 def simulate_ramp(cfg: RunConfig, duration: float, seed: int) -> SimTrace:
-    """The `dataset` program of `duration` seconds, simulated and read out
-    through the configured sensors."""
+    """The `dataset` program of `duration` seconds for split seed `seed`,
+    read out by the configured sensors with noise seed sensor.seed + seed."""
     trace = simulate(build_program(cfg.build_ramp_spec(duration, seed)),
                      cfg.build_sim_params(), cfg.build_geometry())
-    pressures = sensor_readout(trace, cfg.build_sensor_model())
-    return trace.with_pressures(pressures)
+    model = replace(cfg.build_sensor_model(), seed=cfg.sensor["seed"] + seed)
+    return replace(trace, pressures=sensor_readout(trace, model))
 
 
 def _targets_for(cfg, trace) -> np.ndarray:
@@ -96,13 +91,11 @@ def _targets_for(cfg, trace) -> np.ndarray:
 
 def cmd_dataset(cfg, args) -> list:
     ds = cfg.dataset
-    files = []
     for split in ("train", "test"):
         trace = simulate_ramp(cfg, ds[f"{split}_duration_s"],
                               ds[f"{split}_seed"])
         trace.to_csv(os.path.join(args.out, f"{split}.csv"))
-        files.append(f"{split}.csv")
-    return files
+    return ["train.csv", "test.csv"]
 
 
 def cmd_train(cfg, args) -> list:
@@ -112,8 +105,8 @@ def cmd_train(cfg, args) -> list:
                           trace.dt)
     weights, history = train([seq], cfg.build_train_config())
     save_weights(weights, os.path.join(out, "weights.json"))
-    _write_csv(os.path.join(out, "loss_history.csv"), "epoch,loss",
-               enumerate(history))
+    write_csv(os.path.join(out, "loss_history.csv"), "epoch,loss",
+              list(enumerate(history)))
     line_plot_svg({"training loss": (np.arange(len(history)), history)},
                   os.path.join(out, "loss_history.svg"),
                   title="Training loss", xlabel="epoch", ylabel="MSE")
@@ -122,9 +115,8 @@ def cmd_train(cfg, args) -> list:
 
 def cmd_eval(cfg, args) -> list:
     out = args.out
-    weights = load_weights(args.weights)
     trace = SimTrace.from_csv(os.path.join(args.data, "test.csv"))
-    preds = forward(weights, trace.pressures)
+    preds = forward(args.model, trace.pressures)
     geom = cfg.build_geometry()
     report = fit_report(preds, _targets_for(cfg, trace), geom,
                         kind=cfg.target,
@@ -201,17 +193,16 @@ def evaluate_cell(cfg: RunConfig, f: float, A: float,
 
 def cmd_metrics(cfg, args) -> list:
     out = args.out
-    weights = load_weights(args.weights) if args.weights else None
     f0 = cfg.build_sim_params().f0_hz
     rows, cell_modes = [], []
     for A in cfg.sweep["amplitudes_deg"]:
         for r in cfg.sweep["freq_ratios"]:
             twi_val, defl, thrust, modes = evaluate_cell(cfg, r * f0, A,
-                                                         weights)
+                                                         args.model)
             rows.append((r * f0, A, r, thrust, defl, twi_val))
             cell_modes.append(modes)
-    _write_csv(os.path.join(out, "metrics.csv"),
-               "f_hz,A_deg,freq_ratio,thrust_mN,tip_defl_deg,twi", rows)
+    write_csv(os.path.join(out, "metrics.csv"),
+              "f_hz,A_deg,freq_ratio,thrust_mN,tip_defl_deg,twi", rows)
     # Mode shapes of the cell with the highest TWI (zero-amplitude cells
     # have none; the config guarantees a nonzero amplitude).
     best = max((i for i, m in enumerate(cell_modes) if m is not None),
@@ -235,20 +226,19 @@ def cmd_metrics(cfg, args) -> list:
 
 
 def cmd_optimize(cfg, args) -> list:
-    weights = load_weights(args.weights) if args.weights else None
     bo = cfg.bo
     cells = []      # cells[i] scores history[i]: a failed cell raises first
 
     def objective(f, A):
-        cells.append(evaluate_cell(cfg, f, A, weights))
+        cells.append(evaluate_cell(cfg, f, A, args.model))
         return cells[-1].twi
 
     best, history = optimize(objective, cfg.build_search_space(),
                              bo["budget"], seed=bo["seed"], rho=bo["rho"])
-    _write_csv(os.path.join(args.out, "history.csv"),
-               "iter,f,A,twi,tip_defl_deg,thrust_mN",
-               [(i, r.f, r.A, c.twi, c.tip_defl_deg, c.thrust_mN)
-                for i, (r, c) in enumerate(zip(history, cells))])
+    write_csv(os.path.join(args.out, "history.csv"),
+              "iter,f,A,twi,tip_defl_deg,thrust_mN",
+              [(i, r.f, r.A, c.twi, c.tip_defl_deg, c.thrust_mN)
+               for i, (r, c) in enumerate(zip(history, cells))])
     top = cells[history.index(best)]
     _write_json(os.path.join(args.out, "best.json"),
                 {"f_hz": best.f, "A_deg": best.A, "twi": top.twi,
@@ -260,20 +250,12 @@ def cmd_optimize(cfg, args) -> list:
 def cmd_render(cfg, args) -> list:
     geom = cfg.build_geometry()
     spec = ImageSpec()
-    # State and trace CSVs both name their q1 and q2 columns.
-    with open(args.states) as f:
-        lines = [line for line in f if line.strip()]
-    names = lines[0].strip().split(",") if lines else []
-    if not {"q1", "q2"} <= set(names) or len(lines) < 2:
-        raise ValueError(f"{args.states}: a state CSV needs a header naming "
-                         "q1 and q2 and at least one row")
-    q = np.loadtxt(lines[1:], delimiter=",", ndmin=2,
-                   usecols=(names.index("q1"), names.index("q2")))
+    c = read_csv(args.states, ("q1", "q2"))     # a state or trace CSV
     # Frames are written under a temporary name and renamed only once
     # every state has rendered, so a failure leaves no frame behind.
     files, parts = [], []
     try:
-        for i, (q1, q2) in enumerate(q):
+        for i, (q1, q2) in enumerate(zip(c["q1"], c["q2"])):
             try:
                 img = render_silhouette(CurvatureState(q1, q2), geom, spec)
             except VisionError as e:
@@ -435,6 +417,12 @@ def main(argv=None) -> int:
         for kind, path in _input_files(args):
             if not os.path.isfile(path):
                 raise FileNotFoundError(f"{kind} file not found: {path}")
+        weights = getattr(args, "weights", None)
+        args.model = load_weights(weights) if weights else None
+        n = len(cfg.sensor["gain"])     # what metrics and optimize feed it
+        if args.command != "eval" and args.model and args.model.n_in != n:
+            raise ConfigError(f"{weights} takes {args.model.n_in} pressure "
+                              f"channels; the sensor section reads {n}")
         os.makedirs(args.out, exist_ok=True)
         outputs = args.fn(cfg, args)
         _write_json(os.path.join(args.out, "manifest.json"), {

@@ -56,8 +56,9 @@ class LabeledSequence:
     def __post_init__(self):
         x = np.asarray(self.inputs, dtype=float)
         y = np.asarray(self.targets, dtype=float)
-        if x.ndim != 2 or y.ndim != 2:
-            raise ValueError("inputs and targets must be 2-D arrays")
+        if x.ndim != 2 or y.ndim != 2 or x.shape[1] < 1:
+            raise ValueError("inputs and targets must be 2-D arrays, with "
+                             "at least one input channel")
         if len(x) != len(y):
             raise ValueError("inputs and targets must have equal length")
         if len(x) < 2:

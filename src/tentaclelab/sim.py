@@ -17,11 +17,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
 from .actuation import ActuationProgram
+from .csvio import read_csv, write_csv
 from .kinematics import TentacleGeometry, tip_positions
 
 __all__ = [
@@ -39,8 +41,6 @@ __all__ = [
     "moving_average",
     "material_preset",
 ]
-
-TRACE_HEADER = "t,theta_deg,q1,q2,p1,p2,p3,tip_x,tip_y,thrust"
 
 # Thrust proxy coefficient; mN per (mm/s)^2.
 C_T = 2e-4
@@ -130,7 +130,7 @@ class SimTrace:
     time: np.ndarray
     base_angle_deg: np.ndarray
     q: np.ndarray                 # (T, 2)
-    pressures: np.ndarray         # (T, 3) kPa; zeros until sensor_readout
+    pressures: np.ndarray         # (T, n) kPa; no channels until read out
     tip: np.ndarray               # (T, 2) mm
     thrust: np.ndarray            # (T,) mN, instantaneous proxy
     dt: float
@@ -142,29 +142,26 @@ class SimTrace:
             if len(getattr(self, name)) != n:
                 raise ValueError(f"series {name} must have length {n}")
 
-    def with_pressures(self, pressures: np.ndarray) -> "SimTrace":
-        return replace(self, pressures=np.asarray(pressures, dtype=float))
-
     def to_csv(self, path) -> None:
-        cols = np.column_stack([
-            self.time, self.base_angle_deg, self.q, self.pressures,
-            self.tip, self.thrust])
-        with open(path, "w") as f:
-            f.write(TRACE_HEADER + "\n")
-            np.savetxt(f, cols, fmt="%.10g", delimiter=",")
+        """Write the trace, one p column per pressure channel."""
+        p = "".join(f"p{i}," for i in range(1, self.pressures.shape[1] + 1))
+        write_csv(path, f"t,theta_deg,q1,q2,{p}tip_x,tip_y,thrust",
+                  np.column_stack([self.time, self.base_angle_deg, self.q,
+                                   self.pressures, self.tip, self.thrust]))
 
     @classmethod
     def from_csv(cls, path) -> "SimTrace":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape[1] != 10:
-            raise ValueError(f"not a trace CSV: {path}")
-        if len(data) < 2:
-            raise ValueError(f"trace CSV {path} has {len(data)} rows; a trace "
-                             "needs >= 2 rows to recover dt")
-        t = data[:, 0]
-        return cls(time=t, base_angle_deg=data[:, 1], q=data[:, 2:4],
-                   pressures=data[:, 4:7], tip=data[:, 7:9],
-                   thrust=data[:, 9], dt=float(t[1] - t[0]))
+        """A trace written by `to_csv`, with at least 2 rows to recover dt."""
+        c = read_csv(path, ("t", "theta_deg", "q1", "q2", "tip_x", "tip_y",
+                            "thrust"), min_rows=2)
+        t = c["t"]
+        # Channels p1, p2, ...; a trace no sensor read holds none.
+        p = [c[f"p{i}"] for i in range(1, len(c)) if f"p{i}" in c]
+        return cls(time=t, base_angle_deg=c["theta_deg"],
+                   q=np.column_stack([c["q1"], c["q2"]]),
+                   pressures=np.column_stack([np.empty((len(t), 0)), *p]),
+                   tip=np.column_stack([c["tip_x"], c["tip_y"]]),
+                   thrust=c["thrust"], dt=float(t[1] - t[0]))
 
 
 class ModalRun(NamedTuple):
@@ -242,7 +239,7 @@ def simulate(program: ActuationProgram, params: SimParams,
     tip = world_tip_positions(run.q, program.theta_deg,
                               geom or TentacleGeometry())
     return SimTrace(time=program.time, base_angle_deg=program.theta_deg,
-                    q=run.q, pressures=np.zeros((len(tip), 3)), tip=tip,
+                    q=run.q, pressures=np.zeros((len(tip), 0)), tip=tip,
                     thrust=thrust_series(tip[:, 0], run.dt), dt=run.dt,
                     q_dot=run.q_dot)
 
@@ -263,8 +260,8 @@ def world_tip_positions(q: np.ndarray, base_angle_deg: np.ndarray,
 
 def sensor_readout(trace: SimTrace | ModalRun,
                    model: SensorModel) -> np.ndarray:
-    """Synthetic 3-channel pressure series for a simulated trace or an
-    integrated run, in kPa.
+    """Synthetic pressure series, one column per gain row, for a simulated
+    trace or an integrated run, in kPa.
 
     p = baseline + lag(G q + G_r q' + kappa (G q)^3, tau) + noise.
     Deterministic given the model seed. q' is the simulator's `q_dot`,
@@ -278,12 +275,8 @@ def sensor_readout(trace: SimTrace | ModalRun,
     u = u + qd @ model.rate_gain.T + model.sat_kappa * (q @ model.gain.T) ** 3
     if model.lag_tau_s > 0:
         a = trace.dt / (model.lag_tau_s + trace.dt)
-        lagged = np.empty_like(u)
-        state = u[0].copy()
-        for k in range(len(u)):
-            state = state + a * (u[k] - state)
-            lagged[k] = state
-        u = lagged
+        u = np.column_stack([list(accumulate(ch, lambda s, x: s + a * (x - s)))
+                             for ch in u.T.tolist()])
     rng = np.random.default_rng(model.seed)
     noise = rng.normal(0.0, model.noise_sigma_kpa, size=u.shape) \
         if model.noise_sigma_kpa > 0 else 0.0

@@ -15,6 +15,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
+from .csvio import read_csv, write_csv
 from .fitting import Centerline
 from .kinematics import CurvatureState, TentacleGeometry, sample_centerline
 
@@ -36,8 +37,6 @@ __all__ = [
 _FG_LEVEL = 25
 _BG_LEVEL = 230
 _TIP_TAPER = 0.25
-
-MIDLINE_HEADER = "s,x_mm,y_mm"
 
 # Points of an extracted midline: few enough that segments stay long
 # relative to the half-pixel midpoint quantization, which is what
@@ -255,16 +254,11 @@ def read_pgm(path) -> np.ndarray:
 
 
 def midline_to_csv(cl: Centerline, path) -> None:
+    """Write a midline as s,x_mm,y_mm rows, s its normalized arc length."""
     seg = np.concatenate([[0.0], np.cumsum(cl.segment_lengths)])
-    s = seg / seg[-1]
-    with open(path, "w") as f:
-        f.write(MIDLINE_HEADER + "\n")
-        for si, (x, y) in zip(s, cl.points):
-            f.write(f"{si:.10g},{x:.10g},{y:.10g}\n")
+    write_csv(path, "s,x_mm,y_mm", np.column_stack([seg / seg[-1], cl.points]))
 
 
 def midline_from_csv(path) -> Centerline:
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    if data.ndim != 2 or data.shape[1] != 3:
-        raise VisionError(f"not a midline CSV: {path}")
-    return Centerline(data[:, 1:3])
+    c = read_csv(path, ("x_mm", "y_mm"))
+    return Centerline(np.column_stack([c["x_mm"], c["y_mm"]]))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_csv
 from .kinematics import TentacleGeometry, lateral_displacements
 
 __all__ = [
@@ -151,8 +152,7 @@ def field_from_states(q_series, geom: TentacleGeometry,
 
 def modeset_to_csv(modes: ModeSet, path) -> None:
     """Write the two leading mode shapes as CSV: station, Re/Im per mode."""
-    with open(path, "w") as f:
-        f.write("station,mode1_re,mode1_im,mode2_re,mode2_im\n")
-        for s, (m1, m2) in zip(modes.stations, modes.modes[:, :2]):
-            f.write(f"{s:.10g},{m1.real:.10g},{m1.imag:.10g},"
-                    f"{m2.real:.10g},{m2.imag:.10g}\n")
+    m1, m2 = modes.modes[:, 0], modes.modes[:, 1]
+    write_csv(path, "station,mode1_re,mode1_im,mode2_re,mode2_im",
+              np.column_stack([modes.stations, m1.real, m1.imag, m2.real,
+                               m2.imag]))

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 from tentaclelab import cli
 from tentaclelab.bayesopt import EvalRecord
 from tentaclelab.cli import main
-from tentaclelab.config import CONFIG_SCHEMA, default_config
+from tentaclelab.config import CONFIG_SCHEMA, RunConfig, default_config
 from tentaclelab.vision import write_pgm
 
 FAST_CONFIG = {
@@ -305,6 +306,7 @@ DATASET_ERRORS = {
     "one_rpm_endpoint": {"rpm_ramp": [20]},
     "fractional_seed": {"train_seed": 1.5},
     "misspelt_key": {"train_durations_s": 6.0},
+    "equal_split_seeds": {"train_seed": 2, "test_seed": 2},
 }
 
 
@@ -415,9 +417,11 @@ COMPONENT_ERRORS = {
                                              "budget": 12}),
     "sensor_string_baseline": ("sensor", {"baseline_kpa": "x"}),
     "sensor_nan_sat_kappa": ("sensor", {"sat_kappa": float("nan")}),
-    # SensorModel takes any (n, 2) gain; a trace holds three pressures.
-    "sensor_four_channel_gain": ("sensor", {"gain": [[9.0, 2.5], [-5.0, 6.0],
-                                                     [2.0, -7.5], [4.0, 8.0]]}),
+    "sensor_rank_1_gain": ("sensor", {"gain": [[1.0, 2.0], [2.0, 4.0]],
+                                      "rate_gain": [[0.0, 0.0], [0.0, 0.0]]}),
+    # Two gain rows against the default three rate-gain rows.
+    "sensor_rate_gain_of_another_shape": ("sensor", {"gain": [[9.0, 2.5],
+                                                              [-5.0, 6.0]]}),
 }
 
 
@@ -451,6 +455,84 @@ class TestComponentConfigErrors:
         assert capsys.readouterr().err == (
             "error: config: must be a JSON object\n")
         assert not out.exists()
+
+
+class TestChannelCount:
+    """A trace holds one pressure column per sensor channel."""
+
+    # The default sensor's rows plus a fourth channel.
+    GAIN = [[9.0, 2.5], [-5.0, 6.0], [2.0, -7.5], [4.0, 8.0]]
+    RATE_GAIN = [[0.12, 0.03], [-0.06, 0.08], [0.02, -0.10], [0.05, 0.06]]
+
+    def config(self, tmp_path, n):
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps({**FAST_CONFIG, "sensor": {
+            "gain": self.GAIN[:n], "rate_gain": self.RATE_GAIN[:n]}}))
+        return str(p)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_dataset_train_eval(self, tmp_path, n):
+        cfg = self.config(tmp_path, n)
+        data, model, ev = (str(tmp_path / d) for d in ("data", "model", "ev"))
+        assert main(["dataset", "--config", cfg, "--out", data]) == 0
+        p = "".join(f"p{i}," for i in range(1, n + 1))
+        for split in ("train", "test"):
+            with open(os.path.join(data, f"{split}.csv")) as f:
+                assert f.readline() == (f"t,theta_deg,q1,q2,{p}tip_x,tip_y,"
+                                        "thrust\n")
+        assert main(["train", "--config", cfg, "--data", data,
+                     "--out", model]) == 0
+        assert main(["eval", "--config", cfg, "--data", data, "--weights",
+                     os.path.join(model, "weights.json"), "--out", ev]) == 0
+        with open(os.path.join(ev, "report.json")) as f:
+            rep = json.load(f)["report"]
+        assert all(np.isfinite(v) for v in rep.values())
+
+    @pytest.mark.parametrize("command", ["metrics", "optimize"])
+    def test_weights_of_another_width_exit_1_before_output(
+            self, tmp_path, capsys, trained_dir, command):
+        weights = os.path.join(trained_dir, "weights.json")
+        out = tmp_path / "out"
+        assert main([command, "--config", self.config(tmp_path, 2),
+                     "--weights", weights, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {weights} takes 3 pressure channels; the sensor section "
+            "reads 2\n")
+        assert not out.exists()
+
+    def test_split_noise_is_drawn_apart(self):
+        cfg = RunConfig.from_dict(FAST_CONFIG)
+        quiet = RunConfig.from_dict({**FAST_CONFIG,
+                                     "sensor": {"noise_sigma_kpa": 0.0}})
+        noise = {}
+        for split in ("train", "test"):
+            args = (cfg.dataset[f"{split}_duration_s"],
+                    cfg.dataset[f"{split}_seed"])
+            noise[split] = (cli.simulate_ramp(cfg, *args).pressures
+                            - cli.simulate_ramp(quiet, *args).pressures)
+        n = len(noise["test"])
+        assert not np.allclose(noise["test"], noise["train"][:n], atol=1e-9)
+
+
+class TestBadTrace:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_eval_exits_2_naming_the_cell_before_output(
+            self, tmp_path, capsys, fast_config, dataset_dir, trained_dir,
+            value):
+        data, out = tmp_path / "data", tmp_path / "eval"
+        shutil.copytree(dataset_dir, data)
+        lines = (data / "test.csv").read_text().split("\n")
+        row = lines[3].split(",")
+        row[5] = value
+        lines[3] = ",".join(row)
+        (data / "test.csv").write_text("\n".join(lines))
+        assert main(["eval", "--config", fast_config, "--data", str(data),
+                     "--weights", os.path.join(trained_dir, "weights.json"),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {data / 'test.csv'} row 3 column p2: {value} is not a "
+            "finite number\n")
+        assert os.listdir(out) == []
 
 
 class TestMissingWeights:
@@ -525,18 +607,22 @@ class TestRenderMidline:
             frames[name] = (out / "frame_0000.pgm").read_bytes()
         assert frames["plain"] == frames["reordered"]
 
-    @pytest.mark.parametrize("text", [
-        "q1,q2\n", ",".join("abcdefghij") + "\n" + ",".join("0" * 10) + "\n"],
-        ids=["header_only", "no_q_columns"])
+    @pytest.mark.parametrize("text,why", [
+        ("q1,q2\n", ": too few rows (0, at least 1 needed)"),
+        (",".join("abcdefghij") + "\n" + ",".join("0" * 10) + "\n",
+         ": no column q1, q2 in the header a,b,c,d,e,f,g,h,i,j"),
+        ("q1,q2\n0.5,-0.2\nnan,0.1\n",
+         " row 2 column q1: nan is not a finite number"),
+        ("t,q1,q2\n0,0.5,-0.2\n1,0.3,-inf\n",
+         " row 2 column q2: -inf is not a finite number")],
+        ids=["header_only", "no_q_columns", "nan_row", "inf_row"])
     def test_bad_states_exit_2_before_frames(self, tmp_path, capsys,
-                                              fast_config, text):
+                                              fast_config, text, why):
         states, out = tmp_path / "states.csv", tmp_path / "frames"
         states.write_text(text)
         assert main(["render", "--config", fast_config, "--states",
                      str(states), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {states}: a state CSV needs a header naming q1 and q2 "
-            "and at least one row\n")
+        assert capsys.readouterr().err == f"error: {states}{why}\n"
         assert os.listdir(out) == []
 
     def test_same_output_name_exits_2_before_writing(self, tmp_path, capsys,

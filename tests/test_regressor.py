@@ -127,6 +127,10 @@ class TestLabeledSequence:
         with pytest.raises(ValueError):
             LabeledSequence(np.zeros((5, 3)), np.zeros((4, 2)), 0.01)
 
+    def test_no_input_channel(self):
+        with pytest.raises(ValueError, match="at least one input channel"):
+            LabeledSequence(np.zeros((5, 0)), np.zeros((5, 2)), 0.01)
+
     def test_too_short(self):
         with pytest.raises(ValueError):
             LabeledSequence(np.zeros((1, 3)), np.zeros((1, 2)), 0.01)

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tentaclelab.actuation import ActuationProgram, ProgramSpec, build_program
-from tentaclelab.sim import (TRACE_HEADER, SensorModel, SimParams, SimTrace,
+from tentaclelab.sim import (SensorModel, SimParams, SimTrace,
                              SimulationError, default_sensor_model,
                              integrate, material_preset, moving_average,
                              preset_epochs, sensor_readout, simulate,
@@ -201,8 +202,8 @@ class TestTrace:
         prog = build_program(ProgramSpec(duration_s=2.0, dt=0.005,
                                          frequency_hz=2.0))
         trace = simulate(prog, SimParams())
-        trace = trace.with_pressures(sensor_readout(trace,
-                                                    default_sensor_model()))
+        trace = replace(trace, pressures=sensor_readout(
+            trace, default_sensor_model()))
         p = tmp_path / "trace.csv"
         trace.to_csv(p)
         back = SimTrace.from_csv(p)
@@ -237,14 +238,23 @@ class TestTrace:
         rows = np.resize(vals, (4, 10))
         p = tmp_path / "trace.csv"
         self._trace(rows).to_csv(p)
-        expect = TRACE_HEADER + "\n" + "".join(
+        expect = "t,theta_deg,q1,q2,p1,p2,p3,tip_x,tip_y,thrust\n" + "".join(
             ",".join(f"{v:.10g}" for v in row) + "\n" for row in rows)
         assert p.read_bytes() == expect.encode()
 
     def test_one_row_csv_rejected_for_dt(self, tmp_path):
         p = tmp_path / "one.csv"
         self._trace(np.arange(10.0)[None, :]).to_csv(p)
-        with pytest.raises(ValueError, match=">= 2 rows to recover dt"):
+        with pytest.raises(ValueError, match=r"one.csv: too few rows "
+                                             r"\(1, at least 2 needed\)$"):
+            SimTrace.from_csv(p)
+
+    def test_missing_column_named(self, tmp_path):
+        p = tmp_path / "trace.csv"
+        p.write_text("t,theta_deg,q1,q2,p1,tip_x,tip_y\n" + "0,1,0,0,0,0,0\n"
+                     + "1,1,0,0,0,0,0\n")
+        with pytest.raises(ValueError, match="trace.csv: no column thrust in "
+                                             "the header t,theta_deg,"):
             SimTrace.from_csv(p)
 
     def test_length_mismatch(self):
@@ -307,6 +317,19 @@ class TestSensorReadout:
         p = sensor_readout(trace, self.clean_model(lag_tau_s=0.05))
         # One step after the jump the lagged output has only partially risen.
         assert 0.0 < p[51, 0] - 100.0 < 9.0
+
+    def test_lag_equals_the_step_loop(self):
+        q = np.random.default_rng(3).normal(0.0, 0.5, (2000, 2))
+        trace = replace(self.make_trace(q), q_dot=np.gradient(q, axis=0))
+        model = self.clean_model(lag_tau_s=0.02,
+                                 rate_gain=default_sensor_model().rate_gain)
+        u = q @ model.gain.T + trace.q_dot @ model.rate_gain.T
+        a = trace.dt / (model.lag_tau_s + trace.dt)
+        want, state = np.empty_like(u), u[0].copy()
+        for k in range(len(u)):
+            state = state + a * (u[k] - state)
+            want[k] = state
+        assert np.array_equal(sensor_readout(trace, model), 100.0 + want)
 
     def test_noise_seeded(self):
         trace = self.make_trace(np.zeros((100, 2)))
