@@ -3,9 +3,10 @@ metric sweeps, actuation optimization, rendering, and report assembly.
 
 Every command is driven by a JSON RunConfig and writes a manifest with
 the config hash, so reruns are bit-identical and traceable. `main` checks
-the config and its input files, loads `--weights` as `args.model`,
-creates `--out`, runs `cmd_<name>(cfg, args)`, which returns the files
-it wrote, and writes the manifest; `report` only reads a run directory.
+the config and its input files, loads `--weights` as `args.model`, runs
+`cmd_<name>(cfg, args)` in a staging directory beside `--out` and moves
+the files it returns, then the manifest, into `--out`: a command that
+fails leaves `--out` as it found it. `report` only reads a run directory.
 Exit codes: 0 success, 1 usage/config error, 2 runtime/numerical error.
 
 `metrics` and `optimize` score each actuation cell with `evaluate_cell`,
@@ -18,7 +19,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -115,7 +118,12 @@ def cmd_train(cfg, args) -> list:
 
 def cmd_eval(cfg, args) -> list:
     out = args.out
-    trace = SimTrace.from_csv(os.path.join(args.data, "test.csv"))
+    path = os.path.join(args.data, "test.csv")
+    trace = SimTrace.from_csv(path)
+    n = trace.pressures.shape[1]
+    if args.model.n_in != n:
+        raise ConfigError(f"{args.weights} takes {args.model.n_in} pressure "
+                          f"channels; {path} holds {n}")
     preds = forward(args.model, trace.pressures)
     geom = cfg.build_geometry()
     report = fit_report(preds, _targets_for(cfg, trace), geom,
@@ -251,51 +259,37 @@ def cmd_render(cfg, args) -> list:
     geom = cfg.build_geometry()
     spec = ImageSpec()
     c = read_csv(args.states, ("q1", "q2"))     # a state or trace CSV
-    # Frames are written under a temporary name and renamed only once
-    # every state has rendered, so a failure leaves no frame behind.
-    files, parts = [], []
-    try:
-        for i, (q1, q2) in enumerate(zip(c["q1"], c["q2"])):
-            try:
-                img = render_silhouette(CurvatureState(q1, q2), geom, spec)
-            except VisionError as e:
-                raise VisionError(f"{args.states} row {i + 1} (q1={q1:g}, "
-                                  f"q2={q2:g}): {e}") from None
-            files.append(f"frame_{i:04d}.pgm")
-            parts.append(os.path.join(args.out, files[-1] + ".part"))
-            write_pgm(img, parts[-1])
-    except BaseException:
-        for part in parts:
-            if os.path.exists(part):
-                os.remove(part)
-        raise
-    for name, part in zip(files, parts):
-        os.replace(part, os.path.join(args.out, name))
+    files = []
+    for i, (q1, q2) in enumerate(zip(c["q1"], c["q2"])):
+        try:
+            img = render_silhouette(CurvatureState(q1, q2), geom, spec)
+        except VisionError as e:
+            raise VisionError(f"{args.states} row {i + 1} (q1={q1:g}, "
+                              f"q2={q2:g}): {e}") from None
+        files.append(f"frame_{i:04d}.pgm")
+        write_pgm(img, os.path.join(args.out, files[-1]))
     return files
 
 
 def cmd_midline(cfg, args) -> list:
     geom = cfg.build_geometry()
     spec = ImageSpec()
-    paths = {}      # output name -> image, checked before any is written
+    paths = {}      # output name -> image, checked before any is read
     for path in sorted(args.images):
         name = os.path.splitext(os.path.basename(path))[0] + "_midline.csv"
         if name in paths:
             raise ValueError(f"{paths[name]} and {path} would both write "
                              f"{name}")
         paths[name] = path
-    # Every midline is extracted before any is written.
-    lines = {}
     for name, path in paths.items():
         img = read_pgm(path)
         try:
-            lines[name] = extract_midline(binarize(img), spec,
-                                          max_len_mm=geom.length_mm)
+            cl = extract_midline(binarize(img), spec,
+                                 max_len_mm=geom.length_mm)
         except VisionError as e:
             raise VisionError(f"{path}: {e}") from None
-    for name, cl in lines.items():
         midline_to_csv(cl, os.path.join(args.out, name))
-    return list(lines)
+    return list(paths)
 
 
 def cmd_report(args) -> int:
@@ -423,12 +417,22 @@ def main(argv=None) -> int:
         if args.command != "eval" and args.model and args.model.n_in != n:
             raise ConfigError(f"{weights} takes {args.model.n_in} pressure "
                               f"channels; the sensor section reads {n}")
-        os.makedirs(args.out, exist_ok=True)
-        outputs = args.fn(cfg, args)
-        _write_json(os.path.join(args.out, "manifest.json"), {
-            "command": args.command, "schema": CONFIG_SCHEMA,
-            "config_hash": config_hash(cfg), "config": cfg.to_dict(),
-            "outputs": sorted(outputs)})
+        out = args.out      # staged beside it: each move is a rename
+        parent = os.path.dirname(os.path.realpath(out))
+        os.makedirs(parent, exist_ok=True)
+        args.out = tempfile.mkdtemp(prefix=".tentaclelab-", dir=parent)
+        try:
+            outputs = args.fn(cfg, args)
+            _write_json(os.path.join(args.out, "manifest.json"), {
+                "command": args.command, "schema": CONFIG_SCHEMA,
+                "config_hash": config_hash(cfg), "config": cfg.to_dict(),
+                "outputs": sorted(outputs)})
+            os.makedirs(out, exist_ok=True)
+            for name in outputs + ["manifest.json"]:
+                os.replace(os.path.join(args.out, name),
+                           os.path.join(out, name))
+        finally:
+            shutil.rmtree(args.out)
         return 0
     except (ConfigError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)

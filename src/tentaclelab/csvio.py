@@ -16,7 +16,7 @@ def write_csv(path, header: str, rows) -> None:
 def read_csv(path, names, min_rows: int = 1) -> dict:
     """Every column of a CSV by header name. Raises ValueError, naming the
     file, on a missing name of `names`, fewer than `min_rows` rows or a
-    non-finite value, which it names by row and column."""
+    malformed or non-finite value, which it names by row and column."""
     with open(path) as f, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # no rows: see below
         header = f.readline().strip().split(",")
@@ -28,7 +28,8 @@ def read_csv(path, names, min_rows: int = 1) -> dict:
             data = np.loadtxt(f, delimiter=",", ndmin=2,
                               usecols=range(len(header)))
         except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
+            raise ValueError(_bad_row(f, path, header)
+                             or f"{path}: {e}") from None
     if len(data) < min_rows:
         raise ValueError(f"{path}: too few rows ({len(data)}, at least "
                          f"{min_rows} needed)")
@@ -38,3 +39,23 @@ def read_csv(path, names, min_rows: int = 1) -> dict:
         raise ValueError(f"{path} row {i + 1} column {header[j]}: "
                          f"{data[i, j]} is not a finite number")
     return dict(zip(header, data.T))
+
+
+def _bad_row(f, path, header):
+    """The first data row of open file `f` that `np.loadtxt` cannot read,
+    named as `read_csv` names a non-finite value; None if none is found.
+    Like `read_csv`, it skips comment and blank lines and ignores values
+    past the header's columns."""
+    f.seek(0)
+    rows = (line.split("#", 1)[0].strip() for line in f.readlines()[1:])
+    for i, row in enumerate(filter(None, rows), 1):
+        fields = row.split(",")
+        for j, name in enumerate(header):
+            if j == len(fields):
+                return f"{path} row {i} column {name}: no value"
+            try:
+                float(fields[j])
+            except ValueError:
+                return (f"{path} row {i} column {name}: {fields[j]!r} is "
+                        "not a number")
+    return None

@@ -500,6 +500,20 @@ class TestChannelCount:
             "reads 2\n")
         assert not out.exists()
 
+    def test_eval_weights_of_another_width_exit_1_naming_both(
+            self, tmp_path, capsys, trained_dir):
+        cfg, data = self.config(tmp_path, 2), tmp_path / "data"
+        assert main(["dataset", "--config", cfg, "--duration", "0.5",
+                     "--duration-test", "0.25", "--out", str(data)]) == 0
+        weights = os.path.join(trained_dir, "weights.json")
+        out = tmp_path / "ev"
+        assert main(["eval", "--config", cfg, "--data", str(data),
+                     "--weights", weights, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {weights} takes 3 pressure channels; "
+            f"{data / 'test.csv'} holds 2\n")
+        assert not out.exists()
+
     def test_split_noise_is_drawn_apart(self):
         cfg = RunConfig.from_dict(FAST_CONFIG)
         quiet = RunConfig.from_dict({**FAST_CONFIG,
@@ -532,7 +546,7 @@ class TestBadTrace:
         assert capsys.readouterr().err == (
             f"error: {data / 'test.csv'} row 3 column p2: {value} is not a "
             "finite number\n")
-        assert os.listdir(out) == []
+        assert not out.exists()
 
 
 class TestMissingWeights:
@@ -614,8 +628,11 @@ class TestRenderMidline:
         ("q1,q2\n0.5,-0.2\nnan,0.1\n",
          " row 2 column q1: nan is not a finite number"),
         ("t,q1,q2\n0,0.5,-0.2\n1,0.3,-inf\n",
-         " row 2 column q2: -inf is not a finite number")],
-        ids=["header_only", "no_q_columns", "nan_row", "inf_row"])
+         " row 2 column q2: -inf is not a finite number"),
+        ("q1,q2\n0.5,-0.2\n0.3,x", " row 2 column q2: 'x' is not a number"),
+        ("q1,q2\n0.5,-0.2\n0.3", " row 2 column q2: no value")],
+        ids=["header_only", "no_q_columns", "nan_row", "inf_row",
+             "text_value", "short_row"])
     def test_bad_states_exit_2_before_frames(self, tmp_path, capsys,
                                               fast_config, text, why):
         states, out = tmp_path / "states.csv", tmp_path / "frames"
@@ -623,7 +640,7 @@ class TestRenderMidline:
         assert main(["render", "--config", fast_config, "--states",
                      str(states), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {states}{why}\n"
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_same_output_name_exits_2_before_writing(self, tmp_path, capsys,
                                                       fast_config):
@@ -640,7 +657,7 @@ class TestRenderMidline:
         assert capsys.readouterr().err == (
             f"error: {images[0]} and {images[1]} would both write "
             "frame_0000_midline.csv\n")
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_state_out_of_frame_leaves_no_frame(self, tmp_path, capsys,
                                                 fast_config):
@@ -651,7 +668,7 @@ class TestRenderMidline:
         assert capsys.readouterr().err.startswith(
             f"error: {states} row 2 (q1=3, q2=3): configuration leaves the "
             "frame")
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_blank_image_leaves_no_midline(self, tmp_path, capsys,
                                            fast_config):
@@ -668,7 +685,7 @@ class TestRenderMidline:
                      str(frames / "frame_0000.pgm"), str(blank),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {blank}: ")
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_malformed_pgm_exits_2_naming_file(self, tmp_path, capsys,
                                                fast_config):
@@ -678,6 +695,67 @@ class TestRenderMidline:
                      str(img), "--out", str(tmp_path / "mid")]) == 2
         assert capsys.readouterr().err == (
             f"error: not a PGM file or malformed PGM header: {img}\n")
+
+
+def _staged(parent) -> list:
+    return [p for p in os.listdir(parent) if p.startswith(".tentaclelab-")]
+
+
+class TestOutputContract:
+    """A command's files and manifest reach --out only when it succeeds."""
+
+    def test_failed_rerun_keeps_existing_out(self, tmp_path, monkeypatch,
+                                             capsys, fast_config):
+        out = tmp_path / "data"
+        args = ["dataset", "--config", fast_config, "--duration", "0.5",
+                "--duration-test", "0.25", "--out", str(out)]
+        assert main(args) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        ramp = cli.simulate_ramp
+
+        def fail_on_test_split(cfg, duration, seed):
+            if seed == cfg.dataset["test_seed"]:
+                raise cli.SimulationError("test split diverged")
+            return ramp(cfg, duration, seed)
+
+        monkeypatch.setattr(cli, "simulate_ramp", fail_on_test_split)
+        assert main(args + ["--seed", "7"]) == 2
+        assert capsys.readouterr().err == "error: test split diverged\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert _staged(tmp_path) == []
+
+    def test_failure_leaves_no_out_and_no_staging(self, tmp_path,
+                                                  fast_config):
+        states, out = tmp_path / "states.csv", tmp_path / "runs" / "frames"
+        states.write_text("q1,q2\n0.5,-0.2\n3.0,3.0\n")
+        assert main(["render", "--config", fast_config, "--states",
+                     str(states), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert _staged(tmp_path / "runs") == []
+
+    def test_interrupt_leaves_no_staging(self, tmp_path, monkeypatch,
+                                         fast_config):
+        def interrupted(cfg, args):
+            with open(os.path.join(args.out, "metrics.csv"), "w") as f:
+                f.write("f_hz\n")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_metrics", interrupted)
+        out = tmp_path / "metrics"
+        with pytest.raises(KeyboardInterrupt):
+            main(["metrics", "--config", fast_config, "--out", str(out)])
+        assert not out.exists()
+        assert _staged(tmp_path) == []
+
+    def test_success_moves_outputs_and_manifest_only(self, tmp_path,
+                                                     fast_config):
+        states, out = tmp_path / "states.csv", tmp_path / "frames"
+        states.write_text("q1,q2\n0.5,-0.2\n-0.3,0.1\n")
+        assert main(["render", "--config", fast_config, "--states",
+                     str(states), "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == [
+            "frame_0000.pgm", "frame_0001.pgm", "manifest.json"]
+        assert _staged(tmp_path) == []
 
 
 class TestReport:
