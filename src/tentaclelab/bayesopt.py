@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 __all__ = [
     "OptimizationError",
@@ -105,6 +104,8 @@ def gp_fit(X: np.ndarray, y: np.ndarray) -> GPosterior:
     Observations are standardized; the kernel matrix gets 1e-8 jitter,
     escalating tenfold until the Cholesky factorization succeeds.
     """
+    from scipy.linalg import cho_factor, cho_solve  # only optimize needs it
+
     if len(X) == 0:
         raise ValueError("gp_fit needs at least one observation")
     y_mean = float(y.mean())
@@ -127,6 +128,8 @@ def gp_fit(X: np.ndarray, y: np.ndarray) -> GPosterior:
 
 def gp_predict(post: GPosterior, Xc: np.ndarray) -> tuple:
     """Posterior mean and standard deviation at (m, 2) unit-box points."""
+    from scipy.linalg import cho_solve
+
     Ks = _kernel(Xc, post.X)
     mu = Ks @ post.alpha
     v = cho_solve(post.chol, Ks.T)

@@ -6,7 +6,9 @@ the config hash, so reruns are bit-identical and traceable. `main` checks
 the config and its input files, loads `--weights` as `args.model`, runs
 `cmd_<name>(cfg, args)` in a staging directory beside `--out` and moves
 the files it returns, then the manifest, into `--out`: a command that
-fails leaves `--out` as it found it. `report` only reads a run directory.
+fails leaves `--out` as it found it, and one that succeeds first removes
+the files the manifest it replaces lists and it did not write. `report`
+only reads a run directory.
 Exit codes: 0 success, 1 usage/config error, 2 runtime/numerical error.
 
 `metrics` and `optimize` score each actuation cell with `evaluate_cell`,
@@ -398,6 +400,32 @@ def _input_files(args) -> list:
     return [(kind, p) for kind, p in files if p]
 
 
+def _check_out(out) -> None:
+    """Raise ConfigError unless --out, or the nearest of its ancestors that
+    exists, is a directory."""
+    path = os.path.realpath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out {out}: {path} is not a directory")
+
+
+def _replaced_outputs(out, outputs) -> list:
+    """Files the manifest in `out` lists and `outputs` does not: what a run
+    into `out` replaces. Only plain names count, never the manifest; an
+    unreadable manifest names none."""
+    try:
+        with open(os.path.join(out, "manifest.json")) as f:
+            listed = json.load(f)["outputs"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return []
+    if not isinstance(listed, list):
+        return []
+    return [n for n in listed if isinstance(n, str)
+            and os.path.basename(n) == n
+            and n not in ("..", "manifest.json", *outputs)]
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -411,6 +439,7 @@ def main(argv=None) -> int:
         for kind, path in _input_files(args):
             if not os.path.isfile(path):
                 raise FileNotFoundError(f"{kind} file not found: {path}")
+        _check_out(args.out)
         weights = getattr(args, "weights", None)
         args.model = load_weights(weights) if weights else None
         n = len(cfg.sensor["gain"])     # what metrics and optimize feed it
@@ -428,6 +457,9 @@ def main(argv=None) -> int:
                 "config_hash": config_hash(cfg), "config": cfg.to_dict(),
                 "outputs": sorted(outputs)})
             os.makedirs(out, exist_ok=True)
+            for name in _replaced_outputs(out, outputs):
+                if os.path.isfile(os.path.join(out, name)):
+                    os.remove(os.path.join(out, name))
             for name in outputs + ["manifest.json"]:
                 os.replace(os.path.join(args.out, name),
                            os.path.join(out, name))

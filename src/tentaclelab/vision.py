@@ -12,8 +12,6 @@ import re
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .csvio import read_csv, write_csv
 from .fitting import Centerline
@@ -88,6 +86,8 @@ def render_silhouette(q: CurvatureState, geom: TentacleGeometry,
     any part of the band leaves the frame. Returns the (height, width)
     uint8 frame.
     """
+    from scipy.spatial import cKDTree   # only render needs it
+
     n = max(geom.n_samples, 600)
     col, row, half = _centerline_px(q, geom, spec, n)
     margin = half + 1.0
@@ -178,6 +178,8 @@ def extract_midline(mask: np.ndarray, spec: ImageSpec,
     starting at the root. Requires a single 4-connected component
     touching the root row.
     """
+    from scipy import ndimage   # only midline needs it
+
     mask = np.asarray(mask, dtype=bool)
     on_row = mask.any(axis=1)
     rows = np.flatnonzero(on_row)

@@ -757,6 +757,65 @@ class TestOutputContract:
             "frame_0000.pgm", "frame_0001.pgm", "manifest.json"]
         assert _staged(tmp_path) == []
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    def test_out_not_a_directory_exits_1_before_work(self, tmp_path, capsys,
+                                                      monkeypatch,
+                                                      fast_config, under):
+        def unreachable(cfg, args):
+            raise AssertionError("render ran")
+
+        monkeypatch.setattr(cli, "cmd_render", unreachable)
+        states, f = tmp_path / "states.csv", tmp_path / "taken"
+        states.write_text("q1,q2\n0.5,-0.2\n")
+        f.write_bytes(b"user data\n")
+        out = f / "frames" if under else f
+        assert main(["render", "--config", fast_config, "--states",
+                     str(states), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --out {out}: {os.path.realpath(f)} is not a directory\n")
+        assert f.read_bytes() == b"user data\n"
+        assert _staged(tmp_path) == []
+
+    def _render(self, fast_config, states, out, text):
+        states.write_text(text)
+        assert main(["render", "--config", fast_config, "--states",
+                     str(states), "--out", str(out)]) == 0
+
+    def test_rerun_removes_the_outputs_it_replaces(self, tmp_path,
+                                                   fast_config):
+        states, out = tmp_path / "states.csv", tmp_path / "frames"
+        self._render(fast_config, states, out,
+                     "q1,q2\n0.5,-0.2\n-0.3,0.1\n0.1,0.1\n")
+        (out / "notes.txt").write_text("mine\n")
+        self._render(fast_config, states, out, "q1,q2\n0.5,-0.2\n")
+        assert sorted(os.listdir(out)) == [
+            "frame_0000.pgm", "manifest.json", "notes.txt"]
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["outputs"] == ["frame_0000.pgm"]
+        assert _staged(tmp_path) == []
+
+    @pytest.mark.parametrize("manifest", [
+        {"outputs": ["../victim.txt", "sub/kept.txt", "..", ".", "",
+                     "manifest.json", 7, None]},
+        {"outputs": "kept.txt"}, {"outputs": {"kept.txt": 1}},
+        ["kept.txt"], "not json"],
+        ids=["unplain_names", "string", "object", "list", "malformed"])
+    def test_rerun_removes_only_plain_names_the_manifest_lists(
+            self, tmp_path, fast_config, manifest):
+        out = tmp_path / "frames"
+        (out / "sub").mkdir(parents=True)
+        for p in (tmp_path / "victim.txt", out / "sub" / "kept.txt",
+                  out / "kept.txt"):
+            p.write_text("mine\n")
+        (out / "manifest.json").write_text(
+            manifest if isinstance(manifest, str) else json.dumps(manifest))
+        self._render(fast_config, tmp_path / "states.csv", out,
+                     "q1,q2\n0.5,-0.2\n")
+        assert sorted(os.listdir(out)) == [
+            "frame_0000.pgm", "kept.txt", "manifest.json", "sub"]
+        assert (out / "sub" / "kept.txt").exists()
+        assert (tmp_path / "victim.txt").exists()
+
 
 class TestReport:
     def test_collates_run(self, tmp_path, fast_config, dataset_dir,
@@ -793,3 +852,36 @@ class TestUsage:
         env = dict(os.environ, PYTHONPATH=src)
         assert subprocess.run([sys.executable, "-c", code],
                               env=env).returncode == 0
+
+    def _leaves_scipy_out(self, code, *argv):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code += ("\nloaded = sorted(m for m in sys.modules\n"
+                 "                if m.split('.')[0] == 'scipy')\n"
+                 "sys.exit(' '.join(loaded) or None)")
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                             stderr=subprocess.PIPE, text=True)
+        assert (run.returncode, run.stderr) == (0, "")
+
+    def test_import_leaves_scipy_out(self):
+        # Only the commands that call scipy load it (optimize, render,
+        # midline), and only once they run.
+        self._leaves_scipy_out("import sys, tentaclelab.cli")
+
+    def test_dataset_train_eval_metrics_leave_scipy_out(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(
+            {**FAST_CONFIG, "train": {**FAST_CONFIG["train"], "epochs": 1}}))
+        code = """import sys
+from tentaclelab.cli import main
+cfg, d = sys.argv[1:]
+for argv in (["dataset", "--duration", "1", "--duration-test", "1",
+              "--out", d + "/data"],
+             ["train", "--data", d + "/data", "--out", d + "/model"],
+             ["eval", "--data", d + "/data", "--weights",
+              d + "/model/weights.json", "--out", d + "/eval"],
+             ["metrics", "--out", d + "/metrics"]):
+    assert main(argv + ["--config", cfg]) == 0, argv
+assert main(["report", "--run", d]) == 0"""
+        self._leaves_scipy_out(code, str(cfg), str(tmp_path / "run"))
+        assert (tmp_path / "run" / "report.html").exists()
