@@ -88,7 +88,7 @@ class GPosterior:
     X: np.ndarray                 # (n, 2) unit coordinates
     y_mean: float
     y_std: float
-    chol: tuple = field(repr=False, default=None)
+    chol: np.ndarray = field(repr=False, default=None)  # lower factor of K
     alpha: np.ndarray = field(repr=False, default=None)
 
 
@@ -97,15 +97,19 @@ def _kernel(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * d2 / _LENGTH_SCALE ** 2)
 
 
+def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """K^-1 b for K = L L^T, through the lower Cholesky factor L."""
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
+
+
 def gp_fit(X: np.ndarray, y: np.ndarray) -> GPosterior:
     """Fit the fixed-hyperparameter GP to observations y at (n, 2) unit-box
     points X, n >= 1.
 
-    Observations are standardized; the kernel matrix gets 1e-8 jitter,
-    escalating tenfold until the Cholesky factorization succeeds.
+    Observations are standardized. The kernel matrix is a Gram matrix
+    plus the 1e-4 noise variance, so its smallest eigenvalue is at least
+    1e-4 and its Cholesky factorization needs only a fixed 1e-8 jitter.
     """
-    from scipy.linalg import cho_factor, cho_solve  # only optimize needs it
-
     if len(X) == 0:
         raise ValueError("gp_fit needs at least one observation")
     y_mean = float(y.mean())
@@ -113,26 +117,16 @@ def gp_fit(X: np.ndarray, y: np.ndarray) -> GPosterior:
     if y_std == 0.0:
         y_std = 1.0
     K = _kernel(X, X) + _NOISE_VAR * np.eye(len(X))
-    jitter = 1e-8
-    while True:
-        try:
-            c = cho_factor(K + jitter * np.eye(len(X)), lower=True)
-            break
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-            if jitter > 1.0:
-                raise
-    alpha = cho_solve(c, (y - y_mean) / y_std)
-    return GPosterior(X=X, y_mean=y_mean, y_std=y_std, chol=c, alpha=alpha)
+    L = np.linalg.cholesky(K + 1e-8 * np.eye(len(X)))
+    alpha = _cho_solve(L, (y - y_mean) / y_std)
+    return GPosterior(X=X, y_mean=y_mean, y_std=y_std, chol=L, alpha=alpha)
 
 
 def gp_predict(post: GPosterior, Xc: np.ndarray) -> tuple:
     """Posterior mean and standard deviation at (m, 2) unit-box points."""
-    from scipy.linalg import cho_solve
-
     Ks = _kernel(Xc, post.X)
     mu = Ks @ post.alpha
-    v = cho_solve(post.chol, Ks.T)
+    v = _cho_solve(post.chol, Ks.T)
     var = 1.0 - np.sum(Ks * v.T, axis=1)
     var = np.maximum(var, 0.0)
     return (mu * post.y_std + post.y_mean,

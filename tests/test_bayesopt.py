@@ -75,9 +75,14 @@ class TestGP:
         alpha = np.linalg.solve(K, yn)
         Xc = np.array([[0.2, 0.5], [0.8, 1.0]])
         d2c = ((Xc[:, None] - X[None]) ** 2).sum(axis=2)
-        mu_ref = np.exp(-0.5 * d2c / 0.04) @ alpha * y.std() + y.mean()
-        mu, _ = gp_predict(post, Xc)
+        k = np.exp(-0.5 * d2c / 0.04)
+        mu_ref = k @ alpha * y.std() + y.mean()
+        var_ref = 1.0 - np.einsum("ij,ij->i", k, np.linalg.solve(K, k.T).T)
+        sigma_ref = np.sqrt(var_ref) * y.std()
+        mu, sigma = gp_predict(post, Xc)
         assert np.allclose(mu, mu_ref, atol=1e-9)
+        assert np.allclose(sigma, sigma_ref, atol=1e-9)
+        assert np.all(sigma_ref > 1e-3 * y.std())
 
     def test_constant_observations(self):
         pts = [(0.5, 10.0), (1.5, 20.0)]

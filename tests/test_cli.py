@@ -864,8 +864,8 @@ class TestUsage:
         assert (run.returncode, run.stderr) == (0, "")
 
     def test_import_leaves_scipy_out(self):
-        # Only the commands that call scipy load it (optimize, render,
-        # midline), and only once they run.
+        # Only the commands that call scipy load it (render, midline),
+        # and only once they run.
         self._leaves_scipy_out("import sys, tentaclelab.cli")
 
     def test_dataset_train_eval_metrics_leave_scipy_out(self, tmp_path):
@@ -880,7 +880,8 @@ for argv in (["dataset", "--duration", "1", "--duration-test", "1",
              ["train", "--data", d + "/data", "--out", d + "/model"],
              ["eval", "--data", d + "/data", "--weights",
               d + "/model/weights.json", "--out", d + "/eval"],
-             ["metrics", "--out", d + "/metrics"]):
+             ["metrics", "--out", d + "/metrics"],
+             ["optimize", "--budget", "4", "--out", d + "/optimize"]):
     assert main(argv + ["--config", cfg]) == 0, argv
 assert main(["report", "--run", d]) == 0"""
         self._leaves_scipy_out(code, str(cfg), str(tmp_path / "run"))
