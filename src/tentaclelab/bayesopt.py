@@ -3,8 +3,9 @@
 A squared-exponential GP with fixed hyperparameters is fit to the
 objective at the evaluated cells of a fixed (frequency, amplitude)
 candidate grid, in the grid's unit-box coordinates; the next cell is the
-argmax of an exploration-weighted blend of min-max normalized posterior
-mean and standard deviation over the grid.
+argmax, over the cells not yet evaluated, of an exploration-weighted
+blend of posterior mean and standard deviation, each min-max normalized
+over the grid.
 """
 
 from __future__ import annotations
@@ -133,11 +134,14 @@ def gp_predict(post: GPosterior, Xc: np.ndarray) -> tuple:
             np.sqrt(var) * post.y_std)
 
 
-def acquisition(mu: np.ndarray, sigma: np.ndarray, rho: float = 0.8) -> int:
-    """Index of the next candidate: (1-rho)*mu_hat + rho*sigma_hat.
+def acquisition(mu: np.ndarray, sigma: np.ndarray, rho: float = 0.8,
+                eligible: np.ndarray | None = None) -> int:
+    """Index of the next candidate: the argmax of
+    (1-rho)*mu_hat + rho*sigma_hat over the cells where the boolean
+    `eligible` is true (every cell when it is None).
 
-    mu_hat and sigma_hat are min-max normalized over the grid; ties are
-    broken by the lowest index.
+    mu_hat and sigma_hat are min-max normalized over all the cells given;
+    ties are broken by the lowest index.
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -151,6 +155,8 @@ def acquisition(mu: np.ndarray, sigma: np.ndarray, rho: float = 0.8) -> int:
         return np.zeros_like(v) if rng == 0 else (v - v.min()) / rng
 
     score = (1.0 - rho) * norm(mu) + rho * norm(sigma)
+    if eligible is not None:
+        score = np.where(eligible, score, -np.inf)
     return int(np.argmax(score))
 
 
@@ -161,16 +167,19 @@ def optimize(objective_fn, space: SearchSpace, budget: int,
 
     The first three evaluations take three distinct grid cells drawn at
     random from `seed`; every later one fits the GP to all successful
-    evaluations and takes the acquisition argmax. An objective_fn call
-    that fails (ValueError, ArithmeticError or RuntimeError, which
-    includes SimulationError) is masked: the cell is excluded from the
-    grid and from the history, and the loop continues; any other
-    exception is a bug and propagates. If every evaluation fails,
-    OptimizationError names the count and the last error.
+    evaluations and takes the acquisition argmax over the cells not yet
+    evaluated, so no cell is evaluated twice and the budget may not
+    exceed the grid. An objective_fn call that fails (ValueError,
+    ArithmeticError or RuntimeError, which includes SimulationError) is
+    masked: the cell is excluded from the grid and from the history, and
+    the loop continues; any other exception is a bug and propagates. If
+    every evaluation fails, OptimizationError names the count and the
+    last error.
     """
-    if budget < _N_INIT:
-        raise ValueError(f"budget must be at least {_N_INIT}")
     grid = space.grid()
+    if not _N_INIT <= budget <= len(grid):
+        raise ValueError(f"budget must be at least {_N_INIT} and at most "
+                         f"the grid's {len(grid)} cells, got {budget}")
     init = np.random.default_rng(seed).choice(len(grid), _N_INIT,
                                               replace=False)
     unit = space.to_unit(grid[:, 0], grid[:, 1])
@@ -187,7 +196,8 @@ def optimize(objective_fn, space: SearchSpace, budget: int,
             else:
                 mu, sig = np.zeros(len(grid)), np.ones(len(grid))
             live = np.flatnonzero(~masked)
-            k = live[acquisition(mu[live], sig[live], rho)]
+            unscored = ~np.isin(live, done)
+            k = live[acquisition(mu[live], sig[live], rho, unscored)]
         f, A = float(grid[k, 0]), float(grid[k, 1])
         try:
             y = objective_fn(f, A)

@@ -164,12 +164,16 @@ def _check_bo(cfg: "RunConfig") -> None:
     its grid must be one that `evaluate_cell` can score."""
     bo = cfg.bo
     _check_amplitudes("A_set", bo["A_set"])
-    _check_field_samples(cfg, np.unique(cfg.build_search_space().grid()[:, 0]))
+    grid = cfg.build_search_space().grid()
+    _check_field_samples(cfg, np.unique(grid[:, 0]))
     if not _is_int(bo["seed"]) or bo["seed"] < 0:
         raise ValueError("seed must be an integer >= 0")
-    # optimize starts from three design points.
+    # optimize starts from three design points and scores no cell twice.
     if not _is_int(bo["budget"]) or bo["budget"] < 3:
         raise ValueError("budget must be an integer >= 3")
+    if bo["budget"] > len(grid):
+        raise ValueError(f"budget {bo['budget']} exceeds the grid's "
+                         f"{len(grid)} cells")
     # The acquisition score weighs the mean by 1 - rho.
     if not _is_real(bo["rho"]) or not 0.0 <= bo["rho"] <= 1.0:
         raise ValueError("rho must be a number in [0, 1]")

@@ -116,6 +116,15 @@ class TestAcquisition:
         sigma = np.array([0.5, 0.5, 0.5])
         assert acquisition(mu, sigma) == 0
 
+    def test_argmax_over_eligible_cells_only(self):
+        mu = np.array([0.1, 0.9, 0.5, 0.0])
+        sigma = np.array([0.9, 0.1, 0.5, 0.0])
+        eligible = np.array([False, True, True, True])
+        # Normalized over all four cells: cell 2 scores 0.5 against cell
+        # 1's 0.8*0.1/0.9 + 0.2*0.9/0.9.
+        assert acquisition(mu, sigma, rho=0.8, eligible=eligible) == 2
+        assert acquisition(mu, sigma, rho=0.0, eligible=eligible) == 1
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             acquisition(np.array([1.0]), np.array([1.0, 2.0]))
@@ -141,6 +150,30 @@ class TestOptimize:
     def test_budget_too_small(self):
         with pytest.raises(ValueError):
             optimize(self.parabola, SPACE, budget=2)
+
+    @pytest.mark.parametrize("space", [SPACE, SearchSpace(A_set=(20.0,))])
+    def test_budget_above_the_grid(self, space):
+        n = len(space.grid())
+        with pytest.raises(ValueError, match=f"{n} cells, got {n + 1}"):
+            optimize(self.parabola, space, budget=n + 1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_cell_scored_twice(self, seed):
+        calls = []
+
+        def counting(f, A):
+            calls.append((f, A))
+            return self.parabola(f, A)
+
+        optimize(counting, SPACE, budget=60, seed=seed)
+        assert len(calls) == 60
+        assert len(set(calls)) == 60
+
+    def test_budget_of_the_whole_grid_scores_every_cell(self):
+        space = SearchSpace(A_set=(20.0,))
+        _, hist = optimize(self.parabola, space, budget=64, seed=0)
+        assert sorted((r.f, r.A) for r in hist) == \
+            sorted(map(tuple, space.grid()))
 
     def test_determinism(self):
         a = optimize(self.parabola, SPACE, budget=8, seed=3)[1]

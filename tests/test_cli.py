@@ -370,6 +370,7 @@ BO_ERRORS = {
     "unknown_key": {"budgte": 4},
     "budget_below_3": {"budget": 2},
     "fractional_budget": {"budget": 4.5},
+    "budget_above_grid": {"budget": 193},
     "reversed_f_range": {"f_range": [3.2, 0.32]},
 }
 

@@ -201,6 +201,14 @@ class TestBOValidation:
             RunConfig.from_dict({"schema": CONFIG_SCHEMA,
                                  "bo": {"budget": budget}})
 
+    def test_budget_above_the_grid_names_both_numbers(self):
+        with pytest.raises(ConfigError, match="^bo: budget 65 exceeds "
+                           "the grid's 64 cells$"):
+            RunConfig.from_dict({"schema": CONFIG_SCHEMA,
+                                 "bo": {"budget": 65, "A_set": [15]}})
+        RunConfig.from_dict({"schema": CONFIG_SCHEMA,
+                             "bo": {"budget": 64, "A_set": [15]}})
+
     def test_search_space_and_boundary_budget(self):
         cfg = RunConfig.from_dict({"schema": CONFIG_SCHEMA, "bo": {
             "budget": 3, "f_range": [0.5, 2.0], "A_set": [15]}})
