@@ -116,14 +116,14 @@ class TestAcquisition:
         sigma = np.array([0.5, 0.5, 0.5])
         assert acquisition(mu, sigma) == 0
 
-    def test_argmax_over_eligible_cells_only(self):
-        mu = np.array([0.1, 0.9, 0.5, 0.0])
-        sigma = np.array([0.9, 0.1, 0.5, 0.0])
-        eligible = np.array([False, True, True, True])
-        # Normalized over all four cells: cell 2 scores 0.5 against cell
-        # 1's 0.8*0.1/0.9 + 0.2*0.9/0.9.
-        assert acquisition(mu, sigma, rho=0.8, eligible=eligible) == 2
-        assert acquisition(mu, sigma, rho=0.0, eligible=eligible) == 1
+    def test_argmax_over_eligible_cells_normalized_over_all(self):
+        mu = np.array([0.0, 1.0, 0.0])
+        sigma = np.array([10.0, 0.0, 1.0])
+        eligible = np.array([False, True, True])
+        assert acquisition(mu, sigma) == 0
+        # Over all three cells cell 1 scores 0.2 and cell 2 0.8 * 0.1;
+        # normalized over the eligible two alone, cell 2 would score 0.8.
+        assert acquisition(mu, sigma, eligible=eligible) == 1
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
