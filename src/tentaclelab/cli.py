@@ -32,7 +32,7 @@ import numpy as np
 from .actuation import ProgramSpec, build_program
 from .bayesopt import OptimizationError, optimize
 from .config import CONFIG_SCHEMA, ConfigError, RunConfig, cell_window, \
-    config_hash, default_config
+    config_hash, read_config_doc
 from .csvio import read_csv, write_csv
 from .fitting import fit_report, poly_centerline, poly_targets
 from .kinematics import CurvatureState, sample_centerline, tip_positions
@@ -56,26 +56,29 @@ def _write_json(path, doc) -> None:
         f.write("\n")
 
 
-# Flags that each override one config key, folded in before validation
-# so the config check covers them and the manifest records them.
-_FLAG_KEYS = (("budget", "bo", "budget"),
-              ("duration", "dataset", "train_duration_s"),
-              ("duration_test", "dataset", "test_duration_s"))
+# (flag, section, key, offset): each flag given sets its keys to its value
+# plus the offset, in the config document before its one validation, so a
+# flag stands in for the file's value and the manifest records it.
+# `--seed n` sets every seed, and the test split's to n + 1.
+_FLAG_KEYS = (("seed", "sensor", "seed", 0), ("seed", "train", "seed", 0),
+              ("seed", "dataset", "train_seed", 0),
+              ("seed", "dataset", "test_seed", 1), ("seed", "bo", "seed", 0),
+              ("budget", "bo", "budget", 0),
+              ("duration", "dataset", "train_duration_s", 0),
+              ("duration_test", "dataset", "test_duration_s", 0))
 
 
 def _load_config(args) -> RunConfig:
-    cfg = RunConfig.from_json(args.config) if args.config else default_config()
-    doc = cfg.to_dict()
-    n = args.seed
-    if n is not None:
-        doc.update(sensor={**cfg.sensor, "seed": n},
-                   train={**cfg.train, "seed": n},
-                   dataset={**cfg.dataset, "train_seed": n,
-                            "test_seed": n + 1},
-                   bo={**cfg.bo, "seed": n})
-    for flag, section, key in _FLAG_KEYS:
-        if getattr(args, flag, None) is not None:
-            doc[section] = {**doc[section], key: getattr(args, flag)}
+    """The --config document, or the defaults, with the flags folded in.
+    A document or section that is not a JSON object stays as it is, for
+    `RunConfig.from_dict` to name."""
+    doc = (read_config_doc(args.config) if args.config
+           else {"schema": CONFIG_SCHEMA})
+    for flag, section, key, offset in _FLAG_KEYS:
+        value = getattr(args, flag, None)
+        if (value is not None and isinstance(doc, dict)
+                and isinstance(doc.setdefault(section, {}), dict)):
+            doc[section][key] = value + offset
     return RunConfig.from_dict(doc)
 
 
@@ -446,6 +449,10 @@ def main(argv=None) -> int:
         if args.command != "eval" and args.model and args.model.n_in != n:
             raise ConfigError(f"{weights} takes {args.model.n_in} pressure "
                               f"channels; the sensor section reads {n}")
+        # evaluate_cell reads the network's outputs as (q1, q2).
+        if args.command != "eval" and args.model and cfg.target == "poly":
+            raise ConfigError(f"target: {args.command} --weights needs an "
+                              "affine model; a poly model predicts (c2, c3)")
         out = args.out      # staged beside it: each move is a rename
         parent = os.path.dirname(os.path.realpath(out))
         os.makedirs(parent, exist_ok=True)

@@ -21,8 +21,8 @@ from .regressor import TrainConfig
 from .sim import SensorModel, SimParams, default_sensor_model, \
     material_preset, preset_epochs
 
-__all__ = ["RunConfig", "ConfigError", "default_config", "config_hash",
-           "cell_window"]
+__all__ = ["RunConfig", "ConfigError", "read_config_doc", "default_config",
+           "config_hash", "cell_window"]
 
 CONFIG_SCHEMA = 1
 
@@ -265,12 +265,17 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
-        try:
-            with open(path) as f:
-                doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON ({e})") from e
-        return cls.from_dict(doc)
+        return cls.from_dict(read_config_doc(path))
+
+
+def read_config_doc(path):
+    """The JSON document at `path`, unchecked; invalid JSON raises
+    ConfigError."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path}: invalid JSON ({e})") from e
 
 
 def cell_window(sweep: dict, f: float, dt: float) -> range:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,8 +37,16 @@ __all__ = [
 
 WEIGHTS_SCHEMA = 1
 
-# Parameter array names; per-direction LSTM blocks use the f/b prefix.
-_PARAM_NAMES = ("Wf", "Uf", "bf", "Wb", "Ub", "bb", "W1", "b1", "W2", "b2")
+
+def _param_shapes(n_in: int, n_out: int, H: int) -> dict:
+    """Name and shape of every parameter array, in storage order;
+    per-direction LSTM blocks use the f/b suffix."""
+    return {"Wf": (4 * H, n_in), "Uf": (4 * H, H), "bf": (4 * H,),
+            "Wb": (4 * H, n_in), "Ub": (4 * H, H), "bb": (4 * H,),
+            "W1": (H, 2 * H), "b1": (H,), "W2": (n_out, H), "b2": (n_out,)}
+
+
+_PARAM_NAMES = tuple(_param_shapes(1, 1, 1))
 
 
 class TrainingError(RuntimeError):
@@ -103,10 +111,9 @@ class TrainConfig:
 class RegressorWeights:
     """All network parameters plus frozen normalization statistics.
 
-    LSTM gate blocks are stacked row-wise in i, f, g, o order: W* is
-    (4H, n_in), U* is (4H, H), b* is (4H,); suffix f/b marks the
-    forward/backward direction. Head: W1 (H, 2H) with tanh, W2
-    (n_out, H) linear.
+    LSTM gate blocks are stacked row-wise in i, f, g, o order, and
+    `_param_shapes` gives every array's shape. Head: W1 with tanh, then
+    W2 linear.
     """
 
     hidden: int
@@ -117,16 +124,33 @@ class RegressorWeights:
     out_std: np.ndarray
 
     def __post_init__(self):
-        if self.hidden < 1:
-            raise ValueError("hidden size must be at least 1")
-        for name in _PARAM_NAMES:
-            if name not in self.params:
-                raise ValueError(f"missing parameter array {name}")
-            if not np.all(np.isfinite(self.params[name])):
-                raise ValueError(f"parameter {name} contains non-finite values")
-        for arr in (self.in_std, self.out_std):
-            if np.any(np.asarray(arr) <= 0):
-                raise ValueError("normalization std components must be > 0")
+        """The one check of a weights document: every field present,
+        finite and of the shape `hidden`, n_in = len(in_mean) and
+        n_out = len(out_mean) give it. Arrays are stored as float."""
+        H = self.hidden
+        if (isinstance(H, bool) or not isinstance(H, numbers.Integral)
+                or H < 1):
+            raise ValueError("hidden must be an integer >= 1")
+        if not isinstance(self.params, dict):
+            raise ValueError("params must map parameter names to arrays")
+        stats = {k: _float_array(k, getattr(self, k))
+                 for k in ("in_mean", "in_std", "out_mean", "out_std")}
+        params = {k: _float_array(f"parameter array {k}", self.params.get(k))
+                  for k in _PARAM_NAMES}
+        n_in, n_out = stats["in_mean"].size, stats["out_mean"].size
+        shapes = {**_param_shapes(n_in, n_out, H), "in_mean": (n_in,),
+                  "in_std": (n_in,), "out_mean": (n_out,),
+                  "out_std": (n_out,)}
+        for k, arr in {**params, **stats}.items():
+            if arr.shape != shapes[k]:
+                raise ValueError(f"{k} has shape {arr.shape}; hidden {H}, "
+                                 f"{n_in} inputs and {n_out} outputs need "
+                                 f"{shapes[k]}")
+        if np.any(stats["in_std"] <= 0) or np.any(stats["out_std"] <= 0):
+            raise ValueError("normalization std components must be > 0")
+        self.params = params
+        for k, arr in stats.items():
+            setattr(self, k, arr)
 
     @property
     def n_in(self) -> int:
@@ -137,26 +161,34 @@ class RegressorWeights:
         return self.params["W2"].shape[0]
 
 
+def _float_array(name, value) -> np.ndarray:
+    """`value` as a float array; ValueError naming `name` if it is absent
+    (None), not an array of numbers, or not finite."""
+    if value is None:
+        raise ValueError(f"missing {name}")
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an array of numbers") from None
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite values")
+    return arr
+
+
 def init_weights(n_in: int, n_out: int, hidden: int, seed: int,
                  in_mean=None, in_std=None, out_mean=None,
                  out_std=None) -> RegressorWeights:
     """Seeded uniform init in +-1/sqrt(H) for every parameter."""
     rng = np.random.default_rng(seed)
-    H = hidden
-    lim = 1.0 / np.sqrt(H)
-    shapes = {
-        "Wf": (4 * H, n_in), "Uf": (4 * H, H), "bf": (4 * H,),
-        "Wb": (4 * H, n_in), "Ub": (4 * H, H), "bb": (4 * H,),
-        "W1": (H, 2 * H), "b1": (H,), "W2": (n_out, H), "b2": (n_out,),
-    }
-    params = {k: rng.uniform(-lim, lim, size=s) for k, s in shapes.items()}
-    one = np.ones
+    lim = 1.0 / np.sqrt(hidden)
+    params = {k: rng.uniform(-lim, lim, size=s)
+              for k, s in _param_shapes(n_in, n_out, hidden).items()}
     return RegressorWeights(
-        hidden=H, params=params,
-        in_mean=np.zeros(n_in) if in_mean is None else np.asarray(in_mean),
-        in_std=one(n_in) if in_std is None else np.asarray(in_std),
-        out_mean=np.zeros(n_out) if out_mean is None else np.asarray(out_mean),
-        out_std=one(n_out) if out_std is None else np.asarray(out_std))
+        hidden=hidden, params=params,
+        in_mean=np.zeros(n_in) if in_mean is None else in_mean,
+        in_std=np.ones(n_in) if in_std is None else in_std,
+        out_mean=np.zeros(n_out) if out_mean is None else out_mean,
+        out_std=np.ones(n_out) if out_std is None else out_std)
 
 
 def _lstm_pass(xn, p, H):
@@ -381,15 +413,17 @@ def save_weights(w: RegressorWeights, path) -> None:
 
 
 def load_weights(path) -> RegressorWeights:
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("schema") != WEIGHTS_SCHEMA:
-        raise ValueError(f"unsupported weights schema in {path}")
-    params = {k: np.asarray(doc["params"][k], dtype=float)
-              for k in _PARAM_NAMES}
-    return RegressorWeights(
-        hidden=int(doc["hidden"]), params=params,
-        in_mean=np.asarray(doc["in_mean"], dtype=float),
-        in_std=np.asarray(doc["in_std"], dtype=float),
-        out_mean=np.asarray(doc["out_mean"], dtype=float),
-        out_std=np.asarray(doc["out_std"], dtype=float))
+    """Read a `save_weights` file; a malformed one raises ValueError
+    naming `path`."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+        if not isinstance(doc, dict):
+            raise ValueError("must be a JSON object")
+        if doc.get("schema") != WEIGHTS_SCHEMA:
+            raise ValueError("unsupported weights schema "
+                             f"{doc.get('schema')!r}")
+        return RegressorWeights(**{f.name: doc.get(f.name)
+                                   for f in fields(RegressorWeights)})
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -271,8 +271,8 @@ def sensor_readout(trace: SimTrace | ModalRun,
     if qd is None:
         raise ValueError("sensor readout needs the simulated rate q_dot, "
                          "which a trace read from CSV does not hold")
-    u = q @ model.gain.T
-    u = u + qd @ model.rate_gain.T + model.sat_kappa * (q @ model.gain.T) ** 3
+    gq = q @ model.gain.T
+    u = gq + qd @ model.rate_gain.T + model.sat_kappa * gq ** 3
     if model.lag_tau_s > 0:
         a = trace.dt / (model.lag_tau_s + trace.dt)
         u = np.column_stack([list(accumulate(ch, lambda s, x: s + a * (x - s)))

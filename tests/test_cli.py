@@ -457,6 +457,55 @@ class TestComponentConfigErrors:
             "error: config: must be a JSON object\n")
         assert not out.exists()
 
+    # A flag leaves a document or section that is not an object as it is.
+    @pytest.mark.parametrize("name,text,argv", [
+        ("config", "[1, 2]", ["dataset", "--seed", "4"]),
+        ("sensor", '{"schema": 1, "sensor": null}', ["dataset", "--seed", "4"]),
+        ("dataset", '{"schema": 1, "dataset": "dt"}',
+         ["dataset", "--duration", "1"]),
+        ("bo", '{"schema": 1, "bo": [1]}', ["optimize", "--budget", "3"]),
+    ], ids=["config", "sensor", "dataset", "bo"])
+    def test_not_an_object_under_a_flag_exits_1(self, tmp_path, capsys, name,
+                                                text, argv):
+        p = tmp_path / "config.json"
+        p.write_text(text)
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {name}: must be a JSON object\n")
+        assert not out.exists()
+
+
+# A flag stands in for the file's value, even one the file gets wrong:
+# (command and flag, file sections, section the flag sets, its values).
+FLAG_OVER_FILE = {
+    "budget_above_grid": (["optimize", "--budget", "3"],
+                          {"bo": {"A_set": [10], "budget": 65}},
+                          "bo", {"budget": 3}),
+    "equal_split_seeds": (["dataset", "--seed", "4"],
+                          {"dataset": {"train_seed": 2, "test_seed": 2,
+                                       "train_duration_s": 0.5,
+                                       "test_duration_s": 0.25}},
+                          "dataset", {"train_seed": 4, "test_seed": 5}),
+}
+
+
+class TestFlagOverFile:
+    @pytest.mark.parametrize("argv,sections,section,values",
+                             FLAG_OVER_FILE.values(),
+                             ids=FLAG_OVER_FILE.keys())
+    def test_flag_replaces_the_bad_value(self, tmp_path, capsys, argv,
+                                         sections, section, values):
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps({**FAST_CONFIG, **sections}))
+        out = tmp_path / "out"
+        assert main(argv[:1] + ["--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {section}: ")
+        assert main(argv + ["--config", str(p), "--out", str(out)]) == 0
+        with open(out / "manifest.json") as f:
+            recorded = json.load(f)["config"][section]
+        assert {k: recorded[k] for k in values} == values
+
 
 class TestChannelCount:
     """A trace holds one pressure column per sensor channel."""
@@ -560,6 +609,50 @@ class TestMissingWeights:
                      str(weights), "--out", str(out)] + data) == 1
         assert capsys.readouterr().err == (
             f"error: weights file not found: {weights}\n")
+        assert not out.exists()
+
+
+# Each turns a trained weights document into a malformed one.
+MALFORMED_WEIGHTS = {
+    "not_an_object": (lambda doc: [doc], "must be a JSON object"),
+    "missing_array": (lambda doc: {**doc, "params": {
+        k: v for k, v in doc["params"].items() if k != "Ub"}},
+        "missing parameter array Ub"),
+    "wrong_shape": (lambda doc: {**doc, "params": {
+        **doc["params"], "Uf": doc["params"]["Uf"][1:]}},
+        "Uf has shape (15, 4); hidden 4, 3 inputs and 2 outputs need (16, 4)"),
+}
+
+
+class TestBadWeights:
+    @pytest.mark.parametrize("command", ["eval", "metrics", "optimize"])
+    @pytest.mark.parametrize("edit,message", MALFORMED_WEIGHTS.values(),
+                             ids=MALFORMED_WEIGHTS.keys())
+    def test_malformed_exits_2_naming_the_file_before_output(
+            self, tmp_path, capsys, fast_config, dataset_dir, trained_dir,
+            command, edit, message):
+        with open(os.path.join(trained_dir, "weights.json")) as f:
+            doc = json.load(f)
+        weights, out = tmp_path / "weights.json", tmp_path / "out"
+        weights.write_text(json.dumps(edit(doc)))
+        data = ["--data", dataset_dir] if command == "eval" else []
+        assert main([command, "--config", fast_config, "--weights",
+                     str(weights), "--out", str(out)] + data) == 2
+        assert capsys.readouterr().err == f"error: {weights}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["metrics", "optimize"])
+    def test_under_poly_target_exit_1_before_output(
+            self, tmp_path, capsys, trained_dir, command):
+        p = tmp_path / "poly.json"
+        p.write_text(json.dumps({**FAST_CONFIG, "target": "poly"}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(p), "--weights",
+                     os.path.join(trained_dir, "weights.json"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: target: {command} --weights needs an affine model; a "
+            "poly model predicts (c2, c3)\n")
         assert not out.exists()
 
 

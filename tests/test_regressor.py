@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -358,6 +361,33 @@ class TestSerialization:
         p = tmp_path / "w.json"
         p.write_text('{"schema": 99}')
         with pytest.raises(ValueError):
+            load_weights(p)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: [d], "must be a JSON object"),
+        (lambda d: {k: v for k, v in d.items() if k != "in_std"},
+         "missing in_std"),
+        (lambda d: {**d, "params": {k: v for k, v in d["params"].items()
+                                    if k != "Ub"}},
+         "missing parameter array Ub"),
+        (lambda d: {**d, "params": [1]}, "params must map"),
+        (lambda d: {**d, "params": {**d["params"], "b1": [[1.0], 2.0]}},
+         "parameter array b1 must be an array of numbers"),
+        (lambda d: {**d, "hidden": "4"}, "hidden must be an integer >= 1"),
+        (lambda d: {**d, "hidden": 5},
+         r"Wf has shape \(16, 3\); hidden 5, 3 inputs and 2 outputs"),
+        (lambda d: {**d, "out_mean": [0.0]},
+         r"W2 has shape \(2, 4\); hidden 4, 3 inputs and 1 outputs"),
+        (lambda d: {**d, "in_std": [1.0, 1.0]}, r"in_std has shape \(2,\)"),
+    ], ids=["not_an_object", "missing_key", "missing_array", "params_a_list",
+            "ragged_array", "string_hidden", "hidden_disagrees",
+            "n_out_disagrees", "n_in_disagrees"])
+    def test_malformed_file_raises_naming_it(self, tmp_path, edit, message):
+        p = tmp_path / "w.json"
+        save_weights(init_weights(3, 2, 4, 0), p)
+        p.write_text(json.dumps(edit(json.loads(p.read_text()))))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: "
+                           f"{message}"):
             load_weights(p)
 
     def test_invalid_weights_rejected(self):
