@@ -449,6 +449,10 @@ def main(argv=None) -> int:
         if args.command != "eval" and args.model and args.model.n_in != n:
             raise ConfigError(f"{weights} takes {args.model.n_in} pressure "
                               f"channels; the sensor section reads {n}")
+        # Every command reads the network's outputs as one pair per step.
+        if args.model and args.model.n_out != 2:
+            raise ConfigError(f"{weights} predicts {args.model.n_out} "
+                              f"outputs; {args.command} reads 2")
         # evaluate_cell reads the network's outputs as (q1, q2).
         if args.command != "eval" and args.model and cfg.target == "poly":
             raise ConfigError(f"target: {args.command} --weights needs an "

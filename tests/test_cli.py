@@ -11,6 +11,7 @@ from tentaclelab import cli
 from tentaclelab.bayesopt import EvalRecord
 from tentaclelab.cli import main
 from tentaclelab.config import CONFIG_SCHEMA, RunConfig, default_config
+from tentaclelab.regressor import init_weights, save_weights
 from tentaclelab.vision import write_pgm
 
 FAST_CONFIG = {
@@ -653,6 +654,20 @@ class TestBadWeights:
         assert capsys.readouterr().err == (
             f"error: target: {command} --weights needs an affine model; a "
             "poly model predicts (c2, c3)\n")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", ["eval", "metrics", "optimize"])
+    @pytest.mark.parametrize("n_out", [1, 3])
+    def test_output_width_other_than_2_exits_1_before_output(
+            self, tmp_path, capsys, fast_config, dataset_dir, command, n_out):
+        weights, out = tmp_path / "weights.json", tmp_path / "out"
+        save_weights(init_weights(3, n_out, 4, 0), str(weights))
+        data = ["--data", dataset_dir] if command == "eval" else []
+        assert main([command, "--config", fast_config, "--weights",
+                     str(weights), "--out", str(out)] + data) == 1
+        assert capsys.readouterr().err == (
+            f"error: {weights} predicts {n_out} outputs; {command} reads 2\n")
         assert not out.exists()
 
 

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tentaclelab.kinematics import (CurvatureState, TentacleGeometry,
-                                    lateral_displacements, sample_centerline,
-                                    tip_position, tip_positions)
+                                    _integrals, lateral_displacements,
+                                    sample_centerline, tip_position,
+                                    tip_positions)
 
 L = 220.0
 GEOM = TentacleGeometry()
@@ -323,3 +324,125 @@ class TestSharedNodeQuadrature:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             lateral_displacements(_states(1.0, n=3), np.array([0.5, np.nan]),
                                   L)
+
+
+def fixed_panel_integrals(q_series, stations, fns, per_arc=8):
+    """The shared-node quadrature with one panel count for every state:
+    each gap gets ceil(gap * per_arc) panels. With per_arc = 8 this is
+    `_integrals` as it was before panels were sized to each state's bend."""
+    q_series = np.asarray(q_series, dtype=float)
+    knots, where = np.unique(np.concatenate([[0.0], stations]),
+                             return_inverse=True)
+    gaps = np.diff(knots)
+    panels = np.ceil(gaps * per_arc).astype(int)
+    gap_of = np.repeat(np.arange(len(gaps)), panels)
+    ends = np.concatenate([[0], np.cumsum(panels)])
+    h = gaps[gap_of] / panels[gap_of]
+    mid = knots[gap_of] + h * (np.arange(len(h)) - ends[gap_of] + 0.5)
+    v = (mid[:, None] + 0.5 * h[:, None] * _GL_NODES[None, :]).ravel()
+    half_v2 = 0.5 * v * v
+    col = ends[where[1:]]
+    half_h = 0.5 * h
+    n_t = len(q_series)
+    outs = [np.empty((n_t, len(stations))) for _ in fns]
+    block = max(1, 32768 // max(1, v.size))
+    rows = min(block, n_t)
+    alpha = np.empty((rows, v.size))
+    buf = np.empty((rows, v.size))
+    cum = np.zeros((rows, len(h) + 1))
+    for k in range(0, n_t, block):
+        q = q_series[k:k + block]
+        n = len(q)
+        a, b, c = alpha[:n], buf[:n], cum[:n]
+        np.multiply(q[:, :1], v, out=a)
+        np.multiply(q[:, 1:], half_v2, out=b)
+        a += b
+        for out, fn in zip(outs, fns):
+            fn(a, out=b)
+            per_panel = np.einsum("tpk,k->tp",
+                                  b.reshape(n, len(h), 10), _GL_WEIGHTS)
+            per_panel *= half_h
+            np.cumsum(per_panel, axis=1, out=c[:, 1:])
+            out[k:k + n] = c[:, col]
+    return outs
+
+
+def _bent(bends, seed):
+    """One state per entry of `bends`, with |q1| + |q2| equal to it, split
+    at random between the two coordinates with random signs."""
+    rng = np.random.default_rng(seed)
+    bends = np.asarray(bends, dtype=float)
+    share = rng.uniform(0.0, 1.0, size=len(bends))
+    signs = rng.choice([-1.0, 1.0], size=(len(bends), 2))
+    return signs * np.column_stack([share * bends, (1.0 - share) * bends])
+
+
+# |q1| + |q2| either side of each panel-count edge, on it, and up to 40.
+_EDGES = (2.5, 5.0, 10.0, 17.5)
+_EDGE_BENDS = np.concatenate([[0.0, 1.0, 40.0]] + [
+    e + np.array([-1e-9, 0.0, 1e-9, -0.3, 0.3]) for e in _EDGES])
+
+
+class TestPanelsPerState:
+    """Each state's panel count follows its bend |q1| + |q2|."""
+
+    def test_tips_match_64_panel_reference_across_bands(self):
+        q = np.vstack([_bent(np.repeat(_EDGE_BENDS, 20), seed=6),
+                       _states(20.0, n=500, seed=7)])
+        assert np.allclose(tip_positions(q, GEOM), reference_tips(q, L),
+                           rtol=0.0, atol=1e-13 * L)
+
+    @pytest.mark.parametrize("per_arc", range(1, 9))
+    def test_band_uses_its_panel_count(self, per_arc):
+        # Bends in ((P - 1) * 2.5, P * 2.5] get P panels; the last band
+        # runs on to 40 at the cap of 8. The top bend sits just inside its
+        # band, so that rounding in _bent cannot lift it into the next.
+        hi = 2.5 * per_arc - 1e-9 if per_arc < 8 else 40.0
+        bends = np.linspace(2.5 * (per_arc - 1), hi, 41)[1:]
+        q = _bent(bends, seed=per_arc)
+        s = np.array([1.0, 0.4])
+        got = _integrals(q, s, (np.sin, np.cos))
+        want = fixed_panel_integrals(q, s, (np.sin, np.cos), per_arc)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_mixed_bands_equal_each_state_alone(self):
+        q = np.random.default_rng(8).permutation(
+            _bent(np.repeat(np.linspace(0.0, 40.0, 33), 40), seed=9))
+        whole = tip_positions(q, GEOM)
+        alone = np.vstack([tip_positions(qi[None], GEOM) for qi in q])
+        assert np.array_equal(whole, alone)
+        s = np.array([0.3, 1.0, 0.55, 0.3, 0.0])
+        whole = lateral_displacements(q, s, L)
+        alone = np.hstack([lateral_displacements(qi[None], s, L)
+                           for qi in q])
+        assert np.array_equal(whole, alone)
+
+    @pytest.mark.parametrize("n_stations", [16, 50, 200, 600])
+    def test_close_stations_keep_the_8_panel_nodes(self, n_stations):
+        # No gap exceeds 1/8, so every state gets one panel per gap.
+        q = np.vstack([_bent(_EDGE_BENDS, seed=10),
+                       _states(20.0, n=200, seed=11)])
+        s = np.linspace(0.0, 1.0, n_stations)
+        for fns in ((np.sin,), (np.sin, np.cos)):
+            for g, w in zip(_integrals(q, s, fns),
+                            fixed_panel_integrals(q, s, fns)):
+                assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("stations", [
+        np.array([1.0]), np.array([0.3, 1.0, 0.55, 0.0]),
+        np.linspace(0.0, 1.0, 3)], ids=["tip", "unsorted", "3"])
+    def test_bends_above_17_5_keep_the_8_panel_nodes(self, stations):
+        q = _bent(np.concatenate([np.linspace(17.5, 40.0, 200)[1:],
+                                  [17.5 + 1e-9]]), seed=12)
+        for g, w in zip(_integrals(q, stations, (np.sin, np.cos)),
+                        fixed_panel_integrals(q, stations,
+                                              (np.sin, np.cos))):
+            assert np.array_equal(g, w)
+
+    def test_nonfinite_state_gives_nan_and_leaves_others(self):
+        q = np.array([[0.5, 0.2], [np.nan, 0.0], [np.inf, 1.0], [30.0, 1.0]])
+        with np.errstate(invalid="ignore"):
+            tips = tip_positions(q, GEOM)
+        assert np.all(np.isnan(tips[1:3]))
+        assert np.array_equal(tips[[0, 3]], tip_positions(q[[0, 3]], GEOM))
