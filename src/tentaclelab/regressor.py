@@ -7,11 +7,19 @@ layer; inputs and targets are z-scored with statistics frozen at
 training time.
 
 The time loop holds only the sequential work. The input projection is
-one GEMM per sequence before it, and the weight gradients are GEMMs over
-the per-step pre-activation gradients after it. The forward and the
-time-reversed backward direction are stepped together on one (2H,)
+one GEMM per direction before it, and the weight gradients are GEMMs
+over the per-step pre-activation gradients after it. The forward and
+the time-reversed backward direction are stepped together on one (2H,)
 state, through a block-diagonal recurrent matrix with gate-interleaved
 rows, so each step makes one recurrent product for both directions.
+
+Inference (`forward`) keeps only what it returns, the (T, 2H) hidden
+states: it runs the steps in blocks of _BLOCK and recycles a block's
+gate, h, c and tanh(c) rows; only BPTT reads them back. Training keeps
+every step's rows for BPTT, in arrays that one `train` call allocates
+once and reuses for every chunk: allocated per chunk, arrays of this
+size are mapped afresh by the allocator each time, and every chunk pays
+page faults for them.
 """
 
 from __future__ import annotations
@@ -36,6 +44,10 @@ __all__ = [
 ]
 
 WEIGHTS_SCHEMA = 1
+
+# Steps per block of `forward`: its input projection and the gate, h, c
+# and tanh(c) rows it keeps cover one block at a time, not the series.
+_BLOCK = 256
 
 
 def _param_shapes(n_in: int, n_out: int, H: int) -> dict:
@@ -191,41 +203,48 @@ def init_weights(n_in: int, n_out: int, hidden: int, seed: int,
         out_std=np.ones(n_out) if out_std is None else out_std)
 
 
-def _lstm_pass(xn, p, H):
-    """Run both LSTM directions over (T, n_in) normalized inputs.
+def _recurrence(p, H):
+    """U, Us, scale and offset of the lockstep recurrence.
 
-    Step s advances the forward direction at time s and the backward
-    direction at time T-1-s together, on a (2H,) state. The pre-activation
-    rows are gate-interleaved (i_f i_b f_f f_b g_f g_b o_f o_b, H each),
-    so one block-diagonal (8H, 2H) product serves both directions and each
-    gate slice lines up with the state. The input projection is one GEMM
-    before the loop. sigmoid(z) = 0.5 + 0.5*tanh(z/2): the sigmoid rows
-    of the projection and of the recurrent matrix are halved up front
-    (exact in binary floating point), so one tanh covers all 8H gates.
-
-    Returns u (T, 2H), the [forward, backward] hidden states in time
-    order, and the caches for _lstm_grads.
+    U is the block-diagonal (8H, 2H) recurrent matrix with gate-interleaved
+    rows (i_f i_b f_f f_b g_f g_b o_f o_b, H each), so one product serves
+    both directions and each gate slice lines up with the (2H,) state.
+    sigmoid(z) = 0.5 + 0.5*tanh(z/2): `scale` halves the sigmoid rows of the
+    projection and of U (exact in binary floating point), so one tanh covers
+    all 8H gates, and `offset` = 1 - scale.
     """
-    T = len(xn)
     H2 = 2 * H
-    # Input projections first; step s turns its row into the gates.
-    gates = np.empty((T, 4, 2, H))                  # i, f, g, o per step
-    gates[:, :, 0] = (xn @ p["Wf"].T + p["bf"]).reshape(T, 4, H)
-    gates[:, :, 1] = (xn[::-1] @ p["Wb"].T + p["bb"]).reshape(T, 4, H)
-    gates = gates.reshape(T, 8 * H)
     U = np.zeros((4, 2, H, H2))
     U[:, 0, :, :H] = p["Uf"].reshape(4, H, H)
     U[:, 1, :, H:] = p["Ub"].reshape(4, H, H)
     U = U.reshape(8 * H, H2)
     scale = np.full(8 * H, 0.5)
     scale[2 * H2:3 * H2] = 1.0                      # g keeps a plain tanh
-    offset = 1.0 - scale
+    return U, U * scale[:, None], scale, 1.0 - scale
+
+
+def _lstm_steps(xn, p, rec, start, gates, proj, h, c, tc):
+    """Steps start .. start+n-1 of both directions, n = len(gates).
+
+    Step s advances the forward direction at time s and the backward
+    direction at time T-1-s together. The caller supplies the rows: h[0]
+    and c[0] hold the state carried in, step start+k writes h[k+1],
+    c[k+1] and tc[k] = tanh(c[k+1]), and gates (n, 8H) ends as the steps'
+    gate activations; proj (n, 4H) is scratch. The input projection of
+    the n steps is one GEMM per direction before the loop.
+    """
+    n = len(gates)
+    H = proj.shape[1] // 4
+    H2 = 2 * H
+    _, Us, scale, offset = rec
+    g4 = gates.reshape(n, 4, 2, H)                  # i, f, g, o per step
+    for d, x, W, b in ((0, xn, p["Wf"], p["bf"]),
+                       (1, xn[::-1], p["Wb"], p["bb"])):
+        np.matmul(x[start:start + n], W.T, out=proj)
+        proj += b
+        g4[:, :, d] = proj.reshape(n, 4, H)
     gates *= scale
-    Us = U * scale[:, None]
-    c = np.zeros((T + 1, H2))                       # c[s] is c_prev of s
-    tc = np.empty((T, H2))
-    h = np.zeros((T + 1, H2))                       # h[s] is h_prev of s
-    for s in range(T):
+    for s in range(n):
         a = gates[s]
         a += Us @ h[s]
         np.tanh(a, out=a)
@@ -235,27 +254,86 @@ def _lstm_pass(xn, p, H):
         c[s + 1] += a[:H2] * a[2 * H2:3 * H2]
         np.tanh(c[s + 1], out=tc[s])
         np.multiply(a[3 * H2:], tc[s], out=h[s + 1])
+
+
+def _bptt_rows(n, H) -> dict:
+    """The per-step arrays of one BPTT pass over at most n steps. A pass
+    over T steps uses the first T rows of each (T+1 of c and h), so one
+    set serves every chunk of a `train` call."""
+    H2 = 2 * H
+    return {"proj": np.empty((n, 4 * H)), "gates": np.empty((n, 8 * H)),
+            "c": np.empty((n + 1, H2)), "tc": np.empty((n, H2)),
+            "h": np.empty((n + 1, H2)), "m": np.empty((n, 4, H2)),
+            "dZ": np.empty((n, 4, H2)), "dZf": np.empty((n, 4 * H)),
+            "dZb": np.empty((n, 4 * H))}
+
+
+def _lstm_pass(xn, p, H, rows):
+    """Run both LSTM directions over (T, n_in) normalized inputs, keeping
+    every step's rows in `rows` (from _bptt_rows) for _lstm_grads.
+
+    Returns u (T, 2H) and the recurrent matrix U.
+    """
+    T = len(xn)
+    rec = _recurrence(p, H)
+    h, c = rows["h"][:T + 1], rows["c"][:T + 1]
+    h[0] = 0.0
+    c[0] = 0.0
+    _lstm_steps(xn, p, rec, 0, rows["gates"][:T], rows["proj"][:T], h, c,
+                rows["tc"][:T])
     u = np.concatenate([h[1:, :H], h[:0:-1, H:]], axis=1)
-    return u, (xn, U, gates, c, tc, h)
+    return u, rec[0]
 
 
-def _lstm_grads(du, cache, H):
-    """BPTT through both directions in lockstep; du (T, 2H) is the loss
-    gradient at u from _lstm_pass. The loop only fills dZ, the gradient at
-    the pre-activations; the weight gradients are GEMMs after it."""
-    xn, U, gates, c, tc, h = cache
+def _lstm_infer(xn, p, H):
+    """u (T, 2H) of _lstm_pass without the rows only BPTT reads.
+
+    The steps run in blocks of _BLOCK. A block's gate, h, c and tanh(c)
+    rows are recycled by the next block, which carries on from its last
+    h and c; only u, which it returns, spans the series. A tail of one
+    step joins the block before it: a 1-row projection would go through
+    gemv, whose last bits can differ from the GEMM's.
+    """
     T = len(xn)
     H2 = 2 * H
+    n = min(T, _BLOCK + 1)
+    rec = _recurrence(p, H)
+    gates, proj = np.empty((n, 8 * H)), np.empty((n, 4 * H))
+    h, c = np.zeros((n + 1, H2)), np.zeros((n + 1, H2))
+    tc = np.empty((n, H2))
+    u = np.empty((T, H2))
+    start = 0
+    while start < T:
+        end = T if T - start <= _BLOCK + 1 else start + _BLOCK
+        k = end - start
+        _lstm_steps(xn, p, rec, start, gates[:k], proj[:k], h[:k + 1],
+                    c[:k + 1], tc[:k])
+        u[start:end, :H] = h[1:k + 1, :H]
+        u[T - end:T - start, H:] = h[k:0:-1, H:]
+        h[0] = h[k]
+        c[0] = c[k]
+        start = end
+    return u
+
+
+def _lstm_grads(du, xn, U, rows, H):
+    """BPTT through both directions in lockstep; du (T, 2H) is the loss
+    gradient at u from _lstm_pass, whose rows are in `rows`. The loop only
+    fills dZ, the gradient at the pre-activations; the weight gradients
+    are GEMMs after it."""
+    T = len(xn)
+    H2 = 2 * H
+    gates, tc = rows["gates"][:T], rows["tc"][:T]
+    c, h = rows["c"][:T + 1], rows["h"][:T + 1]
+    m, dZ = rows["m"][:T], rows["dZ"][:T]
     i, f, g, o = gates.reshape(T, 4, H2).transpose(1, 0, 2)
     # dZ[s] = [dc, dc, dc, dh] * m[s], gate by gate.
-    m = np.empty((T, 4, H2))
     m[:, 0] = g * (i * (1.0 - i))
     m[:, 1] = c[:-1] * (f * (1.0 - f))
     m[:, 2] = i * (1.0 - g * g)
     m[:, 3] = tc * (o * (1.0 - o))
     dc_dh = o * (1.0 - tc * tc)
     dh_ext = np.concatenate([du[:, :H], du[::-1, H:]], axis=1)
-    dZ = np.empty((T, 4, H2))
     d4 = np.empty((4, H2))
     dh_rec = np.zeros(H2)
     dc = np.zeros(H2)
@@ -268,8 +346,14 @@ def _lstm_grads(du, cache, H):
         dh_rec = U.T @ dZ[s].ravel()
         dc *= f[s]
     dZ = dZ.reshape(T, 4, 2, H)
-    dZf = dZ[:, :, 0].reshape(T, 4 * H)
-    dZb = dZ[:, :, 1].reshape(T, 4 * H)
+    if H == 1:
+        # Each direction's rows are a strided view here, which numpy
+        # multiplies without BLAS; a contiguous copy would move last bits.
+        dZf, dZb = dZ[:, :, 0, 0], dZ[:, :, 1, 0]
+    else:
+        dZf, dZb = rows["dZf"][:T], rows["dZb"][:T]
+        dZf.reshape(T, 4, H)[:] = dZ[:, :, 0]
+        dZb.reshape(T, 4, H)[:] = dZ[:, :, 1]
     return {
         "Wf": dZf.T @ xn, "Uf": dZf.T @ h[:-1, :H], "bf": dZf.sum(axis=0),
         "Wb": dZb.T @ xn[::-1], "Ub": dZb.T @ h[:-1, H:],
@@ -277,14 +361,19 @@ def _lstm_grads(du, cache, H):
     }
 
 
-def _forward_norm(w: RegressorWeights, xn: np.ndarray):
-    """Forward pass on normalized inputs; returns normalized predictions
-    and the caches needed for backprop."""
-    p = w.params
-    u, cache = _lstm_pass(xn, p, w.hidden)          # (T, 2H)
+def _head(p, u):
+    """The tanh layer's output a (T, H) and the normalized predictions."""
     a = np.tanh(u @ p["W1"].T + p["b1"])            # (T, H)
-    yn = a @ p["W2"].T + p["b2"]                    # (T, n_out)
-    return yn, (cache, u, a)
+    return a, a @ p["W2"].T + p["b2"]               # (T, n_out)
+
+
+def _forward_norm(w: RegressorWeights, xn: np.ndarray, rows: dict):
+    """Forward pass on normalized inputs along the path `gradients` takes;
+    returns normalized predictions, u, a and U, with the LSTM's per-step
+    rows left in `rows`."""
+    u, U = _lstm_pass(xn, w.params, w.hidden, rows)
+    a, yn = _head(w.params, u)
+    return yn, u, a, U
 
 
 def forward(w: RegressorWeights, seq: np.ndarray) -> np.ndarray:
@@ -293,26 +382,30 @@ def forward(w: RegressorWeights, seq: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != w.n_in:
         raise ValueError(f"expected (T, {w.n_in}) inputs, got {x.shape}")
     xn = (x - w.in_mean) / w.in_std
-    yn, _ = _forward_norm(w, xn)
+    _, yn = _head(w.params, _lstm_infer(xn, w.params, w.hidden))
     return yn * w.out_std + w.out_mean
 
 
-def gradients(w: RegressorWeights, batch) -> tuple:
+def gradients(w: RegressorWeights, batch, *, _rows=None) -> tuple:
     """Loss and its exact gradient over a batch of LabeledSequence.
 
     The loss is the mean squared error over every step, channel, and
-    sequence of the batch, computed in normalized space.
+    sequence of the batch, computed in normalized space. `_rows`, from
+    _bptt_rows, lends the call its per-step arrays; by default it
+    allocates them for its longest sequence.
     """
     if not batch:
         raise ValueError("batch must be nonempty")
     p = w.params
+    if _rows is None:
+        _rows = _bptt_rows(max(len(seq.inputs) for seq in batch), w.hidden)
     grads = {k: np.zeros_like(v) for k, v in p.items()}
     total_loss = 0.0
     n_elem = sum(len(seq.inputs) for seq in batch) * w.n_out
     for seq in batch:
         xn = (seq.inputs - w.in_mean) / w.in_std
         tn = (seq.targets - w.out_mean) / w.out_std
-        yn, (cache, u, a) = _forward_norm(w, xn)
+        yn, u, a, U = _forward_norm(w, xn, _rows)
         err = yn - tn
         total_loss += float(np.sum(err ** 2))
         dy = 2.0 * err / n_elem                       # (T, n_out)
@@ -323,7 +416,7 @@ def gradients(w: RegressorWeights, batch) -> tuple:
         grads["W1"] += dz1.T @ u
         grads["b1"] += dz1.sum(axis=0)
         du = dz1 @ p["W1"]                            # (T, 2H)
-        for k, g in _lstm_grads(du, cache, w.hidden).items():
+        for k, g in _lstm_grads(du, xn, U, _rows, w.hidden).items():
             grads[k] += g
     return total_loss / n_elem, grads
 
@@ -346,7 +439,9 @@ def train(data, cfg: TrainConfig) -> tuple:
     Sequences are cut into chunks of cfg.sequence_chunk steps; each
     epoch is one seeded-shuffled pass over all chunks with the update
     v <- m*v - lr*g, w <- w + v, and lr decays by cfg.lr_decay per
-    epoch. Raises TrainingError if the loss stops being finite.
+    epoch. Raises TrainingError if the loss stops being finite. Every
+    chunk's BPTT reuses one set of per-step arrays, sized to the longest
+    chunk and freed on return.
     """
     data = list(data)
     if not data:
@@ -364,6 +459,7 @@ def train(data, cfg: TrainConfig) -> tuple:
                      in_mean=allx.mean(axis=0), in_std=in_std,
                      out_mean=ally.mean(axis=0), out_std=out_std)
     chunks = _chunks(data, cfg.sequence_chunk)
+    rows = _bptt_rows(max(len(ch.inputs) for ch in chunks), cfg.hidden)
     rng = np.random.default_rng(cfg.seed + 1)
     lr = cfg.lr0
     vel = {k: np.zeros_like(v) for k, v in w.params.items()}
@@ -372,7 +468,7 @@ def train(data, cfg: TrainConfig) -> tuple:
         order = rng.permutation(len(chunks))
         epoch_loss = 0.0
         for j in order:
-            l, g = gradients(w, [chunks[j]])
+            l, g = gradients(w, [chunks[j]], _rows=rows)
             if not np.isfinite(l):
                 raise TrainingError(f"training diverged at epoch {epoch}")
             epoch_loss += l

@@ -265,16 +265,23 @@ class TestSharedNodeQuadrature:
         parts = np.hstack([lateral_displacements(q[:700], s, L),
                            lateral_displacements(q[700:], s, L)])
         assert np.array_equal(whole, parts)
-        # Across many blocks, each state equals that state alone: the tip
-        # (80 nodes, 409 states a block), 16 stations (150 nodes, 218
-        # states a block), 200 stations, and 16 shuffled stations with
-        # repeats.
+        # Across many blocks, each state equals that state alone: the tip,
+        # 16 stations (150 nodes, 218 states a block), 200 stations, and
+        # 16 shuffled stations with repeats. At the tip the 1000 states of
+        # bend |q1| + |q2| <= 8 take 1-4 panels (10-40 nodes, 819 or more
+        # states a block, so one block per node set); the 500 steep ones,
+        # of bend above 17.5, take the capped 8 panels (80 nodes, 409
+        # states a block) and span two blocks.
         q = q[:1000]
+        rng = np.random.default_rng(6)
+        steep = rng.uniform(9.0, 10.0, size=(500, 2)) \
+            * rng.choice([-1.0, 1.0], size=(500, 2))
         s16 = np.linspace(0.0, 1.0, 16)
         shuffled = np.random.default_rng(5).permutation(
             np.concatenate([s16, s16[2:7], [0.0, 1.0]]))
-        whole = tip_positions(q, GEOM)
-        alone = np.vstack([tip_positions(qi[None], GEOM) for qi in q])
+        q_tip = np.vstack([q, steep])
+        whole = tip_positions(q_tip, GEOM)
+        alone = np.vstack([tip_positions(qi[None], GEOM) for qi in q_tip])
         assert np.array_equal(whole, alone)
         for s in (s16, np.linspace(0.0, 1.0, 200), shuffled):
             whole = lateral_displacements(q, s, L)

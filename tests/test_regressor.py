@@ -1,13 +1,15 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tentaclelab.regressor import (LabeledSequence, RegressorWeights,
-                                   TrainConfig, TrainingError, _pack, _unpack,
-                                   forward, gradients, init_weights,
-                                   load_weights, save_weights, train)
+from tentaclelab.regressor import (_BLOCK, LabeledSequence, RegressorWeights,
+                                   TrainConfig, TrainingError, _bptt_rows,
+                                   _forward_norm, _pack, _unpack, forward,
+                                   gradients, init_weights, load_weights,
+                                   save_weights, train)
 
 rng0 = np.random.default_rng
 
@@ -245,6 +247,37 @@ class TestReferenceLoop:
                 atol=1e-12 * np.abs(g_ref[k]).max(), err_msg=k)
 
 
+class TestInference:
+    """forward runs the steps in blocks of _BLOCK and keeps no BPTT rows."""
+
+    @pytest.mark.parametrize("n_in", [1, 3])
+    @pytest.mark.parametrize("H", [1, 8, 32])
+    @pytest.mark.parametrize("T", [2, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   2 * _BLOCK + 1, 2 * _BLOCK + 2, 7500])
+    def test_matches_training_path(self, T, H, n_in):
+        w = init_weights(n_in, 2, H, seed=T + H + n_in,
+                         in_mean=np.full(n_in, 0.1),
+                         in_std=np.full(n_in, 0.9),
+                         out_mean=[0.2, -0.3], out_std=[1.5, 0.7])
+        x = rng0(T * 10 + n_in).normal(size=(T, n_in))
+        yn = _forward_norm(w, (x - w.in_mean) / w.in_std,
+                           _bptt_rows(T, H))[0]
+        assert np.array_equal(forward(w, x), yn * w.out_std + w.out_mean)
+
+    def test_long_series_memory(self):
+        # The (T, 8H) gates, c and tanh(c) of a 7500-step series took a
+        # 33 MiB peak; forward now holds u (T, 2H) and one block.
+        w = init_weights(3, 2, 32, 0)
+        x = rng0(3).normal(size=(7500, 3))
+        tracemalloc.start()
+        try:
+            forward(w, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+
 class TestGradients:
     def test_finite_difference(self):
         # Exact BPTT gradient vs central differences, small network.
@@ -312,6 +345,45 @@ class TestTrain:
         save_weights(wb, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == \
             (tmp_path / "b.json").read_bytes()
+
+    def test_equals_loop_over_public_gradients(self):
+        # train lends every chunk one set of BPTT rows; a loop over the
+        # public gradients, which allocates its own each call, must give
+        # the same weights and losses. Chunks of 100 leave tails of 30 and
+        # 1 step (dropped), so the rows serve two lengths.
+        data = linear_dataset(n_seq=2, T=230) + linear_dataset(
+            n_seq=1, T=101, seed=1)
+        cfg = TrainConfig(epochs=2, hidden=6, sequence_chunk=100, seed=3)
+        w, hist = train(data, cfg)
+
+        allx = np.concatenate([s.inputs for s in data])
+        ally = np.concatenate([s.targets for s in data])
+        ref = init_weights(3, 2, cfg.hidden, cfg.seed,
+                           in_mean=allx.mean(axis=0), in_std=allx.std(axis=0),
+                           out_mean=ally.mean(axis=0),
+                           out_std=ally.std(axis=0))
+        n = cfg.sequence_chunk
+        chunks = [LabeledSequence(s.inputs[k:k + n], s.targets[k:k + n],
+                                  s.dt)
+                  for s in data for k in range(0, len(s.inputs), n)
+                  if len(s.inputs) - k >= 2]
+        assert sorted({len(c.inputs) for c in chunks}) == [30, 100]
+        rng = rng0(cfg.seed + 1)
+        lr = cfg.lr0
+        vel = {k: np.zeros_like(v) for k, v in ref.params.items()}
+        losses = []
+        for _ in range(cfg.epochs):
+            total = 0.0
+            for j in rng.permutation(len(chunks)):
+                loss, g = gradients(ref, [chunks[j]])
+                total += loss
+                for k in ref.params:
+                    vel[k] = cfg.momentum * vel[k] - lr * g[k]
+                    ref.params[k] = ref.params[k] + vel[k]
+            losses.append(total / len(chunks))
+            lr *= cfg.lr_decay
+        assert np.array_equal(_pack(w.params), _pack(ref.params))
+        assert np.array_equal(hist, losses)
 
     def test_loss_decreases(self):
         data = linear_dataset(n_seq=2, T=200)
