@@ -3,13 +3,14 @@
 A squared-exponential GP with fixed hyperparameters is fit to the
 objective at the evaluated cells of a fixed (frequency, amplitude)
 candidate grid, in the grid's unit-box coordinates; the next cell is the
-argmax, over the cells not yet evaluated, of an exploration-weighted
-blend of posterior mean and standard deviation, each min-max normalized
-over the grid.
+argmax, over the cells not yet evaluated, of the expected improvement
+over the best objective so far (Jones, Schonlau and Welch, J. Global
+Optim. 13, 1998), which weighs exploration by the posterior alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,41 +135,40 @@ def gp_predict(post: GPosterior, Xc: np.ndarray) -> tuple:
             np.sqrt(var) * post.y_std)
 
 
-def acquisition(mu: np.ndarray, sigma: np.ndarray, rho: float = 0.8,
-                eligible: np.ndarray | None = None) -> int:
-    """Index of the next candidate: the argmax of
-    (1-rho)*mu_hat + rho*sigma_hat over the cells where the boolean
-    `eligible` is true (every cell when it is None).
+def acquisition(mu: np.ndarray, sigma: np.ndarray, best: float,
+                eligible: np.ndarray) -> int:
+    """Index of the next candidate: the argmax, over the cells where the
+    boolean `eligible` is true, of the expected improvement over `best`,
+    EI = (mu - best)*Phi(z) + sigma*phi(z) with z = (mu - best)/sigma.
 
-    mu_hat and sigma_hat are min-max normalized over all the cells given;
-    ties are broken by the lowest index.
+    A cell with sigma = 0 scores max(mu - best, 0); ties are broken by
+    the lowest index.
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if mu.shape != sigma.shape or mu.ndim != 1 or len(mu) == 0:
         raise ValueError("mu and sigma must be equal-length 1-D arrays")
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
-        raise ValueError("mu and sigma must be finite")
-
-    def norm(v):
-        rng = v.max() - v.min()
-        return np.zeros_like(v) if rng == 0 else (v - v.min()) / rng
-
-    score = (1.0 - rho) * norm(mu) + rho * norm(sigma)
-    if eligible is not None:
-        score = np.where(eligible, score, -np.inf)
-    return int(np.argmax(score))
+    if not np.all(np.isfinite(np.r_[mu, sigma, best])) or np.any(sigma < 0):
+        raise ValueError("mu, sigma and best must be finite, sigma >= 0")
+    if not np.any(eligible):
+        raise ValueError("no eligible cell")
+    d = mu - best
+    z = d / np.where(sigma > 0, sigma, 1.0)
+    cdf = 0.5 + 0.5 * np.array([math.erf(v / math.sqrt(2.0)) for v in z])
+    pdf = np.exp(-0.5 * z ** 2) / math.sqrt(2.0 * math.pi)
+    ei = np.where(sigma > 0, d * cdf + sigma * pdf, np.maximum(d, 0.0))
+    return int(np.argmax(np.where(eligible, ei, -np.inf)))
 
 
 def optimize(objective_fn, space: SearchSpace, budget: int,
-             seed: int = 0, rho: float = 0.8) -> tuple:
+             seed: int = 0) -> tuple:
     """Maximize objective_fn(f, A) -> float over the candidate grid;
     returns (best EvalRecord, history list).
 
     The first three evaluations take three distinct grid cells drawn at
     random from `seed`; every later one fits the GP to all successful
-    evaluations and takes the acquisition argmax over the cells not yet
-    evaluated, so no cell is evaluated twice and the budget may not
+    evaluations and takes the expected-improvement argmax over the cells
+    not yet evaluated, so no cell is evaluated twice and the budget may not
     exceed the grid. An objective_fn call that fails (ValueError,
     ArithmeticError or RuntimeError, which includes SimulationError) is
     masked: the cell is excluded from the grid and from the history, and
@@ -190,14 +190,14 @@ def optimize(objective_fn, space: SearchSpace, budget: int,
             k = init[n]
         else:
             if history:
-                post = gp_fit(unit[done],
-                              np.array([r.objective for r in history]))
-                mu, sig = gp_predict(post, unit)
+                ys = np.array([r.objective for r in history])
+                mu, sig = gp_predict(gp_fit(unit[done], ys), unit)
+                y_max = ys.max()
             else:
-                mu, sig = np.zeros(len(grid)), np.ones(len(grid))
+                mu, sig, y_max = np.zeros(len(grid)), np.ones(len(grid)), 0.0
             live = np.flatnonzero(~masked)
             unscored = ~np.isin(live, done)
-            k = live[acquisition(mu[live], sig[live], rho, unscored)]
+            k = live[acquisition(mu[live], sig[live], y_max, unscored)]
         f, A = float(grid[k, 0]), float(grid[k, 1])
         try:
             y = objective_fn(f, A)

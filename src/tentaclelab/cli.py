@@ -112,7 +112,8 @@ def cmd_train(cfg, args) -> list:
     seq = LabeledSequence(trace.pressures, _targets_for(cfg, trace),
                           trace.dt)
     weights, history = train([seq], cfg.build_train_config())
-    save_weights(weights, os.path.join(out, "weights.json"))
+    save_weights(replace(weights, target=cfg.target),
+                 os.path.join(out, "weights.json"))
     write_csv(os.path.join(out, "loss_history.csv"), "epoch,loss",
               list(enumerate(history)))
     line_plot_svg({"training loss": (np.arange(len(history)), history)},
@@ -239,7 +240,6 @@ def cmd_metrics(cfg, args) -> list:
 
 
 def cmd_optimize(cfg, args) -> list:
-    bo = cfg.bo
     cells = []      # cells[i] scores history[i]: a failed cell raises first
 
     def objective(f, A):
@@ -247,7 +247,7 @@ def cmd_optimize(cfg, args) -> list:
         return cells[-1].twi
 
     best, history = optimize(objective, cfg.build_search_space(),
-                             bo["budget"], seed=bo["seed"], rho=bo["rho"])
+                             cfg.bo["budget"], seed=cfg.bo["seed"])
     write_csv(os.path.join(args.out, "history.csv"),
               "iter,f,A,twi,tip_defl_deg,thrust_mN",
               [(i, r.f, r.A, c.twi, c.tip_defl_deg, c.thrust_mN)
@@ -449,14 +449,17 @@ def main(argv=None) -> int:
         if args.command != "eval" and args.model and args.model.n_in != n:
             raise ConfigError(f"{weights} takes {args.model.n_in} pressure "
                               f"channels; the sensor section reads {n}")
-        # Every command reads the network's outputs as one pair per step.
-        if args.model and args.model.n_out != 2:
-            raise ConfigError(f"{weights} predicts {args.model.n_out} "
-                              f"outputs; {args.command} reads 2")
         # evaluate_cell reads the network's outputs as (q1, q2).
         if args.command != "eval" and args.model and cfg.target == "poly":
             raise ConfigError(f"target: {args.command} --weights needs an "
                               "affine model; a poly model predicts (c2, c3)")
+        # Every command reads the network's outputs as one pair per step.
+        if args.model and args.model.n_out != 2:
+            raise ConfigError(f"{weights} predicts {args.model.n_out} "
+                              f"outputs; {args.command} reads 2")
+        if args.model and args.model.target != cfg.target:
+            raise ConfigError(f"{weights} predicts {args.model.target} "
+                              f"states; the config's target is {cfg.target}")
         out = args.out      # staged beside it: each move is a rename
         parent = os.path.dirname(os.path.realpath(out))
         os.makedirs(parent, exist_ok=True)

@@ -17,7 +17,7 @@ import numpy as np
 from .actuation import ProgramSpec
 from .bayesopt import SearchSpace
 from .kinematics import TentacleGeometry
-from .regressor import TrainConfig
+from .regressor import TARGETS, TrainConfig
 from .sim import SensorModel, SimParams, default_sensor_model, \
     material_preset, preset_epochs
 
@@ -52,7 +52,6 @@ _DEFAULT_BO = {
     "budget": 30,
     "f_range": [0.32, 3.2],
     "A_set": [10.0, 20.0, 30.0],
-    "rho": 0.8,
     "seed": 0,
 }
 
@@ -174,9 +173,6 @@ def _check_bo(cfg: "RunConfig") -> None:
     if bo["budget"] > len(grid):
         raise ValueError(f"budget {bo['budget']} exceeds the grid's "
                          f"{len(grid)} cells")
-    # The acquisition score weighs the mean by 1 - rho.
-    if not _is_real(bo["rho"]) or not 0.0 <= bo["rho"] <= 1.0:
-        raise ValueError("rho must be a number in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -204,7 +200,7 @@ class RunConfig:
             material_preset(self.material)
         except ValueError as e:
             raise ConfigError(f"material: {e}") from e
-        if self.target not in ("affine", "poly"):
+        if self.target not in TARGETS:
             raise ConfigError(f"target: must be 'affine' or 'poly', "
                               f"got {self.target!r}")
         for f in fields(self):

@@ -43,7 +43,11 @@ __all__ = [
     "load_weights",
 ]
 
-WEIGHTS_SCHEMA = 1
+WEIGHTS_SCHEMA = 2
+
+# What a network's two outputs are: affine curvature states (q1, q2) or
+# cubic lateral-profile coefficients (c2, c3).
+TARGETS = ("affine", "poly")
 
 # Steps per block of `forward`: its input projection and the gate, h, c
 # and tanh(c) rows it keeps cover one block at a time, not the series.
@@ -125,7 +129,7 @@ class RegressorWeights:
 
     LSTM gate blocks are stacked row-wise in i, f, g, o order, and
     `_param_shapes` gives every array's shape. Head: W1 with tanh, then
-    W2 linear.
+    W2 linear. `target`, one of TARGETS, names the states it predicts.
     """
 
     hidden: int
@@ -134,11 +138,16 @@ class RegressorWeights:
     in_std: np.ndarray
     out_mean: np.ndarray
     out_std: np.ndarray
+    target: str = "affine"
 
     def __post_init__(self):
-        """The one check of a weights document: every field present,
-        finite and of the shape `hidden`, n_in = len(in_mean) and
-        n_out = len(out_mean) give it. Arrays are stored as float."""
+        """The one check of a weights document: a known target, and every
+        field present, finite and of the shape `hidden`, n_in =
+        len(in_mean) and n_out = len(out_mean) give it. Arrays are stored
+        as float."""
+        if self.target not in TARGETS:
+            raise ValueError(f"target must be 'affine' or 'poly', got "
+                             f"{self.target!r}")
         H = self.hidden
         if (isinstance(H, bool) or not isinstance(H, numbers.Integral)
                 or H < 1):
@@ -497,6 +506,7 @@ def _unpack(vec: np.ndarray, like: dict) -> dict:
 def save_weights(w: RegressorWeights, path) -> None:
     doc = {
         "schema": WEIGHTS_SCHEMA,
+        "target": w.target,
         "hidden": w.hidden,
         "in_mean": np.asarray(w.in_mean, dtype=float).tolist(),
         "in_std": np.asarray(w.in_std, dtype=float).tolist(),

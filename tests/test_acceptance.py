@@ -2,7 +2,7 @@
 
 Each test covers one numbered acceptance criterion and prints a single
 PASS/FAIL summary line to the real stdout (bypassing capture) before
-asserting, so a full run always shows eleven criterion lines.
+asserting, so a full run always shows twelve criterion lines.
 """
 
 import json
@@ -371,4 +371,47 @@ def test_criterion_11_determinism(tmp_path):
     detail = ("dataset/metrics/optimize reruns byte-identical"
               if ok else f"differing outputs: {mismatches}")
     _report(11, ok, detail)
+    assert ok, detail
+
+
+@pytest.fixture(scope="module")
+def twi_grid():
+    """Criterion 10's search space (the default `bo` space) and the true
+    TWI of every cell of its grid."""
+    f0 = SimParams().f0_hz
+    space = SearchSpace(f_range=(0.1 * f0, 1.0 * f0),
+                        A_set=(10.0, 20.0, 30.0))
+    cfg = default_config()
+    grid = space.grid()
+    return space, grid, np.array([evaluate_cell(cfg, f, A).twi
+                                  for f, A in grid])
+
+
+def test_criterion_12_bo_beats_random_search(twi_grid):
+    t0 = time.time()
+    space, grid, vals = twi_grid
+    lookup = {(f, A): v for (f, A), v in zip(grid.tolist(), vals)}
+    top = vals.max()
+
+    def median_regrets(budget):
+        """Median over seeds 0-49 of (grid max - best found) / grid max,
+        for BO and for random search without replacement."""
+        bo, rand = [], []
+        for seed in range(50):
+            best, _ = optimize(lambda f, A: lookup[(f, A)], space, budget,
+                               seed=seed)
+            pick = np.random.default_rng(1000 + seed).choice(
+                len(grid), budget, replace=False)
+            bo.append((top - best.objective) / top)
+            rand.append((top - vals[pick].max()) / top)
+        return np.median(bo), np.median(rand)
+
+    bo20, rand20 = median_regrets(20)
+    bo10, rand10 = median_regrets(10)
+    ok = bo20 < rand20
+    detail = (f"budget 20 median regret BO {100 * bo20:.2f}% < random "
+              f"{100 * rand20:.2f}% over 50 seeds (budget 10: BO "
+              f"{100 * bo10:.2f}%, random {100 * rand10:.2f}%), "
+              f"{time.time() - t0:.0f}s")
+    _report(12, ok, detail)
     assert ok, detail

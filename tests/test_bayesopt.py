@@ -96,40 +96,47 @@ class TestGP:
 
 
 class TestAcquisition:
-    def test_pure_exploitation(self):
-        mu = np.array([0.1, 0.9, 0.5])
-        sigma = np.array([0.9, 0.1, 0.5])
-        assert acquisition(mu, sigma, rho=0.0) == 1
+    ALL = np.ones(3, dtype=bool)
 
-    def test_pure_exploration(self):
-        mu = np.array([0.1, 0.9, 0.5])
-        sigma = np.array([0.9, 0.1, 0.5])
-        assert acquisition(mu, sigma, rho=1.0) == 0
+    def test_hand_computed_expected_improvement(self):
+        # Over best 1.0, cell 0 (mu 0.5, sigma 1) scores
+        # phi(0.5) - 0.5 * (1 - Phi(0.5)) = 0.35207 - 0.5 * 0.30854 = 0.19780
+        # and cell 2 (mu 0, sigma 0.5) 0.5 * phi(2) - Phi(-2) = 0.00425;
+        # cell 1 has sigma 0 and scores max(mu - 1, 0).
+        sigma = np.array([1.0, 0.0, 0.5])
+        assert acquisition(np.array([0.5, 1.19, 0.0]), sigma, 1.0,
+                           self.ALL) == 0
+        assert acquisition(np.array([0.5, 1.20, 0.0]), sigma, 1.0,
+                           self.ALL) == 1
+        # Below best, a sigma = 0 cell scores 0, under cell 2's 0.00425.
+        assert acquisition(np.array([0.5, 0.9, 0.0]), sigma, 1.0,
+                           np.array([False, True, True])) == 2
 
-    def test_constant_sigma_greedy(self):
-        mu = np.array([0.2, 0.7, 0.4])
-        sigma = np.full(3, 0.3)
-        assert acquisition(mu, sigma, rho=0.8) == 1
+    def test_argmax_over_eligible_cells_only(self):
+        mu = np.array([2.0, 0.0, 0.5])
+        sigma = np.ones(3)
+        assert acquisition(mu, sigma, 0.0, self.ALL) == 0
+        assert acquisition(mu, sigma, 0.0, np.array([False, True, True])) == 2
 
     def test_tie_lowest_index(self):
         mu = np.array([0.5, 0.5, 0.5])
         sigma = np.array([0.5, 0.5, 0.5])
-        assert acquisition(mu, sigma) == 0
-
-    def test_argmax_over_eligible_cells_normalized_over_all(self):
-        mu = np.array([0.0, 1.0, 0.0])
-        sigma = np.array([10.0, 0.0, 1.0])
-        eligible = np.array([False, True, True])
-        assert acquisition(mu, sigma) == 0
-        # Over all three cells cell 1 scores 0.2 and cell 2 0.8 * 0.1;
-        # normalized over the eligible two alone, cell 2 would score 0.8.
-        assert acquisition(mu, sigma, eligible=eligible) == 1
+        assert acquisition(mu, sigma, 0.5, self.ALL) == 0
+        assert acquisition(mu, sigma, 0.5, np.array([False, True, True])) == 1
 
     def test_invalid_inputs(self):
+        one = np.ones(1, dtype=bool)
         with pytest.raises(ValueError):
-            acquisition(np.array([1.0]), np.array([1.0, 2.0]))
+            acquisition(np.array([1.0]), np.array([1.0, 2.0]), 0.0,
+                        self.ALL[:2])
         with pytest.raises(ValueError):
-            acquisition(np.array([np.nan]), np.array([1.0]))
+            acquisition(np.array([np.nan]), np.array([1.0]), 0.0, one)
+        with pytest.raises(ValueError):
+            acquisition(np.array([1.0]), np.array([1.0]), np.nan, one)
+        with pytest.raises(ValueError):
+            acquisition(np.array([1.0]), np.array([-1.0]), 0.0, one)
+        with pytest.raises(ValueError, match="no eligible cell"):
+            acquisition(np.array([1.0]), np.array([1.0]), 0.0, ~one)
 
 
 class TestOptimize:

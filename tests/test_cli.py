@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -267,7 +268,7 @@ class TestOneCellEvaluation:
         f0 = default_config().build_sim_params().f0_hz
         sw = FAST_CONFIG["sweep"]
 
-        def fake_optimize(objective, space, budget, seed, rho):
+        def fake_optimize(objective, space, budget, seed):
             hist = [EvalRecord(r * f0, A, objective(r * f0, A))
                     for A in sw["amplitudes_deg"]
                     for r in sw["freq_ratios"]]
@@ -410,8 +411,6 @@ COMPONENT_ERRORS = {
     "dataset_not_an_object": ("dataset", "dt"),
     "sweep_not_an_object": ("sweep", 5),
     "bo_not_an_object": ("bo", [1]),
-    "bo_rho_above_one": ("bo", {"rho": 5}),
-    "bo_string_rho": ("bo", {"rho": "x"}),
     "bo_amplitude_above_90": ("bo", {"A_set": [10, 120], "budget": 8}),
     "bo_nan_amplitude": ("bo", {"A_set": [10, float("nan")]}),
     "bo_repeated_amplitude": ("bo", {"A_set": [10, 20, 10]}),
@@ -448,6 +447,18 @@ class TestComponentConfigErrors:
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
             f"error: {section}: unknown keys ['bogus']\n")
+
+    def test_bo_rho_exits_1_naming_the_key(self, tmp_path, capsys):
+        # The acquisition takes no weight; a file that still sets one
+        # is refused, not silently run.
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps({"schema": CONFIG_SCHEMA,
+                                 "bo": {"rho": 0.8}}))
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: bo: unknown keys ['rho']\n")
+        assert not out.exists()
 
     def test_config_not_an_object_exits_1(self, tmp_path, capsys):
         p = tmp_path / "config.json"
@@ -668,6 +679,33 @@ class TestBadWeights:
                      str(weights), "--out", str(out)] + data) == 1
         assert capsys.readouterr().err == (
             f"error: {weights} predicts {n_out} outputs; {command} reads 2\n")
+        assert not out.exists()
+
+    def test_eval_of_affine_weights_under_poly_target_exits_1(
+            self, tmp_path, capsys, dataset_dir, trained_dir):
+        p = tmp_path / "poly.json"
+        p.write_text(json.dumps({**FAST_CONFIG, "target": "poly"}))
+        weights = os.path.join(trained_dir, "weights.json")
+        out = tmp_path / "out"
+        assert main(["eval", "--config", str(p), "--data", dataset_dir,
+                     "--weights", weights, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {weights} predicts affine states; the config's target "
+            "is poly\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "metrics", "optimize"])
+    def test_poly_weights_under_affine_target_exit_1_before_output(
+            self, tmp_path, capsys, fast_config, dataset_dir, command):
+        weights, out = tmp_path / "weights.json", tmp_path / "out"
+        save_weights(replace(init_weights(3, 2, 4, 0), target="poly"),
+                     str(weights))
+        data = ["--data", dataset_dir] if command == "eval" else []
+        assert main([command, "--config", fast_config, "--weights",
+                     str(weights), "--out", str(out)] + data) == 1
+        assert capsys.readouterr().err == (
+            f"error: {weights} predicts poly states; the config's target "
+            "is affine\n")
         assert not out.exists()
 
 

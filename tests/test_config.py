@@ -123,8 +123,7 @@ class TestRoundTrip:
     @given(material=_MATERIALS, target=st.sampled_from(["affine", "poly"]),
            sweep=_partial(subsample=st.integers(1, 4),
                           n_stations=st.integers(3, 32)),
-           bo=_partial(budget=st.integers(3, 50), rho=st.floats(0.0, 1.0),
-                       seed=st.integers(0, 2**31)),
+           bo=_partial(budget=st.integers(3, 50), seed=st.integers(0, 2**31)),
            train=_partial(hidden=st.integers(1, 16),
                           lr0=st.floats(1e-4, 1.0)))
     def test_dict_json_and_hash_round_trip(self, tmp_path_factory, material,
@@ -187,9 +186,9 @@ class TestSweepValidation:
 
     def test_default_hashes_unchanged(self):
         assert config_hash(default_config()) == (
-            "11d1ab3c378a7f2a786715d0b47a9ec2210361de0ea4e52b9221558b96bb5403")
+            "7f8c2803d35422e0cb1b19fe1a7f0d0735c66a0d032d854aa4740f4d6a87ace5")
         assert config_hash(default_config("ecoflex")) == (
-            "516d900945351aef69d091953ceb7d365f58a715fdd137adfff5365ebab9ed63")
+            "c36e71fc907798e9734286cd080932be61361f8d86261c7c4f136dc504e40629")
 
 
 class TestBOValidation:

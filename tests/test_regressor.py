@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -429,6 +430,23 @@ class TestSerialization:
         x = rng0(0).normal(size=(12, 3))
         assert np.allclose(forward(back, x), forward(w, x))
 
+    @pytest.mark.parametrize("target", ["affine", "poly"])
+    def test_target_round_trips(self, tmp_path, target):
+        p = tmp_path / "weights.json"
+        save_weights(replace(init_weights(3, 2, 4, 0), target=target), p)
+        assert load_weights(p).target == target
+
+    def test_schema_1_refused_naming_the_file(self, tmp_path):
+        # A schema-1 file records no target, so it is not read at all.
+        p = tmp_path / "w.json"
+        save_weights(init_weights(3, 2, 4, 0), p)
+        doc = json.loads(p.read_text())
+        del doc["target"]
+        p.write_text(json.dumps({**doc, "schema": 1}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: "
+                           "unsupported weights schema 1$"):
+            load_weights(p)
+
     def test_bad_schema(self, tmp_path):
         p = tmp_path / "w.json"
         p.write_text('{"schema": 99}')
@@ -451,9 +469,14 @@ class TestSerialization:
         (lambda d: {**d, "out_mean": [0.0]},
          r"W2 has shape \(2, 4\); hidden 4, 3 inputs and 1 outputs"),
         (lambda d: {**d, "in_std": [1.0, 1.0]}, r"in_std has shape \(2,\)"),
+        (lambda d: {k: v for k, v in d.items() if k != "target"},
+         "target must be 'affine' or 'poly', got None"),
+        (lambda d: {**d, "target": "cubic"},
+         "target must be 'affine' or 'poly', got 'cubic'"),
     ], ids=["not_an_object", "missing_key", "missing_array", "params_a_list",
             "ragged_array", "string_hidden", "hidden_disagrees",
-            "n_out_disagrees", "n_in_disagrees"])
+            "n_out_disagrees", "n_in_disagrees", "missing_target",
+            "unknown_target"])
     def test_malformed_file_raises_naming_it(self, tmp_path, edit, message):
         p = tmp_path / "w.json"
         save_weights(init_weights(3, 2, 4, 0), p)
