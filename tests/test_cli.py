@@ -411,6 +411,9 @@ COMPONENT_ERRORS = {
     "dataset_not_an_object": ("dataset", "dt"),
     "sweep_not_an_object": ("sweep", 5),
     "bo_not_an_object": ("bo", [1]),
+    # The acquisition takes no weight: a stale rho key of any value is refused.
+    "bo_rho_above_one": ("bo", {"rho": 5}),
+    "bo_string_rho": ("bo", {"rho": "x"}),
     "bo_amplitude_above_90": ("bo", {"A_set": [10, 120], "budget": 8}),
     "bo_nan_amplitude": ("bo", {"A_set": [10, float("nan")]}),
     "bo_repeated_amplitude": ("bo", {"A_set": [10, 20, 10]}),
