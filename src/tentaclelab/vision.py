@@ -4,6 +4,12 @@ Stands in for the camera pipeline: a known configuration is rendered as
 a dark tapered band on a light background, thresholded, and reduced to
 its midline by per-row boundary averaging. Images travel as binary
 (P5) PGM files, midlines as CSV.
+
+A pixel's anti-aliased level comes from its nearest centerline sample,
+but only the band's rim asks a k-d tree for it: around each sample lies
+a disk in which every pixel's nearest sample, whichever it is, is wide
+enough to give alpha 1, so those pixels are filled as foreground
+directly (see `_interior_radius`).
 """
 
 from __future__ import annotations
@@ -60,10 +66,20 @@ class ImageSpec:
     origin_px: tuple = (480.0, 40.0)    # (col, row) of the tentacle root
 
     def __post_init__(self):
+        for size in (self.width, self.height):
+            integer = isinstance(size, (int, np.integer))
+            if not integer or isinstance(size, bool):
+                raise ValueError(f"image size must be an integer, "
+                                 f"not {size!r}")
         if self.width < 16 or self.height < 16:
             raise ValueError("image must be at least 16x16 px")
-        if self.scale_mm_per_px <= 0:
-            raise ValueError("scale must be positive")
+        if not (np.isfinite(self.scale_mm_per_px)
+                and self.scale_mm_per_px > 0):
+            raise ValueError("scale must be positive and finite")
+        col, row = self.origin_px
+        if not (0 <= col <= self.width - 1 and 0 <= row <= self.height - 1):
+            raise ValueError(f"origin {self.origin_px} lies outside the "
+                             f"{self.width}x{self.height} px frame")
 
 
 def _centerline_px(q: CurvatureState, geom: TentacleGeometry,
@@ -82,9 +98,10 @@ def render_silhouette(q: CurvatureState, geom: TentacleGeometry,
     """Render the tentacle as an anti-aliased dark band.
 
     The band follows the sampled centerline with a linear width taper
-    from the root diameter down to 25% at the tip. Raises VisionError if
-    any part of the band leaves the frame. Returns the (height, width)
-    uint8 frame.
+    from the root diameter down to 25% at the tip; a pixel's alpha comes
+    from its distance to the nearest sample. Raises VisionError if any
+    part of the band leaves the frame. Returns the (height, width) uint8
+    frame.
     """
     from scipy.spatial import cKDTree   # only render needs it
 
@@ -105,16 +122,44 @@ def render_silhouette(q: CurvatureState, geom: TentacleGeometry,
     c1 = int(np.ceil((col + margin).max())) + 1
     r0 = int(np.floor((row - margin).min()))
     r1 = int(np.ceil((row + margin).max())) + 1
-    cover = _disk_cover(col - c0, row - r0, margin, (r1 - r0, c1 - c0))
-    rr, cc = np.nonzero(cover)
-    dist, idx = cKDTree(np.column_stack([col, row])).query(
-        np.column_stack([cc + c0, rr + r0]))
+    shape = (r1 - r0, c1 - c0)
+    cover = _disk_cover(col - c0, row - r0, margin, shape)
+    # Pixels the interior disks reach are solid foreground; only the
+    # ring between them and the cover goes through the tree.
+    tree = cKDTree(np.column_stack([col, row]))
+    r = _interior_radius(tree, col, row, half)
+    solid = r > 0.0
+    inner = _disk_cover(col[solid] - c0, row[solid] - r0, r[solid], shape)
+    ring = cover & ~inner
+    rr, cc = np.nonzero(ring)
+    dist, idx = tree.query(np.column_stack([cc + c0, rr + r0]))
     # Signed distance to the band edge; 1 px linear anti-alias ramp.
     alpha = np.clip(0.5 + (half[idx] - dist), 0.0, 1.0)
     pix = np.full((spec.height, spec.width), _BG_LEVEL, dtype=np.uint8)
-    pix[r0:r1, c0:c1][cover] = np.round(
-        _BG_LEVEL - alpha * (_BG_LEVEL - _FG_LEVEL))
+    box = pix[r0:r1, c0:c1]
+    box[inner] = _FG_LEVEL
+    box[ring] = np.round(_BG_LEVEL - alpha * (_BG_LEVEL - _FG_LEVEL))
     return pix
+
+
+def _interior_radius(tree, col, row, half) -> np.ndarray:
+    """Per-sample radius within which every pixel has alpha exactly 1.
+
+    low[k] is the smallest half-width among the samples within
+    2 * half[k] of sample k. A pixel within r = low - 0.5 of sample k has
+    its nearest sample j within 2 * r < 2 * half[k] of k, so
+    half[j] >= low[k] and 0.5 + half[j] - dist >= 1 whichever j the tree
+    returns. Both pair directions count, so no taper shape is assumed.
+    The 1e-9 px absorbs rounding in the disk spans and distances. Radii
+    <= 0 mark samples with no such disk.
+    """
+    i, j = tree.query_pairs(2.0 * half.max(), output_type="ndarray").T
+    d = np.hypot(col[i] - col[j], row[i] - row[j])
+    low = half.copy()
+    for a, b in ((i, j), (j, i)):
+        near = d <= 2.0 * half[a]
+        np.minimum.at(low, a[near], half[b[near]])
+    return low - 0.5 - 1e-9
 
 
 def _disk_cover(col, row, radius, shape) -> np.ndarray:
@@ -142,8 +187,7 @@ def _disk_cover(col, row, radius, shape) -> np.ndarray:
 
 def otsu_threshold(pixels: np.ndarray) -> int:
     """Between-class-variance maximizing threshold of an 8-bit image."""
-    hist = np.bincount(np.asarray(pixels, dtype=np.uint8).ravel(),
-                       minlength=256).astype(float)
+    hist = _byte_histogram(np.asarray(pixels, dtype=np.uint8)).astype(float)
     total = hist.sum()
     w0 = np.cumsum(hist)
     m = np.cumsum(hist * np.arange(256))
@@ -152,6 +196,23 @@ def otsu_threshold(pixels: np.ndarray) -> int:
     mu1 = np.where(w1 > 0, (m[-1] - m) / np.maximum(w1, 1), 0.0)
     between = w0 * w1 * (mu0 - mu1) ** 2
     return int(np.argmax(between))
+
+
+def _byte_histogram(pixels: np.ndarray) -> np.ndarray:
+    """256-bin count of a uint8 array, equal to np.bincount's.
+
+    The bytes are counted in pairs, viewed as uint16: the 65536-bin count
+    of the pairs, reshaped (256, 256), gives each byte's count as its row
+    sum plus its column sum, whatever the byte order. That halves the
+    number of intp indices bincount makes; an odd last byte is counted
+    alone.
+    """
+    flat = np.ascontiguousarray(pixels).ravel()
+    even = len(flat) - len(flat) % 2
+    pairs = np.bincount(flat[:even].view(np.uint16),
+                        minlength=65536).reshape(256, 256)
+    return (pairs.sum(axis=0) + pairs.sum(axis=1)
+            + np.bincount(flat[even:], minlength=256))
 
 
 def binarize(pixels: np.ndarray) -> np.ndarray:

@@ -14,7 +14,8 @@ from tentaclelab.vision import (MIDLINE_POINTS, ImageSpec, VisionError,
                                 binarize, extract_midline, midline_from_csv,
                                 midline_to_csv, otsu_threshold, read_pgm,
                                 render_silhouette, write_pgm)
-from tentaclelab.vision import _centerline_px, _disk_cover, _row_centres
+from tentaclelab.vision import (_byte_histogram, _centerline_px, _disk_cover,
+                                _interior_radius, _row_centres)
 
 GEOM = TentacleGeometry()
 SPEC = ImageSpec()
@@ -36,6 +37,33 @@ class TestImageSpec:
     def test_bad_scale(self):
         with pytest.raises(ValueError):
             ImageSpec(scale_mm_per_px=0.0)
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scale(self, scale):
+        with pytest.raises(ValueError, match="finite"):
+            ImageSpec(scale_mm_per_px=scale)
+
+    @pytest.mark.parametrize("size", [True, 100.0, np.float64(100.0)])
+    @pytest.mark.parametrize("field", ["width", "height"])
+    def test_size_not_integer(self, field, size):
+        with pytest.raises(ValueError, match="integer"):
+            ImageSpec(**{field: size}, origin_px=(0.0, 0.0))
+
+    def test_numpy_integer_size(self):
+        spec = ImageSpec(width=np.int64(100), height=np.int32(80),
+                         origin_px=(50.0, 10.0))
+        assert spec.width == 100 and spec.height == 80
+
+    @pytest.mark.parametrize("origin", [(5000.0, 5000.0), (-0.5, 40.0),
+                                        (960.0, 40.0), (480.0, 559.5),
+                                        (np.nan, 40.0)])
+    def test_origin_outside_frame(self, origin):
+        with pytest.raises(ValueError, match="outside"):
+            ImageSpec(origin_px=origin)
+
+    def test_origin_on_frame_edge(self):
+        ImageSpec(origin_px=(0.0, 0.0))
+        ImageSpec(origin_px=(959.0, 559.0))
 
 
 class TestRenderSilhouette:
@@ -154,6 +182,62 @@ class TestRenderExactness:
         assert cover[rr.ravel()[band], cc.ravel()[band]].all()
 
 
+def full_cover_render(q, spec):
+    """The renderer before the interior fill: every cover pixel goes
+    through the tree."""
+    col, row, half = _centerline_px(q, GEOM, spec, 600)
+    margin = half + 1.0
+    c0 = int(np.floor((col - margin).min()))
+    c1 = int(np.ceil((col + margin).max())) + 1
+    r0 = int(np.floor((row - margin).min()))
+    r1 = int(np.ceil((row + margin).max())) + 1
+    cover = _disk_cover(col - c0, row - r0, margin, (r1 - r0, c1 - c0))
+    rr, cc = np.nonzero(cover)
+    dist, idx = cKDTree(np.column_stack([col, row])).query(
+        np.column_stack([cc + c0, rr + r0]))
+    alpha = np.clip(0.5 + (half[idx] - dist), 0.0, 1.0)
+    pix = np.full((spec.height, spec.width), 230, dtype=np.uint8)
+    pix[r0:r1, c0:c1][cover] = np.round(230 - alpha * 205)
+    return pix
+
+
+class TestInteriorFill:
+    def test_matches_full_cover_renderer(self):
+        # Both materials' bends stay within |q| <= 3.5 rad.
+        rng = np.random.default_rng(24)
+        rendered = 0
+        while rendered < 200:
+            q = CurvatureState(*rng.uniform(-3.5, 3.5, 2))
+            try:
+                img = render_silhouette(q, GEOM, SPEC)
+            except VisionError:
+                continue
+            assert np.array_equal(img, full_cover_render(q, SPEC)), q
+            rendered += 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-8.0, 8.0), st.floats(-6.0, 6.0))
+    def test_filled_pixels_are_solid(self, q1, q2):
+        # Every pixel an interior disk reaches has alpha exactly 1 by a
+        # full distance matrix over the samples.
+        col, row, half = _centerline_px(CurvatureState(q1, q2), GEOM, SMALL,
+                                        600)
+        margin = half + 1.0
+        assume((col - margin).min() >= 0 and (row - margin).min() >= 0
+               and (col + margin).max() <= SMALL.width - 1
+               and (row + margin).max() <= SMALL.height - 1)
+        r = _interior_radius(cKDTree(np.column_stack([col, row])), col, row,
+                             half)
+        solid = r > 0.0
+        inner = _disk_cover(col[solid], row[solid], r[solid],
+                            (SMALL.height, SMALL.width))
+        rr, cc = np.nonzero(inner)
+        d = np.hypot(cc[:, None] - col, rr[:, None] - row)
+        idx = np.argmin(d, axis=1)
+        alpha = 0.5 + (half[idx] - d[np.arange(len(idx)), idx])
+        assert len(rr) > 0 and (alpha >= 1.0).all()
+
+
 class TestDiskCover:
     def test_single_disk(self):
         cover = _disk_cover(np.array([5.0]), np.array([4.0]),
@@ -192,6 +276,47 @@ class TestBinarize:
         img = render_silhouette(CurvatureState(0.8, -0.4), GEOM, SPEC)
         shifted = np.clip(img.astype(int) + 20, 0, 255).astype(np.uint8)
         assert np.array_equal(binarize(img), binarize(shifted))
+
+
+def otsu_reference(pixels):
+    """otsu_threshold with the histogram from np.bincount of every byte."""
+    hist = np.bincount(np.asarray(pixels, dtype=np.uint8).ravel(),
+                       minlength=256).astype(float)
+    w0 = np.cumsum(hist)
+    m = np.cumsum(hist * np.arange(256))
+    w1 = hist.sum() - w0
+    mu0 = np.where(w0 > 0, m / np.maximum(w0, 1), 0.0)
+    mu1 = np.where(w1 > 0, (m[-1] - m) / np.maximum(w1, 1), 0.0)
+    return int(np.argmax(w0 * w1 * (mu0 - mu1) ** 2))
+
+
+class TestByteHistogram:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 1001, 1002])
+    def test_sizes(self, n):
+        px = np.random.default_rng(n).integers(0, 256, n, dtype=np.uint8)
+        assert np.array_equal(_byte_histogram(px),
+                              np.bincount(px, minlength=256))
+
+    @pytest.mark.parametrize("shape", [(33, 17), (32, 18), (560, 960)])
+    def test_frames_and_views(self, shape):
+        px = np.random.default_rng(1).integers(0, 256, shape, dtype=np.uint8)
+        for view in (px, px.T, px[:, ::3], px[1::2, 1:], px[::-1, ::-1]):
+            assert np.array_equal(_byte_histogram(view),
+                                  np.bincount(view.ravel(), minlength=256))
+
+    @pytest.mark.parametrize("px", [
+        np.random.default_rng(2).random((20, 21)) < 0.3,
+        np.random.default_rng(3).uniform(0.0, 255.0, (20, 21)),
+        np.random.default_rng(4).integers(0, 256, (20, 21)),
+    ], ids=["bool", "float", "int64"])
+    def test_otsu_casts_as_before(self, px):
+        assert otsu_threshold(px) == otsu_reference(px)
+
+    def test_otsu_on_frames(self):
+        for q in [(0.0, 0.0), (0.8, -0.4), (2.5, -2.0)]:
+            img = render_silhouette(CurvatureState(*q), GEOM, SPEC)
+            assert otsu_threshold(img) == otsu_reference(img)
+            assert otsu_threshold(img[1:, 1:]) == otsu_reference(img[1:, 1:])
 
 
 class TestExtractMidline:
