@@ -6,10 +6,10 @@ its midline by per-row boundary averaging. Images travel as binary
 (P5) PGM files, midlines as CSV.
 
 A pixel's anti-aliased level comes from its nearest centerline sample,
-but only the band's rim asks a k-d tree for it: around each sample lies
-a disk in which every pixel's nearest sample, whichever it is, is wide
-enough to give alpha 1, so those pixels are filled as foreground
-directly (see `_interior_radius`).
+but only the band's rim searches for it (see `_nearest_sample`): around
+each sample lies a disk in which every pixel's nearest sample, whichever
+it is, is wide enough to give alpha 1, so those pixels are filled as
+foreground directly (see `_interior_radius`).
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ __all__ = [
 _FG_LEVEL = 25
 _BG_LEVEL = 230
 _TIP_TAPER = 0.25
+
+# Consecutive centerline samples per run of the nearest-sample search.
+_RUN = 16
 
 # Points of an extracted midline: few enough that segments stay long
 # relative to the half-pixel midpoint quantization, which is what
@@ -103,8 +106,6 @@ def render_silhouette(q: CurvatureState, geom: TentacleGeometry,
     part of the band leaves the frame. Returns the (height, width) uint8
     frame.
     """
-    from scipy.spatial import cKDTree   # only render needs it
-
     n = max(geom.n_samples, 600)
     col, row, half = _centerline_px(q, geom, spec, n)
     margin = half + 1.0
@@ -117,22 +118,22 @@ def render_silhouette(q: CurvatureState, geom: TentacleGeometry,
             f"(px ({col[k]:.1f}, {row[k]:.1f}), half-width {half[k]:.1f})")
 
     # Only pixels within half + 0.5 of their nearest sample can differ
-    # from the background; the disks of radius `margin` cover them all.
+    # from the background (alpha > 0); the disks of that radius cover
+    # them all, with 1e-9 px for rounding in the disk spans.
     c0 = int(np.floor((col - margin).min()))
     c1 = int(np.ceil((col + margin).max())) + 1
     r0 = int(np.floor((row - margin).min()))
     r1 = int(np.ceil((row + margin).max())) + 1
     shape = (r1 - r0, c1 - c0)
-    cover = _disk_cover(col - c0, row - r0, margin, shape)
+    cover = _disk_cover(col - c0, row - r0, half + 0.5 + 1e-9, shape)
     # Pixels the interior disks reach are solid foreground; only the
-    # ring between them and the cover goes through the tree.
-    tree = cKDTree(np.column_stack([col, row]))
-    r = _interior_radius(tree, col, row, half)
+    # ring between them and the cover searches for its nearest sample.
+    r = _interior_radius(col, row, half)
     solid = r > 0.0
     inner = _disk_cover(col[solid] - c0, row[solid] - r0, r[solid], shape)
     ring = cover & ~inner
-    rr, cc = np.nonzero(ring)
-    dist, idx = tree.query(np.column_stack([cc + c0, rr + r0]))
+    rr, cc = np.divmod(np.flatnonzero(ring), shape[1])
+    dist, idx = _nearest_sample(col, row, cc + c0, rr + r0)
     # Signed distance to the band edge; 1 px linear anti-alias ramp.
     alpha = np.clip(0.5 + (half[idx] - dist), 0.0, 1.0)
     pix = np.full((spec.height, spec.width), _BG_LEVEL, dtype=np.uint8)
@@ -142,24 +143,78 @@ def render_silhouette(q: CurvatureState, geom: TentacleGeometry,
     return pix
 
 
-def _interior_radius(tree, col, row, half) -> np.ndarray:
+def _sample_runs(col, row):
+    """Cut the samples into runs of _RUN consecutive ones (the last may
+    be shorter). Returns each run's first and middle sample and the
+    radius of the disk about the middle sample that holds the run."""
+    n = len(col)
+    start = np.arange(0, n, _RUN)
+    mid = (start + np.minimum(start + _RUN, n)) // 2
+    own = mid[np.arange(n) // _RUN]
+    d = np.hypot(col - col[own], row - row[own])
+    return start, mid, np.maximum.reduceat(d, start)
+
+
+def _interior_radius(col, row, half) -> np.ndarray:
     """Per-sample radius within which every pixel has alpha exactly 1.
 
-    low[k] is the smallest half-width among the samples within
-    2 * half[k] of sample k. A pixel within r = low - 0.5 of sample k has
-    its nearest sample j within 2 * r < 2 * half[k] of k, so
-    half[j] >= low[k] and 0.5 + half[j] - dist >= 1 whichever j the tree
-    returns. Both pair directions count, so no taper shape is assumed.
-    The 1e-9 px absorbs rounding in the disk spans and distances. Radii
-    <= 0 mark samples with no such disk.
+    low[k] is the smallest half-width in any run whose bounding disk
+    comes within 2 * half[k] of sample k, so every sample within
+    2 * half[k] of k has half >= low[k]. A pixel within r = low - 0.5 of
+    sample k has its nearest sample j within 2 * r < 2 * half[k] of k, so
+    0.5 + half[j] - dist >= 1 whichever nearest j is taken. No taper
+    shape is assumed. The run bounds make low no larger than the
+    smallest half-width actually within reach, which only moves pixels
+    into the ring. The 1e-9 px absorbs rounding in the disk spans and
+    distances. Radii <= 0 mark samples with no such disk.
     """
-    i, j = tree.query_pairs(2.0 * half.max(), output_type="ndarray").T
-    d = np.hypot(col[i] - col[j], row[i] - row[j])
-    low = half.copy()
-    for a, b in ((i, j), (j, i)):
-        near = d <= 2.0 * half[a]
-        np.minimum.at(low, a[near], half[b[near]])
-    return low - 0.5 - 1e-9
+    start, mid, radius = _sample_runs(col, row)
+    # (runs, samples): squared distances from the run middles.
+    d2 = np.square(col - col[mid][:, None])
+    d2 += np.square(row - row[mid][:, None])
+    reach = (2.0 * half + radius[:, None]) * (1.0 + 1e-9)
+    low = np.where(d2 <= reach * reach,
+                   np.minimum.reduceat(half, start)[:, None], np.inf)
+    return low.min(axis=0) - 0.5 - 1e-9
+
+
+def _nearest_sample(col, row, x, y):
+    """Distance to and index of each point's nearest sample, equal to a
+    full distance matrix's: the distance is sqrt((x - col)**2 +
+    (y - row)**2) and a tie goes to the lowest index.
+
+    D, the distance to the nearest run middle, bounds each point's
+    nearest distance from above, since the middle is a sample; so a run
+    can hold the nearest sample only if its middle lies within D plus
+    its radius (the triangle inequality), with a relative 1e-9 for
+    rounding. Only those runs' samples are compared exactly.
+    """
+    _, mid, radius = _sample_runs(col, row)
+    n = len(x)
+    # (runs, points): the middles' squared distances.
+    d2 = col[mid][:, None] - x
+    d2 *= d2
+    dy = row[mid][:, None] - y
+    dy *= dy
+    d2 += dy
+    reach = (np.sqrt(d2.min(axis=0)) + radius[:, None]) * (1.0 + 1e-9)
+    flat = np.flatnonzero(d2 <= reach * reach)
+    run, pt = np.divmod(flat, n)
+    # (pairs, _RUN): each kept run's samples, padded with inf.
+    pad = np.full(len(mid) * _RUN - len(col), np.inf)
+    cand = np.concatenate([col, pad]).reshape(-1, _RUN)[run] - x[pt, None]
+    cand *= cand
+    dy = np.concatenate([row, pad]).reshape(-1, _RUN)[run] - y[pt, None]
+    dy *= dy
+    cand += dy
+    j = np.argmin(cand, axis=1)
+    pair_d2 = cand[np.arange(len(j)), j]
+    best = np.full(n, np.inf)
+    np.minimum.at(best, pt, pair_d2)
+    hit = pair_d2 == best[pt]
+    idx = np.full(n, len(col))
+    np.minimum.at(idx, pt[hit], run[hit] * _RUN + j[hit])
+    return np.sqrt(best), idx
 
 
 def _disk_cover(col, row, radius, shape) -> np.ndarray:
@@ -218,10 +273,12 @@ def _byte_histogram(pixels: np.ndarray) -> np.ndarray:
 def binarize(pixels: np.ndarray) -> np.ndarray:
     """Boolean foreground mask of the pixels at or below Otsu's threshold.
 
+    The frame is compared as the uint8 cast the threshold is computed on.
     On a frame with two or more grey levels the threshold lies at or above
     the darkest and below the brightest, so the mask has both classes; a
     flat frame raises VisionError.
     """
+    pixels = np.asarray(pixels, dtype=np.uint8)
     mask = pixels <= otsu_threshold(pixels)
     if mask.all() or not mask.any():
         raise VisionError("binarization found no background contrast")
@@ -239,18 +296,17 @@ def extract_midline(mask: np.ndarray, spec: ImageSpec,
     starting at the root. Requires a single 4-connected component
     touching the root row.
     """
-    from scipy import ndimage   # only midline needs it
-
     mask = np.asarray(mask, dtype=bool)
     on_row = mask.any(axis=1)
     rows = np.flatnonzero(on_row)
     if len(rows) == 0:
         raise VisionError("mask has no foreground")
-    # Label the foreground bounding box only; components are unchanged.
+    # The runs of the foreground's bounding box: its components are the
+    # mask's.
     on_col = np.flatnonzero(mask.any(axis=0))
-    _, n_comp = ndimage.label(
-        mask[rows[0]:rows[-1] + 1, on_col[0]:on_col[-1] + 1],
-        structure=np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]]))
+    run_row, first, stop = _row_runs(
+        mask[rows[0]:rows[-1] + 1, on_col[0]:on_col[-1] + 1])
+    n_comp = _count_components(run_row, first, stop)
     if n_comp > 1:
         raise VisionError(f"mask has {n_comp} foreground components; "
                           "expected a single band")
@@ -258,12 +314,14 @@ def extract_midline(mask: np.ndarray, spec: ImageSpec,
     if not on_row[root_row]:
         raise VisionError("foreground does not touch the root row")
 
-    rows = rows[rows >= root_row]
+    below = rows >= root_row
+    rows = rows[below]
     if len(rows) < 2:
         raise VisionError("band spans fewer than 2 rows below the root")
     if np.any(np.diff(rows) > 3):
         raise VisionError("band is discontinuous (row gap > 2)")
-    cols = _row_centres(mask[rows])
+    left, right = _row_ends(run_row, first, stop)
+    cols = on_col[0] + (left[below] + right[below]) * 0.5
     x = (cols - spec.origin_px[0]) * spec.scale_mm_per_px
     y = (rows - spec.origin_px[1]) * spec.scale_mm_per_px
     pts = np.column_stack([x, y])
@@ -278,11 +336,51 @@ def extract_midline(mask: np.ndarray, spec: ImageSpec,
     return Centerline(res)
 
 
-def _row_centres(rows: np.ndarray) -> np.ndarray:
-    """Midpoint of the first and last True column of each nonempty row."""
-    first = np.argmax(rows, axis=1)
-    last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1], axis=1)
-    return (first + last) * 0.5
+def _row_runs(mask: np.ndarray):
+    """Foreground runs of a 2-D boolean mask in row-major order: each
+    run's row, first column and end column (one past its last)."""
+    edge = np.diff(mask, axis=1, prepend=False, append=False)
+    row, col = np.divmod(np.flatnonzero(edge), edge.shape[1])
+    return row[::2], col[::2], col[1::2]
+
+
+def _row_ends(row, first, stop):
+    """First and last foreground column of each row that holds a run:
+    the start of its first run and the end of its last, less one."""
+    new_row = np.flatnonzero(np.diff(row, prepend=-1))
+    last = np.append(new_row[1:], len(row)) - 1
+    return first[new_row], stop[last] - 1
+
+
+def _count_components(row, first, stop) -> int:
+    """Number of 4-connected components of the runs `_row_runs` gives.
+
+    Two runs join when they lie in adjacent rows and share a column; the
+    runs above run b that share a column with it are [lo[b], hi[b]), all
+    earlier than b. Each run hangs under lo, its leftmost such run, so
+    the runs that touch none above are the roots of a forest; a
+    union-find over that forest then joins each run's other runs above.
+    """
+    width = int(stop.max(initial=0)) + 1
+    key = row * width
+    lo = np.searchsorted(key + stop, key - width + first, side="right")
+    hi = np.searchsorted(key + first, key - width + stop, side="left")
+    link = np.where(hi > lo, lo, np.arange(len(row))).tolist()
+    n_comp = int(np.count_nonzero(hi == lo))
+
+    def find(i):
+        while link[i] != i:
+            link[i] = link[link[i]]
+            i = link[i]
+        return i
+
+    for b in np.flatnonzero(hi - lo > 1).tolist():
+        for a in range(lo[b] + 1, hi[b]):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                link[max(ra, rb)] = min(ra, rb)
+                n_comp -= 1
+    return n_comp
 
 
 def write_pgm(pixels: np.ndarray, path) -> None:

@@ -1014,9 +1014,23 @@ class TestUsage:
         assert (run.returncode, run.stderr) == (0, "")
 
     def test_import_leaves_scipy_out(self):
-        # Only the commands that call scipy load it (render, midline),
-        # and only once they run.
+        # No command loads scipy: not the import, and (below) not a run
+        # of any command.
         self._leaves_scipy_out("import sys, tentaclelab.cli")
+
+    def test_render_midline_leave_scipy_out(self, tmp_path):
+        # A straight, a curled and a self-overlapping state.
+        states = tmp_path / "states.csv"
+        states.write_text("q1,q2\n0.5,-0.2\n2.5,-2.0\n5.0,8.0\n")
+        code = """import sys
+from tentaclelab.cli import main
+states, d = sys.argv[1:]
+assert main(["render", "--states", states, "--out", d + "/frames"]) == 0
+assert main(["midline", "--images"]
+            + [f"{d}/frames/frame_{k:04d}.pgm" for k in range(3)]
+            + ["--out", d + "/midline"]) == 0"""
+        self._leaves_scipy_out(code, str(states), str(tmp_path / "run"))
+        assert len(os.listdir(tmp_path / "run" / "midline")) == 4
 
     def test_dataset_train_eval_metrics_leave_scipy_out(self, tmp_path):
         cfg = tmp_path / "config.json"

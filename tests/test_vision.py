@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from tentaclelab.fitting import Centerline, fit_affine
@@ -14,8 +15,10 @@ from tentaclelab.vision import (MIDLINE_POINTS, ImageSpec, VisionError,
                                 binarize, extract_midline, midline_from_csv,
                                 midline_to_csv, otsu_threshold, read_pgm,
                                 render_silhouette, write_pgm)
-from tentaclelab.vision import (_byte_histogram, _centerline_px, _disk_cover,
-                                _interior_radius, _row_centres)
+from tentaclelab.vision import (_byte_histogram, _centerline_px,
+                                _count_components, _disk_cover,
+                                _interior_radius, _nearest_sample, _row_ends,
+                                _row_runs)
 
 GEOM = TentacleGeometry()
 SPEC = ImageSpec()
@@ -171,7 +174,9 @@ class TestRenderExactness:
         assume((col - margin).min() >= 0 and (row - margin).min() >= 0
                and (col + margin).max() <= SPEC.width - 1
                and (row + margin).max() <= SPEC.height - 1)
-        cover = _disk_cover(col, row, margin, (SPEC.height, SPEC.width))
+        # The renderer's cover radius: alpha is 0 beyond half + 0.5.
+        cover = _disk_cover(col, row, half + 0.5 + 1e-9,
+                            (SPEC.height, SPEC.width))
         rr, cc = np.mgrid[int(row.min() - margin.max()):
                           int(row.max() + margin.max()) + 1,
                           int(col.min() - margin.max()):
@@ -226,8 +231,7 @@ class TestInteriorFill:
         assume((col - margin).min() >= 0 and (row - margin).min() >= 0
                and (col + margin).max() <= SMALL.width - 1
                and (row + margin).max() <= SMALL.height - 1)
-        r = _interior_radius(cKDTree(np.column_stack([col, row])), col, row,
-                             half)
+        r = _interior_radius(col, row, half)
         solid = r > 0.0
         inner = _disk_cover(col[solid], row[solid], r[solid],
                             (SMALL.height, SMALL.width))
@@ -236,6 +240,73 @@ class TestInteriorFill:
         idx = np.argmin(d, axis=1)
         alpha = 0.5 + (half[idx] - d[np.arange(len(idx)), idx])
         assert len(rr) > 0 and (alpha >= 1.0).all()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_any_half_widths_stay_solid(self, seed):
+        # No taper assumed: a random-walk centerline whose half-widths
+        # jump between 2 and 8 px from sample to sample.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 200))
+        heading = np.cumsum(rng.normal(0.0, 0.6, n))
+        col = 20.0 + np.cumsum(0.7 * np.cos(heading))
+        row = 20.0 + np.cumsum(0.7 * np.sin(heading))
+        col += 10.0 - col.min()
+        row += 10.0 - row.min()
+        half = rng.uniform(2.0, 8.0, n)
+        r = _interior_radius(col, row, half)
+        solid = r > 0.0
+        shape = (int(row.max()) + 12, int(col.max()) + 12)
+        inner = _disk_cover(col[solid], row[solid], r[solid], shape)
+        rr, cc = np.nonzero(inner)
+        dist, idx = nearest_reference(col, row, cc, rr)
+        assert len(rr) > 0 and (0.5 + (half[idx] - dist) >= 1.0).all()
+
+
+def nearest_reference(col, row, x, y):
+    """Nearest sample by a full distance matrix, lowest index on a tie."""
+    dc = x[:, None] - col
+    dr = y[:, None] - row
+    d = np.sqrt(dc * dc + dr * dr)
+    idx = np.argmin(d, axis=1)
+    return d[np.arange(len(idx)), idx], idx
+
+
+class TestNearestSample:
+    # Sample counts that leave the last run full, one sample long and
+    # part full.
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-8.0, 8.0), st.floats(-6.0, 6.0),
+           st.sampled_from([600, 601, 615, 640]), st.integers(0, 2**32 - 1))
+    def test_matches_full_distance_matrix(self, q1, q2, n, seed):
+        col, row, _ = _centerline_px(CurvatureState(q1, q2), GEOM, SMALL, n)
+        rng = np.random.default_rng(seed)
+        # Pixel centres and arbitrary points anywhere in the frame.
+        x = np.concatenate([rng.integers(0, SMALL.width, 500),
+                            rng.uniform(0, SMALL.width - 1, 1000)])
+        y = np.concatenate([rng.integers(0, SMALL.height, 500),
+                            rng.uniform(0, SMALL.height - 1, 1000)])
+        dist, idx = _nearest_sample(col, row, x, y)
+        ref_dist, ref_idx = nearest_reference(col, row, x, y)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(dist, ref_dist)
+
+    def test_tie_goes_to_lowest_index(self):
+        # Samples 3, 20, 37 and 40 (three runs) share one position, and
+        # (0, 0) lies 1 px from both samples 10 and 45; the rest lie on a
+        # circle of radius 100 px.
+        angle = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
+        col = 100.0 * np.cos(angle)
+        row = 100.0 * np.sin(angle)
+        col[[3, 20, 37, 40]] = 5.0
+        row[[3, 20, 37, 40]] = 2.0
+        col[[10, 45]] = 0.0
+        row[[10, 45]] = [1.0, -1.0]
+        x = np.array([5.0, 5.0, 0.0, 3.0])
+        y = np.array([2.0, 2.5, 0.0, 2.0])
+        dist, idx = _nearest_sample(col, row, x, y)
+        ref_dist, ref_idx = nearest_reference(col, row, x, y)
+        assert idx.tolist() == ref_idx.tolist() == [3, 3, 10, 3]
+        assert np.array_equal(dist, ref_dist)
 
 
 class TestDiskCover:
@@ -271,6 +342,14 @@ class TestBinarize:
             px = np.full((32, 32), level, dtype=np.uint8)
             with pytest.raises(VisionError, match="no background contrast"):
                 binarize(px)
+
+    def test_float_frame_compares_its_uint8_cast(self):
+        # Otsu's threshold is computed on the uint8 cast (100 here), so
+        # the frame is compared as that cast, not as 100.5.
+        px = np.full((32, 32), 200.5)
+        px[8:24, 8:24] = 100.5
+        mask = binarize(px)
+        assert mask.sum() == 16 * 16 and mask[8:24, 8:24].all()
 
     def test_brightness_shift_invariance(self):
         img = render_silhouette(CurvatureState(0.8, -0.4), GEOM, SPEC)
@@ -378,7 +457,7 @@ class TestExtractMidline:
         assert full.segment_lengths.sum() > length
 
 
-class TestRowCentres:
+class TestRowRuns:
     def test_matches_per_row_loop(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -387,7 +466,75 @@ class TestRowCentres:
             loop = np.array([(np.flatnonzero(r).min()
                               + np.flatnonzero(r).max()) * 0.5
                              for r in rows])
-            assert np.array_equal(_row_centres(rows), loop)
+            left, right = _row_ends(*_row_runs(rows))
+            assert np.array_equal((left + right) * 0.5, loop)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_runs_rebuild_the_mask(self, seed):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((int(rng.integers(1, 40)),
+                           int(rng.integers(1, 40)))) < rng.uniform(0.05, 0.95)
+        row, first, stop = _row_runs(mask)
+        rebuilt = np.zeros_like(mask)
+        for r, a, b in zip(row, first, stop):
+            assert a < b and not rebuilt[r, a:b].any()
+            rebuilt[r, a:b] = True
+        assert np.array_equal(rebuilt, mask)
+        # Row-major order, and runs of one row never touch.
+        order = np.lexsort((first, row))
+        assert np.array_equal(order, np.arange(len(row)))
+        same = row[1:] == row[:-1]
+        assert (first[1:][same] > stop[:-1][same]).all()
+
+
+CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+
+
+def component_masks():
+    rng = np.random.default_rng(25)
+    masks = [np.zeros((5, 7), bool), np.ones((5, 7), bool),
+             np.ones((1, 1), bool), np.eye(6, dtype=bool),
+             np.eye(6, dtype=bool)[::-1] | np.eye(6, dtype=bool),
+             (np.indices((9, 11)).sum(axis=0) % 2).astype(bool)]
+    for k in range(60):
+        shape = (int(rng.integers(1, 30)), int(rng.integers(1, 30)))
+        mask = rng.random(shape) < rng.uniform(0.05, 0.8)
+        if k % 3 == 0:
+            # Diagonal-only contacts: a checkerboard patch.
+            r, c = rng.integers(0, shape[0]), rng.integers(0, shape[1])
+            patch = mask[r:r + 6, c:c + 6]
+            patch[:] = np.indices(patch.shape).sum(axis=0) % 2 == 0
+        if k % 3 == 1:
+            # 1-pixel runs only: one pixel in every other column.
+            mask &= np.arange(shape[1]) % 2 == 0
+        rows = rng.integers(0, shape[0], 2)
+        mask[rows[0]] = False
+        mask[rows[1]] = k % 2 == 0
+        masks.append(mask)
+    return masks
+
+
+class TestCountComponents:
+    @pytest.mark.parametrize("mask", component_masks())
+    def test_matches_ndimage_label(self, mask):
+        _, want = ndimage.label(mask, structure=CROSS)
+        assert _count_components(*_row_runs(mask)) == want
+
+    def test_diagonal_contact_does_not_join(self):
+        mask = np.zeros((4, 4), bool)
+        mask[0, 0:2] = mask[1, 2:4] = True
+        assert _count_components(*_row_runs(mask)) == 2
+        mask[1, 1] = True
+        assert _count_components(*_row_runs(mask)) == 1
+
+    def test_fork_joins_below(self):
+        # Two prongs that meet lower down: one component, two runs above
+        # the row that joins them.
+        mask = np.zeros((6, 9), bool)
+        mask[0:3, 1] = mask[0:3, 6] = True
+        mask[3, 1:7] = True
+        mask[0:5, 3] = True
+        assert _count_components(*_row_runs(mask)) == 1
 
 
 class TestPgmIO:
