@@ -19,6 +19,7 @@ thrust only from its first scored step.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import shutil
@@ -350,42 +351,44 @@ def _flatten(doc, prefix=""):
     return out
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process. It names no function: `main`
+    looks up `cmd_<name>` when it dispatches."""
     p = argparse.ArgumentParser(
         prog="tentaclelab",
         description="Synthetic tentacle proprioception pipeline")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, help):
+    def command(name, help):
         sp = sub.add_parser(name, help=help)
         sp.add_argument("--config", help="RunConfig JSON path")
         sp.add_argument("--seed", type=int, help="override config seeds")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.set_defaults(fn=fn)
         return sp
 
-    sp = command("dataset", cmd_dataset, "generate labeled train/test CSVs")
+    sp = command("dataset", "generate labeled train/test CSVs")
     sp.add_argument("--duration", type=float, help="train duration (s)")
     sp.add_argument("--duration-test", type=float, help="test duration (s)")
 
-    sp = command("train", cmd_train, "train the regressor")
+    sp = command("train", "train the regressor")
     sp.add_argument("--data", required=True, help="dataset directory")
 
-    sp = command("eval", cmd_eval, "evaluate weights on the test split")
+    sp = command("eval", "evaluate weights on the test split")
     sp.add_argument("--data", required=True, help="dataset directory")
     sp.add_argument("--weights", required=True, help="weights JSON path")
 
-    sp = command("metrics", cmd_metrics, "sweep (f, A) performance metrics")
+    sp = command("metrics", "sweep (f, A) performance metrics")
     sp.add_argument("--weights", help="compute from reconstructed states")
 
-    sp = command("optimize", cmd_optimize, "Bayesian-optimize actuation")
+    sp = command("optimize", "Bayesian-optimize actuation")
     sp.add_argument("--budget", type=int, help="evaluation budget")
     sp.add_argument("--weights", help="objective from reconstructed states")
 
-    sp = command("render", cmd_render, "render state CSV rows to PGM frames")
+    sp = command("render", "render state CSV rows to PGM frames")
     sp.add_argument("--states", required=True, help="state or trace CSV")
 
-    sp = command("midline", cmd_midline, "extract midlines from PGM images")
+    sp = command("midline", "extract midlines from PGM images")
     sp.add_argument("--images", nargs="+", required=True, help="PGM paths")
 
     sp = sub.add_parser("report", help="collate a run directory into HTML")
@@ -430,9 +433,8 @@ def _replaced_outputs(out, outputs) -> list:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
@@ -465,7 +467,7 @@ def main(argv=None) -> int:
         os.makedirs(parent, exist_ok=True)
         args.out = tempfile.mkdtemp(prefix=".tentaclelab-", dir=parent)
         try:
-            outputs = args.fn(cfg, args)
+            outputs = globals()[f"cmd_{args.command}"](cfg, args)
             _write_json(os.path.join(args.out, "manifest.json"), {
                 "command": args.command, "schema": CONFIG_SCHEMA,
                 "config_hash": config_hash(cfg), "config": cfg.to_dict(),

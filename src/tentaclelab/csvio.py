@@ -7,10 +7,27 @@ import warnings
 import numpy as np
 
 
+# Rows formatted per `%` and per write: the temporaries of one block are
+# its text and the tuple of its values.
+_BLOCK_ROWS = 1024
+
+
 def write_csv(path, header: str, rows) -> None:
-    """Write (n, k) `rows` under a `header` line of k names."""
-    np.savetxt(path, np.asarray(rows, dtype=float), fmt="%.10g",
-               delimiter=",", header=header, comments="")
+    """Write (n, k) `rows` under a `header` line of k names; 1-D `rows`
+    are one column. The bytes are np.savetxt's with fmt="%.10g",
+    delimiter="," and comments="": no header line for an empty header."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    elif rows.ndim != 2:
+        raise ValueError(f"expected 1-D or 2-D rows, got {rows.ndim}-D")
+    line = ",".join(["%.10g"] * rows.shape[1]) + "\n"
+    with open(path, "w") as f:
+        if header:
+            f.write(header + "\n")
+        for i in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[i:i + _BLOCK_ROWS]
+            f.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_csv(path, names, min_rows: int = 1) -> dict:

@@ -514,8 +514,9 @@ def save_weights(w: RegressorWeights, path) -> None:
         "out_std": np.asarray(w.out_std, dtype=float).tolist(),
         "params": {k: w.params[k].tolist() for k in _PARAM_NAMES},
     }
+    text = json.dumps(doc)      # one write, not json.dump's many chunks
     with open(path, "w") as f:
-        json.dump(doc, f)
+        f.write(text)
 
 
 def load_weights(path) -> RegressorWeights:

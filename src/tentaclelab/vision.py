@@ -241,8 +241,9 @@ def _disk_cover(col, row, radius, shape) -> np.ndarray:
 
 
 def otsu_threshold(pixels: np.ndarray) -> int:
-    """Between-class-variance maximizing threshold of an 8-bit image."""
-    hist = _byte_histogram(np.asarray(pixels, dtype=np.uint8)).astype(float)
+    """Between-class-variance maximizing threshold of an 8-bit image,
+    computed on the uint8 cast `binarize` compares (see `_as_uint8`)."""
+    hist = _byte_histogram(_as_uint8(pixels)).astype(float)
     total = hist.sum()
     w0 = np.cumsum(hist)
     m = np.cumsum(hist * np.arange(256))
@@ -253,32 +254,42 @@ def otsu_threshold(pixels: np.ndarray) -> int:
     return int(np.argmax(between))
 
 
+def _as_uint8(pixels) -> np.ndarray:
+    """The frame as uint8, fractional values truncated. Raises ValueError
+    on a value that is not finite or lies outside [0, 255], which the
+    cast would wrap in a platform-dependent way."""
+    pixels = np.asarray(pixels)
+    if pixels.dtype == np.uint8:
+        return pixels
+    if not np.all((pixels >= 0) & (pixels <= 255)):     # NaN fails both
+        raise ValueError("frame values must be finite and within [0, 255]")
+    return pixels.astype(np.uint8)
+
+
 def _byte_histogram(pixels: np.ndarray) -> np.ndarray:
     """256-bin count of a uint8 array, equal to np.bincount's.
 
-    The bytes are counted in pairs, viewed as uint16: the 65536-bin count
-    of the pairs, reshaped (256, 256), gives each byte's count as its row
-    sum plus its column sum, whatever the byte order. That halves the
-    number of intp indices bincount makes; an odd last byte is counted
-    alone.
+    Only the bytes that differ from the first are counted one by one; all
+    the others hold the first byte, so their number goes into its bin. A
+    rendered frame is mostly flat background, so few bytes are counted.
     """
-    flat = np.ascontiguousarray(pixels).ravel()
-    even = len(flat) - len(flat) % 2
-    pairs = np.bincount(flat[:even].view(np.uint16),
-                        minlength=65536).reshape(256, 256)
-    return (pairs.sum(axis=0) + pairs.sum(axis=1)
-            + np.bincount(flat[even:], minlength=256))
+    flat = np.ravel(pixels)
+    other = flat[flat != flat[:1]]
+    hist = np.bincount(other, minlength=256)
+    hist[flat[:1]] += len(flat) - len(other)    # no bin if flat is empty
+    return hist
 
 
 def binarize(pixels: np.ndarray) -> np.ndarray:
     """Boolean foreground mask of the pixels at or below Otsu's threshold.
 
-    The frame is compared as the uint8 cast the threshold is computed on.
+    The frame is compared as the uint8 cast the threshold is computed on;
+    a value that is not finite or lies outside [0, 255] raises ValueError.
     On a frame with two or more grey levels the threshold lies at or above
     the darkest and below the brightest, so the mask has both classes; a
     flat frame raises VisionError.
     """
-    pixels = np.asarray(pixels, dtype=np.uint8)
+    pixels = _as_uint8(pixels)
     mask = pixels <= otsu_threshold(pixels)
     if mask.all() or not mask.any():
         raise VisionError("binarization found no background contrast")
@@ -390,7 +401,7 @@ def write_pgm(pixels: np.ndarray, path) -> None:
     h, w = pixels.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode())
-        f.write(pixels.tobytes())
+        f.write(np.ascontiguousarray(pixels).data)
 
 
 def read_pgm(path) -> np.ndarray:
@@ -407,11 +418,12 @@ def read_pgm(path) -> np.ndarray:
     if w < 16 or h < 16:
         raise VisionError(f"PGM is {w}x{h} px; at least 16x16 is needed: "
                           f"{path}")
-    pix = np.frombuffer(data[m.end():], dtype=np.uint8)
-    if pix.size != w * h:
-        raise VisionError(f"PGM payload holds {pix.size} samples, "
+    size = len(data) - m.end()
+    if size != w * h:
+        raise VisionError(f"PGM payload holds {size} samples, "
                           f"{w}x{h} px need {w * h}: {path}")
-    return pix.astype(np.uint8).reshape(h, w)
+    # The one copy: frombuffer's view of the bytes read is read-only.
+    return np.frombuffer(data, np.uint8, offset=m.end()).reshape(h, w).copy()
 
 
 def midline_to_csv(cl: Centerline, path) -> None:

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -351,6 +352,18 @@ class TestBinarize:
         mask = binarize(px)
         assert mask.sum() == 16 * 16 and mask[8:24, 8:24].all()
 
+    @pytest.mark.parametrize("level", [300.0, -5.0, np.nan])
+    def test_out_of_range_float_frame_rejected(self, level):
+        # The uint8 cast would wrap these (300.0 to 44, -5.0 to 251) or
+        # cast NaN with only a RuntimeWarning.
+        px = np.full((32, 32), 200.0)
+        px[8:24, 8:24] = level
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (otsu_threshold, binarize):
+                with pytest.raises(ValueError, match=r"within \[0, 255\]"):
+                    fn(px)
+
     def test_brightness_shift_invariance(self):
         img = render_silhouette(CurvatureState(0.8, -0.4), GEOM, SPEC)
         shifted = np.clip(img.astype(int) + 20, 0, 255).astype(np.uint8)
@@ -382,6 +395,18 @@ class TestByteHistogram:
         for view in (px, px.T, px[:, ::3], px[1::2, 1:], px[::-1, ::-1]):
             assert np.array_equal(_byte_histogram(view),
                                   np.bincount(view.ravel(), minlength=256))
+
+    @pytest.mark.parametrize("px", [
+        # A crop from the root pixel: the first byte is foreground.
+        render_silhouette(CurvatureState(0.8, -0.4), GEOM, SPEC)[40:, 480:],
+        np.full((32, 32), 7, dtype=np.uint8),
+        np.clip(render_silhouette(CurvatureState(0.8, -0.4), GEOM, SPEC)
+                + np.random.default_rng(6).normal(0.0, 3.0, (560, 960)),
+                0, 255).astype(np.uint8),
+    ], ids=["first_pixel_foreground", "single_level", "noise_sigma_3"])
+    def test_rendered_and_flat_frames(self, px):
+        assert np.array_equal(_byte_histogram(px),
+                              np.bincount(px.ravel(), minlength=256))
 
     @pytest.mark.parametrize("px", [
         np.random.default_rng(2).random((20, 21)) < 0.3,
