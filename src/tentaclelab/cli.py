@@ -300,18 +300,25 @@ def cmd_midline(cfg, args) -> list:
 
 def cmd_report(args) -> int:
     run = args.run
+    if not os.path.isdir(run):
+        raise ConfigError(f"--run {run}: not a directory")
     out_path = os.path.join(run, "report.html")
     sections = []
 
     def add_svg(path, heading):
-        if os.path.exists(path):
+        if os.path.isfile(path):
             with open(path) as f:
                 sections.append(f"<h2>{heading}</h2>\n" + f.read())
 
     def add_json_table(path, heading):
-        if os.path.exists(path):
-            with open(path) as f:
-                doc = json.load(f)
+        if os.path.isfile(path):
+            try:
+                with open(path) as f:
+                    doc = json.load(f)
+                if not isinstance(doc, dict):
+                    raise ValueError("must be a JSON object")
+            except ValueError as e:
+                raise ValueError(f"{path}: {e}") from None
             rows = "".join(f"<tr><td>{k}</td><td>{v}</td></tr>"
                            for k, v in sorted(_flatten(doc).items()))
             sections.append(f"<h2>{heading}</h2>\n<table border='1' "

@@ -13,13 +13,13 @@ the time-reversed backward direction are stepped together on one (2H,)
 state, through a block-diagonal recurrent matrix with gate-interleaved
 rows, so each step makes one recurrent product for both directions.
 
-Inference (`forward`) keeps only what it returns, the (T, 2H) hidden
-states: it runs the steps in blocks of _BLOCK and recycles a block's
-gate, h, c and tanh(c) rows; only BPTT reads them back. Training keeps
-every step's rows for BPTT, in arrays that one `train` call allocates
-once and reuses for every chunk: allocated per chunk, arrays of this
-size are mapped afresh by the allocator each time, and every chunk pays
-page faults for them.
+One driver, `_lstm_run`, steps the loop for `forward` and `train`, in
+blocks as long as the rows it is lent. `forward` lends rows for blocks
+of _BLOCK steps and keeps only the (T, 2H) hidden states it returns.
+`train` lends rows for its longest chunk, so a chunk is one block and
+every step's rows stay for BPTT. It allocates them once and reuses them
+for every chunk: allocated per chunk, arrays of this size are mapped
+afresh by the allocator each time, and every chunk pays page faults.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ WEIGHTS_SCHEMA = 2
 # cubic lateral-profile coefficients (c2, c3).
 TARGETS = ("affine", "poly")
 
-# Steps per block of `forward`: its input projection and the gate, h, c
-# and tanh(c) rows it keeps cover one block at a time, not the series.
+# Steps per block of `forward`: the input projection and the gate, h, c
+# and tanh(c) rows it lends _lstm_run cover one block, not the series.
 _BLOCK = 256
 
 
@@ -265,69 +265,60 @@ def _lstm_steps(xn, p, rec, start, gates, proj, h, c, tc):
         np.multiply(a[3 * H2:], tc[s], out=h[s + 1])
 
 
-def _bptt_rows(n, H) -> dict:
-    """The per-step arrays of one BPTT pass over at most n steps. A pass
-    over T steps uses the first T rows of each (T+1 of c and h), so one
-    set serves every chunk of a `train` call."""
+def _step_rows(n, H) -> dict:
+    """The rows _lstm_run steps through: blocks of n - 1 steps, or one
+    block for a series of at most n steps."""
     H2 = 2 * H
     return {"proj": np.empty((n, 4 * H)), "gates": np.empty((n, 8 * H)),
             "c": np.empty((n + 1, H2)), "tc": np.empty((n, H2)),
-            "h": np.empty((n + 1, H2)), "m": np.empty((n, 4, H2)),
+            "h": np.empty((n + 1, H2))}
+
+
+def _bptt_rows(n, H) -> dict:
+    """_step_rows plus BPTT's arrays, for series of at most n steps: one
+    block covers the series, so every step's rows stay for _lstm_grads.
+    One set serves every chunk of a `train` call."""
+    H2 = 2 * H
+    return {**_step_rows(n, H), "m": np.empty((n, 4, H2)),
             "dZ": np.empty((n, 4, H2)), "dZf": np.empty((n, 4 * H)),
             "dZb": np.empty((n, 4 * H))}
 
 
-def _lstm_pass(xn, p, H, rows):
-    """Run both LSTM directions over (T, n_in) normalized inputs, keeping
-    every step's rows in `rows` (from _bptt_rows) for _lstm_grads.
+def _lstm_run(xn, p, H, rows):
+    """Run both LSTM directions over (T, n_in) normalized inputs; returns
+    u (T, 2H) and the recurrent matrix U.
 
-    Returns u (T, 2H) and the recurrent matrix U.
-    """
-    T = len(xn)
-    rec = _recurrence(p, H)
-    h, c = rows["h"][:T + 1], rows["c"][:T + 1]
-    h[0] = 0.0
-    c[0] = 0.0
-    _lstm_steps(xn, p, rec, 0, rows["gates"][:T], rows["proj"][:T], h, c,
-                rows["tc"][:T])
-    u = np.concatenate([h[1:, :H], h[:0:-1, H:]], axis=1)
-    return u, rec[0]
-
-
-def _lstm_infer(xn, p, H):
-    """u (T, 2H) of _lstm_pass without the rows only BPTT reads.
-
-    The steps run in blocks of _BLOCK. A block's gate, h, c and tanh(c)
-    rows are recycled by the next block, which carries on from its last
-    h and c; only u, which it returns, spans the series. A tail of one
+    The steps run in blocks of len(rows["gates"]) - 1 that reuse the
+    rows; only u spans the series. Between blocks the last h and c move
+    to row 0; the first block starts from zeros there. A tail of one
     step joins the block before it: a 1-row projection would go through
     gemv, whose last bits can differ from the GEMM's.
     """
     T = len(xn)
-    H2 = 2 * H
-    n = min(T, _BLOCK + 1)
+    block = len(rows["gates"]) - 1
     rec = _recurrence(p, H)
-    gates, proj = np.empty((n, 8 * H)), np.empty((n, 4 * H))
-    h, c = np.zeros((n + 1, H2)), np.zeros((n + 1, H2))
-    tc = np.empty((n, H2))
-    u = np.empty((T, H2))
+    h, c = rows["h"], rows["c"]
+    h[0] = 0.0
+    c[0] = 0.0
+    u = np.empty((T, 2 * H))
     start = 0
     while start < T:
-        end = T if T - start <= _BLOCK + 1 else start + _BLOCK
+        if start:
+            h[0] = h[k]
+            c[0] = c[k]
+        end = T if T - start <= block + 1 else start + block
         k = end - start
-        _lstm_steps(xn, p, rec, start, gates[:k], proj[:k], h[:k + 1],
-                    c[:k + 1], tc[:k])
+        _lstm_steps(xn, p, rec, start, rows["gates"][:k], rows["proj"][:k],
+                    h[:k + 1], c[:k + 1], rows["tc"][:k])
         u[start:end, :H] = h[1:k + 1, :H]
         u[T - end:T - start, H:] = h[k:0:-1, H:]
-        h[0] = h[k]
-        c[0] = c[k]
         start = end
-    return u
+    return u, rec[0]
 
 
 def _lstm_grads(du, xn, U, rows, H):
     """BPTT through both directions in lockstep; du (T, 2H) is the loss
-    gradient at u from _lstm_pass, whose rows are in `rows`. The loop only
+    gradient at u from _lstm_run, whose rows are in `rows`. The loop only
     fills dZ, the gradient at the pre-activations; the weight gradients
     are GEMMs after it."""
     T = len(xn)
@@ -355,14 +346,9 @@ def _lstm_grads(du, xn, U, rows, H):
         dh_rec = U.T @ dZ[s].ravel()
         dc *= f[s]
     dZ = dZ.reshape(T, 4, 2, H)
-    if H == 1:
-        # Each direction's rows are a strided view here, which numpy
-        # multiplies without BLAS; a contiguous copy would move last bits.
-        dZf, dZb = dZ[:, :, 0, 0], dZ[:, :, 1, 0]
-    else:
-        dZf, dZb = rows["dZf"][:T], rows["dZb"][:T]
-        dZf.reshape(T, 4, H)[:] = dZ[:, :, 0]
-        dZb.reshape(T, 4, H)[:] = dZ[:, :, 1]
+    dZf, dZb = rows["dZf"][:T], rows["dZb"][:T]
+    dZf.reshape(T, 4, H)[:] = dZ[:, :, 0]
+    dZb.reshape(T, 4, H)[:] = dZ[:, :, 1]
     return {
         "Wf": dZf.T @ xn, "Uf": dZf.T @ h[:-1, :H], "bf": dZf.sum(axis=0),
         "Wb": dZb.T @ xn[::-1], "Ub": dZb.T @ h[:-1, H:],
@@ -376,22 +362,15 @@ def _head(p, u):
     return a, a @ p["W2"].T + p["b2"]               # (T, n_out)
 
 
-def _forward_norm(w: RegressorWeights, xn: np.ndarray, rows: dict):
-    """Forward pass on normalized inputs along the path `gradients` takes;
-    returns normalized predictions, u, a and U, with the LSTM's per-step
-    rows left in `rows`."""
-    u, U = _lstm_pass(xn, w.params, w.hidden, rows)
-    a, yn = _head(w.params, u)
-    return yn, u, a, U
-
-
 def forward(w: RegressorWeights, seq: np.ndarray) -> np.ndarray:
     """Predict a (T, n_out) state series from a (T, n_in) input series."""
     x = np.asarray(seq, dtype=float)
     if x.ndim != 2 or x.shape[1] != w.n_in:
         raise ValueError(f"expected (T, {w.n_in}) inputs, got {x.shape}")
     xn = (x - w.in_mean) / w.in_std
-    _, yn = _head(w.params, _lstm_infer(xn, w.params, w.hidden))
+    u, _ = _lstm_run(xn, w.params, w.hidden,
+                     _step_rows(min(len(x), _BLOCK + 1), w.hidden))
+    _, yn = _head(w.params, u)
     return yn * w.out_std + w.out_mean
 
 
@@ -414,7 +393,8 @@ def gradients(w: RegressorWeights, batch, *, _rows=None) -> tuple:
     for seq in batch:
         xn = (seq.inputs - w.in_mean) / w.in_std
         tn = (seq.targets - w.out_mean) / w.out_std
-        yn, u, a, U = _forward_norm(w, xn, _rows)
+        u, U = _lstm_run(xn, p, w.hidden, _rows)
+        a, yn = _head(p, u)
         err = yn - tn
         total_loss += float(np.sum(err ** 2))
         dy = 2.0 * err / n_elem                       # (T, n_out)

@@ -986,6 +986,25 @@ class TestReport:
         empty.mkdir()
         assert main(["report", "--run", str(empty)]) == 1
 
+    @pytest.mark.parametrize("name, text, code, named", [
+        ("f.txt", None, 1, "--run"),
+        ("optimize/best.json", "[1, 2]", 2, "best.json"),
+        ("eval/report.json", "{bad", 2, "report.json"),
+        ("eval/report.json/x.txt", "x", 1, "no reportable artifacts"),
+    ], ids=["run_is_file", "json_list", "malformed_json", "json_is_dir"])
+    def test_bad_input_named(self, tmp_path, capsys, name, text, code,
+                             named):
+        # A bad --run or JSON file exits with an error naming it, not a
+        # traceback; a directory where a JSON file belongs is skipped.
+        path = tmp_path / "run" / name
+        path.parent.mkdir(parents=True)
+        path.write_text(text or "not a run\n")
+        run = path if text is None else tmp_path / "run"
+        assert main(["report", "--run", str(run)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "run" / "report.html").exists()
+
 
 class TestUsage:
     def test_unknown_command(self):

@@ -8,7 +8,7 @@ import pytest
 
 from tentaclelab.regressor import (_BLOCK, LabeledSequence, RegressorWeights,
                                    TrainConfig, TrainingError, _bptt_rows,
-                                   _forward_norm, _pack, _unpack, forward,
+                                   _head, _lstm_run, _pack, _unpack, forward,
                                    gradients, init_weights, load_weights,
                                    save_weights, train)
 
@@ -253,7 +253,7 @@ class TestInference:
 
     @pytest.mark.parametrize("n_in", [1, 3])
     @pytest.mark.parametrize("H", [1, 8, 32])
-    @pytest.mark.parametrize("T", [2, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+    @pytest.mark.parametrize("T", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1,
                                    2 * _BLOCK + 1, 2 * _BLOCK + 2, 7500])
     def test_matches_training_path(self, T, H, n_in):
         w = init_weights(n_in, 2, H, seed=T + H + n_in,
@@ -261,8 +261,10 @@ class TestInference:
                          in_std=np.full(n_in, 0.9),
                          out_mean=[0.2, -0.3], out_std=[1.5, 0.7])
         x = rng0(T * 10 + n_in).normal(size=(T, n_in))
-        yn = _forward_norm(w, (x - w.in_mean) / w.in_std,
-                           _bptt_rows(T, H))[0]
+        # The training path's rows cover the series: one block.
+        u, _ = _lstm_run((x - w.in_mean) / w.in_std, w.params, H,
+                         _bptt_rows(T, H))
+        yn = _head(w.params, u)[1]
         assert np.array_equal(forward(w, x), yn * w.out_std + w.out_mean)
 
     def test_long_series_memory(self):
