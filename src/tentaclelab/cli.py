@@ -305,20 +305,21 @@ def cmd_report(args) -> int:
     out_path = os.path.join(run, "report.html")
     sections = []
 
+    def read(path, parse=str):
+        """The parsed UTF-8 text of an artifact; errors name the file."""
+        try:
+            with open(path, encoding="utf-8") as f:
+                return parse(f.read())
+        except (OSError, ValueError) as e:
+            raise ValueError(f"{path}: {e}") from None
+
     def add_svg(path, heading):
         if os.path.isfile(path):
-            with open(path) as f:
-                sections.append(f"<h2>{heading}</h2>\n" + f.read())
+            sections.append(f"<h2>{heading}</h2>\n" + read(path))
 
     def add_json_table(path, heading):
         if os.path.isfile(path):
-            try:
-                with open(path) as f:
-                    doc = json.load(f)
-                if not isinstance(doc, dict):
-                    raise ValueError("must be a JSON object")
-            except ValueError as e:
-                raise ValueError(f"{path}: {e}") from None
+            doc = read(path, _json_object)
             rows = "".join(f"<tr><td>{k}</td><td>{v}</td></tr>"
                            for k, v in sorted(_flatten(doc).items()))
             sections.append(f"<h2>{heading}</h2>\n<table border='1' "
@@ -342,9 +343,16 @@ def cmd_report(args) -> int:
     html = ("<!DOCTYPE html>\n<html><head><meta charset='utf-8'>"
             "<title>Run report</title></head><body>\n<h1>Run report</h1>\n"
             + "\n".join(sections) + "\n</body></html>\n")
-    with open(out_path, "w") as f:
+    with open(out_path, "w", encoding="utf-8") as f:
         f.write(html)
     return 0
+
+
+def _json_object(text):
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("must be a JSON object")
+    return doc
 
 
 def _flatten(doc, prefix=""):

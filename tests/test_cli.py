@@ -991,19 +991,47 @@ class TestReport:
         ("optimize/best.json", "[1, 2]", 2, "best.json"),
         ("eval/report.json", "{bad", 2, "report.json"),
         ("eval/report.json/x.txt", "x", 1, "no reportable artifacts"),
-    ], ids=["run_is_file", "json_list", "malformed_json", "json_is_dir"])
+        ("metrics/twi.svg", b"\xff<svg/>", 2, "twi.svg: 'utf-8' codec"),
+        ("eval/report.json", b'{"a": "\xff"}', 2, "report.json: 'utf-8'"),
+    ], ids=["run_is_file", "json_list", "malformed_json", "json_is_dir",
+            "svg_not_utf8", "json_not_utf8"])
     def test_bad_input_named(self, tmp_path, capsys, name, text, code,
                              named):
-        # A bad --run or JSON file exits with an error naming it, not a
-        # traceback; a directory where a JSON file belongs is skipped.
+        # A bad --run, JSON or SVG file exits with an error naming it,
+        # not a traceback; a directory where a JSON file belongs is
+        # skipped.
         path = tmp_path / "run" / name
         path.parent.mkdir(parents=True)
-        path.write_text(text or "not a run\n")
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text or "not a run\n")
         run = path if text is None else tmp_path / "run"
         assert main(["report", "--run", str(run)]) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert not (tmp_path / "run" / "report.html").exists()
+
+    def test_utf8_under_ascii_locale(self, tmp_path):
+        # Artifacts are read, and report.html written, as the UTF-8 its
+        # <meta charset> declares, whatever the locale's encoding.
+        svg = "<svg><text>θ = 30°</text></svg>"
+        (tmp_path / "run" / "metrics").mkdir(parents=True)
+        (tmp_path / "run" / "metrics" / "twi.svg").write_bytes(
+            svg.encode("utf-8"))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src, LC_ALL="C",
+                   PYTHONCOERCECLOCALE="0")
+        code = ("import locale, sys\n"
+                "assert locale.getpreferredencoding(False) != 'UTF-8'\n"
+                "from tentaclelab.cli import main\n"
+                "sys.exit(main(['report', '--run', sys.argv[1]]))")
+        run = subprocess.run([sys.executable, "-X", "utf8=0", "-c", code,
+                              str(tmp_path / "run")], env=env,
+                             stderr=subprocess.PIPE, text=True)
+        assert (run.returncode, run.stderr) == (0, "")
+        html = (tmp_path / "run" / "report.html").read_bytes()
+        assert svg.encode("utf-8") in html
 
 
 class TestUsage:

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,10 +17,10 @@ from tentaclelab.vision import (MIDLINE_POINTS, ImageSpec, VisionError,
                                 binarize, extract_midline, midline_from_csv,
                                 midline_to_csv, otsu_threshold, read_pgm,
                                 render_silhouette, write_pgm)
-from tentaclelab.vision import (_byte_histogram, _centerline_px,
-                                _count_components, _disk_cover,
-                                _interior_radius, _nearest_sample, _row_ends,
-                                _row_runs)
+from tentaclelab.vision import (_RUN, _SEARCH_ENTRIES, _byte_histogram,
+                                _centerline_px, _count_components,
+                                _disk_cover, _interior_radius,
+                                _nearest_sample, _row_ends, _row_runs)
 
 GEOM = TentacleGeometry()
 SPEC = ImageSpec()
@@ -116,6 +117,20 @@ class TestRenderSilhouette:
         img = render_silhouette(CurvatureState(0.5, 0.0), GEOM, SPEC)
         assert img.min() == 25
         assert img.max() == 230
+
+    # A straight, a bent and a curled frame.
+    @pytest.mark.parametrize("q", [(0.8, -0.4), (2.5, -2.0), (0.0, 0.0)])
+    def test_allocation_peak(self, q):
+        # The nearest-sample search goes through the rim in blocks; one
+        # pass over the whole rim peaked at 4.7-4.9 MB.
+        render_silhouette(CurvatureState(*q), GEOM, SPEC)
+        tracemalloc.start()
+        try:
+            render_silhouette(CurvatureState(*q), GEOM, SPEC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6
 
 
 # 128 x 96 px at 4 mm/px: small enough for a full distance matrix.
@@ -308,6 +323,33 @@ class TestNearestSample:
         ref_dist, ref_idx = nearest_reference(col, row, x, y)
         assert idx.tolist() == ref_idx.tolist() == [3, 3, 10, 3]
         assert np.array_equal(dist, ref_dist)
+
+    def test_block_edges(self):
+        # 600 samples on a circle of radius 100 px, except two pairs in
+        # other runs that tie exactly at distance 1 and 2 from (0, 0) and
+        # (20, 0). Tied points sit on both sides of each block edge.
+        angle = np.linspace(0.0, 2.0 * np.pi, 600, endpoint=False)
+        col = 100.0 * np.cos(angle)
+        row = 100.0 * np.sin(angle)
+        col[[37, 300, 100, 450]] = [0.0, 0.0, 20.0, 20.0]
+        row[[37, 300, 100, 450]] = [1.0, -1.0, -2.0, 2.0]
+        block = _SEARCH_ENTRIES // -(-len(col) // _RUN)
+        rng = np.random.default_rng(28)
+        for n in (0, 1, block - 1, block, block + 1, 2 * block + 1):
+            x = rng.uniform(-110.0, 110.0, n)
+            y = rng.uniform(-110.0, 110.0, n)
+            before = [i for i in (0, block - 1, 2 * block - 1) if i < n]
+            after = [i for i in (block, 2 * block) if i < n]
+            x[before], y[before] = 0.0, 0.0
+            x[after], y[after] = 20.0, 0.0
+            dist, idx = _nearest_sample(col, row, x, y)
+            ref_dist, ref_idx = nearest_reference(col, row, x, y)
+            assert np.array_equal(idx, ref_idx), n
+            assert dist.tobytes() == ref_dist.tobytes(), n
+            assert idx[before].tolist() == [37] * len(before)
+            assert dist[before].tolist() == [1.0] * len(before)
+            assert idx[after].tolist() == [100] * len(after)
+            assert dist[after].tolist() == [2.0] * len(after)
 
 
 class TestDiskCover:
