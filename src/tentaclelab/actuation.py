@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import integer, number, number_list
+
 __all__ = ["ActuationProgram", "ProgramSpec", "triangular_wave", "build_program"]
 
 # Mapping from motor speed to triangular-wave frequency for ramp programs.
@@ -45,6 +47,9 @@ class ProgramSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for k in ("duration_s", "dt", "amplitude_deg"):
+            number(k, getattr(self, k))
+        integer("seed", self.seed, 0)
         if self.duration_s <= 0 or self.dt <= 0:
             raise ValueError("duration and dt must be positive")
         if round(self.duration_s / self.dt) < 2:
@@ -53,10 +58,12 @@ class ProgramSpec:
         if abs(self.amplitude_deg) > 90.0:
             raise ValueError("|amplitude| must not exceed 90 degrees")
         if self.rpm_ramp is not None:
-            lo, hi = self.rpm_ramp
-            if not (12.0 <= lo <= 80.0 and 12.0 <= hi <= 80.0):
+            ramp = number_list("rpm_ramp", self.rpm_ramp, 2)
+            if not all(12.0 <= rpm <= 80.0 for rpm in ramp):
                 raise ValueError("RPM ramp endpoints must lie in [12, 80]")
-        elif self.frequency_hz is None or self.frequency_hz <= 0:
+            object.__setattr__(self, "rpm_ramp", ramp)
+        elif (self.frequency_hz is None
+              or number("frequency_hz", self.frequency_hz) <= 0):
             raise ValueError("frequency must be positive")
 
 

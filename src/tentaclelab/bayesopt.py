@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import number, number_list
+
 __all__ = [
     "OptimizationError",
     "SearchSpace",
@@ -44,13 +46,14 @@ class SearchSpace:
     A_set: tuple = (10.0, 20.0, 30.0)     # degrees
 
     def __post_init__(self):
-        lo, hi = self.f_range
-        if not (np.isfinite(lo) and np.isfinite(hi)) or lo <= 0 or hi <= lo:
+        lo, hi = number_list("f_range", self.f_range, 2)
+        if lo <= 0 or hi <= lo:
             raise ValueError("f_range must be a bounded positive interval")
-        A = tuple(float(a) for a in self.A_set)
+        A = tuple(map(float, number_list("A_set", self.A_set)))
         # to_unit looks amplitudes up by value.
-        if not A or not np.all(np.isfinite(A)) or len(set(A)) < len(A):
-            raise ValueError("A_set must be nonempty, finite and distinct")
+        if len(set(A)) < len(A):
+            raise ValueError("A_set must be distinct")
+        object.__setattr__(self, "f_range", (lo, hi))
         object.__setattr__(self, "A_set", A)
 
     def to_unit(self, f, A) -> np.ndarray:
@@ -79,8 +82,7 @@ class EvalRecord:
     objective: float
 
     def __post_init__(self):
-        if not np.isfinite(self.objective):
-            raise ValueError("objective must be finite")
+        number("objective", self.objective)
 
 
 @dataclass(frozen=True)

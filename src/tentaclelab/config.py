@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .actuation import ProgramSpec
 from .bayesopt import SearchSpace
+from .checks import integer, number, number_list
 from .kinematics import TentacleGeometry
 from .regressor import TARGETS, TrainConfig
 from .sim import SensorModel, SimParams, default_sensor_model, \
@@ -79,71 +79,46 @@ def _names(cls) -> list:
     return [f.name for f in fields(cls)]
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
-
-
 def _check_dataset(cfg: "RunConfig") -> None:
     """Reject a dataset section that `dataset` could not run."""
     ds = cfg.dataset
-    if not all(_is_real(ds[k]) and ds[k] > 0
-               for k in ("train_duration_s", "test_duration_s")):
-        raise ValueError("train_duration_s and test_duration_s must be "
-                         "positive numbers")
     replace(cfg.build_sim_params(), dt=ds["dt"])    # SimParams checks dt
-    # Each split's seed draws its program and its sensor noise.
-    if (not all(_is_int(ds[k]) and ds[k] >= 0
-                for k in ("train_seed", "test_seed"))
-            or ds["train_seed"] == ds["test_seed"]):
-        raise ValueError("train_seed and test_seed must be distinct "
-                         "integers >= 0")
-    ramp = ds["rpm_ramp"]
-    if (not isinstance(ramp, (list, tuple)) or len(ramp) != 2
-            or not all(map(_is_real, ramp))):
-        raise ValueError("rpm_ramp must be a list of two RPM endpoints")
     for split in ("train", "test"):
-        cfg.build_ramp_spec(ds[f"{split}_duration_s"], ds[f"{split}_seed"])
+        duration, seed = ds[f"{split}_duration_s"], ds[f"{split}_seed"]
+        if number(f"{split}_duration_s", duration) <= 0:
+            raise ValueError(f"{split}_duration_s must be positive")
+        cfg.build_ramp_spec(duration, integer(f"{split}_seed", seed, 0))
+    # Each split's seed draws its program and its sensor noise.
+    if ds["train_seed"] == ds["test_seed"]:
+        raise ValueError("train_seed and test_seed must differ")
 
 
 def _check_sweep(cfg: "RunConfig") -> None:
     """Reject a sweep section that `metrics` or `optimize` could not run."""
     sw, params = cfg.sweep, cfg.build_sim_params()
-    amps, ratios = sw["amplitudes_deg"], sw["freq_ratios"]
-    _check_amplitudes("amplitudes_deg", amps)
+    amps = _check_amplitudes("amplitudes_deg", sw["amplitudes_deg"])
     if all(a == 0 for a in amps):
         raise ValueError("amplitudes_deg needs a nonzero amplitude; "
                          "a zero-amplitude cell has no deformation field")
-    if (not isinstance(ratios, (list, tuple)) or not ratios
-            or not all(_is_real(r) and r > 0 for r in ratios)):
-        raise ValueError("freq_ratios must be a nonempty list of "
-                         "positive numbers")
-    cycles, transient = sw["cycles"], sw["transient_cycles"]
-    n_stations, subsample = sw["n_stations"], sw["subsample"]
-    if not all(map(_is_int, (cycles, transient, n_stations, subsample))):
-        raise ValueError("cycles, transient_cycles, n_stations and "
-                         "subsample must be integers")
+    ratios = number_list("freq_ratios", sw["freq_ratios"])
+    if not all(r > 0 for r in ratios):
+        raise ValueError("freq_ratios must be positive")
+    integer("n_stations", sw["n_stations"], 3)
+    integer("subsample", sw["subsample"], 1)
     # Thrust averages the whole cycles after the transient; a run of
     # `cycles` cycles holds cycles - 1 of them.
-    if not 0 <= transient <= cycles - 2:
+    cycles = integer("cycles", sw["cycles"], 2)
+    if integer("transient_cycles", sw["transient_cycles"], 0) > cycles - 2:
         raise ValueError("transient_cycles must lie in "
                          f"[0, cycles - 2] = [0, {cycles - 2}]")
-    if n_stations < 3:
-        raise ValueError("n_stations must be at least 3")
-    if subsample < 1:
-        raise ValueError("subsample must be at least 1")
     _check_field_samples(cfg, [r * params.f0_hz for r in ratios])
 
 
-def _check_amplitudes(name, amps) -> None:
-    if (not isinstance(amps, (list, tuple)) or not amps
-            or not all(_is_real(a) and abs(a) <= 90.0 for a in amps)):
-        raise ValueError(f"{name} must be a nonempty list of "
-                         "amplitudes in [-90, 90] degrees")
+def _check_amplitudes(name, amps) -> tuple:
+    amps = number_list(name, amps)
+    if not all(abs(a) <= 90.0 for a in amps):
+        raise ValueError(f"{name} must lie in [-90, 90] degrees")
+    return amps
 
 
 def _check_field_samples(cfg: "RunConfig", freqs) -> None:
@@ -165,12 +140,9 @@ def _check_bo(cfg: "RunConfig") -> None:
     _check_amplitudes("A_set", bo["A_set"])
     grid = cfg.build_search_space().grid()
     _check_field_samples(cfg, np.unique(grid[:, 0]))
-    if not _is_int(bo["seed"]) or bo["seed"] < 0:
-        raise ValueError("seed must be an integer >= 0")
+    integer("seed", bo["seed"], 0)
     # optimize starts from three design points and scores no cell twice.
-    if not _is_int(bo["budget"]) or bo["budget"] < 3:
-        raise ValueError("budget must be an integer >= 3")
-    if bo["budget"] > len(grid):
+    if integer("budget", bo["budget"], 3) > len(grid):
         raise ValueError(f"budget {bo['budget']} exceeds the grid's "
                          f"{len(grid)} cells")
 
@@ -236,11 +208,10 @@ class RunConfig:
         """The `dataset` section's ramped random-amplitude program."""
         ds = self.dataset
         return ProgramSpec(duration_s=duration_s, dt=ds["dt"],
-                           rpm_ramp=tuple(ds["rpm_ramp"]), seed=seed)
+                           rpm_ramp=ds["rpm_ramp"], seed=seed)
 
     def build_search_space(self) -> SearchSpace:
-        return SearchSpace(f_range=tuple(self.bo["f_range"]),
-                           A_set=tuple(self.bo["A_set"]))
+        return SearchSpace(f_range=self.bo["f_range"], A_set=self.bo["A_set"])
 
     def to_dict(self) -> dict:
         return {"schema": CONFIG_SCHEMA,

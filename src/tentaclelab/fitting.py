@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import number_array
 from .kinematics import CurvatureState, TentacleGeometry, \
     lateral_displacements, tip_positions
 
@@ -36,13 +37,11 @@ class Centerline:
     """
 
     def __init__(self, points):
-        pts = np.asarray(points, dtype=float)
+        pts = number_array("centerline points", points)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("points must be an (N, 2) array")
         if len(pts) < 2:
             raise ValueError("a centerline needs at least 2 points")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("centerline points must be finite")
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         if np.any(seg == 0.0):
             raise ValueError("consecutive centerline points must be distinct")
@@ -140,12 +139,10 @@ def poly_centerline(coeffs, geom: TentacleGeometry) -> np.ndarray:
     increment clamps to zero, which is what makes large-deformation tips
     poorly reconstructed by this model.
     """
-    c = np.asarray(coeffs, dtype=float)
+    c = number_array("polynomial coefficients", coeffs)
     if c.ndim == 0 or c.shape[-1] != 2:
         raise ValueError("polynomial coefficients must be (..., 2) arrays "
                          "of (c2, c3)")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("polynomial coefficients must be finite")
     L = geom.length_mm
     s = np.linspace(0.0, 1.0, geom.n_samples)
     c2, c3 = c[..., :1], c[..., 1:]

@@ -24,11 +24,11 @@ only the integrands asked for (the lateral field needs no cosines).
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .checks import integer, number
 
 __all__ = [
     "CurvatureState",
@@ -59,8 +59,8 @@ class CurvatureState:
     q2: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.q1) and math.isfinite(self.q2)):
-            raise ValueError("curvature coordinates must be finite")
+        number("q1", self.q1)
+        number("q2", self.q2)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.q1, self.q2], dtype=float)
@@ -75,13 +75,10 @@ class TentacleGeometry:
     root_diameter_mm: float = 24.0
 
     def __post_init__(self):
-        if not 0.0 < self.length_mm < math.inf:               # NaN fails too
-            raise ValueError("length_mm must be finite and positive")
-        if (not isinstance(self.n_samples, numbers.Integral)
-                or isinstance(self.n_samples, bool) or self.n_samples < 2):
-            raise ValueError("n_samples must be an integer >= 2")
-        if not 0.0 < self.root_diameter_mm < math.inf:
-            raise ValueError("root_diameter_mm must be finite and positive")
+        for k in ("length_mm", "root_diameter_mm"):
+            if number(k, getattr(self, k)) <= 0:
+                raise ValueError(f"{k} must be positive")
+        integer("n_samples", self.n_samples, 2)
 
 
 def _check_s(s) -> np.ndarray:

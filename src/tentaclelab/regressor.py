@@ -25,11 +25,11 @@ afresh by the allocator each time, and every chunk pays page faults.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from .checks import integer, number, number_array
 
 __all__ = [
     "LabeledSequence",
@@ -78,8 +78,8 @@ class LabeledSequence:
     dt: float
 
     def __post_init__(self):
-        x = np.asarray(self.inputs, dtype=float)
-        y = np.asarray(self.targets, dtype=float)
+        x = number_array("inputs", self.inputs)
+        y = number_array("targets", self.targets)
         if x.ndim != 2 or y.ndim != 2 or x.shape[1] < 1:
             raise ValueError("inputs and targets must be 2-D arrays, with "
                              "at least one input channel")
@@ -87,8 +87,6 @@ class LabeledSequence:
             raise ValueError("inputs and targets must have equal length")
         if len(x) < 2:
             raise ValueError("sequences need at least 2 steps")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValueError("sequence entries must be finite")
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "targets", y)
 
@@ -106,15 +104,9 @@ class TrainConfig:
     def __post_init__(self):
         for name, least in (("epochs", 1), ("sequence_chunk", 2),
                             ("hidden", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if (isinstance(v, bool) or not isinstance(v, numbers.Integral)
-                    or v < least):
-                raise ValueError(f"{name} must be an integer >= {least}")
+            integer(name, getattr(self, name), least)
         for name in ("lr0", "lr_decay", "momentum"):
-            v = getattr(self, name)
-            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-                    or not math.isfinite(v)):
-                raise ValueError(f"{name} must be a finite number")
+            number(name, getattr(self, name))
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must lie in (0, 1]")
         if not 0.0 <= self.momentum < 1.0:
@@ -148,15 +140,12 @@ class RegressorWeights:
         if self.target not in TARGETS:
             raise ValueError(f"target must be 'affine' or 'poly', got "
                              f"{self.target!r}")
-        H = self.hidden
-        if (isinstance(H, bool) or not isinstance(H, numbers.Integral)
-                or H < 1):
-            raise ValueError("hidden must be an integer >= 1")
+        H = integer("hidden", self.hidden, 1)
         if not isinstance(self.params, dict):
             raise ValueError("params must map parameter names to arrays")
-        stats = {k: _float_array(k, getattr(self, k))
+        stats = {k: number_array(k, getattr(self, k))
                  for k in ("in_mean", "in_std", "out_mean", "out_std")}
-        params = {k: _float_array(f"parameter array {k}", self.params.get(k))
+        params = {k: number_array(f"parameter array {k}", self.params.get(k))
                   for k in _PARAM_NAMES}
         n_in, n_out = stats["in_mean"].size, stats["out_mean"].size
         shapes = {**_param_shapes(n_in, n_out, H), "in_mean": (n_in,),
@@ -180,20 +169,6 @@ class RegressorWeights:
     @property
     def n_out(self) -> int:
         return self.params["W2"].shape[0]
-
-
-def _float_array(name, value) -> np.ndarray:
-    """`value` as a float array; ValueError naming `name` if it is absent
-    (None), not an array of numbers, or not finite."""
-    if value is None:
-        raise ValueError(f"missing {name}")
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be an array of numbers") from None
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
 
 
 def init_weights(n_in: int, n_out: int, hidden: int, seed: int,

@@ -15,7 +15,6 @@ step, since the dynamics need the transient, but takes the tip and
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import NamedTuple
@@ -23,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .actuation import ActuationProgram
+from .checks import integer, number, number_array
 from .csvio import read_csv, write_csv
 from .kinematics import TentacleGeometry, tip_positions
 
@@ -50,15 +50,6 @@ class SimulationError(RuntimeError):
     pass
 
 
-def _check_finite(obj, names) -> None:
-    """Reject the attributes of `obj` that are bools or not finite reals."""
-    bad = [k for k, v in ((k, getattr(obj, k)) for k in names)
-           if isinstance(v, bool) or not isinstance(v, numbers.Real)
-           or not math.isfinite(v)]
-    if bad:
-        raise ValueError(f"{', '.join(bad)}: expected a finite number")
-
-
 @dataclass(frozen=True)
 class SimParams:
     """Modal dynamics parameters of the driven tentacle."""
@@ -74,7 +65,8 @@ class SimParams:
     dt: float = 0.005
 
     def __post_init__(self):
-        _check_finite(self, vars(self))
+        for k, v in vars(self).items():
+            number(k, v)
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.f0_hz <= 0:
@@ -101,24 +93,21 @@ class SensorModel:
     seed: int = 0
 
     def __post_init__(self):
-        _check_finite(self, ("baseline_kpa", "lag_tau_s", "sat_kappa",
-                             "noise_sigma_kpa"))
-        g = np.asarray(self.gain, dtype=float)
+        for k in ("baseline_kpa", "lag_tau_s", "sat_kappa", "noise_sigma_kpa"):
+            number(k, getattr(self, k))
+        integer("seed", self.seed, 0)
+        g = number_array("gain", self.gain)
         if g.ndim != 2 or g.shape[1] != 2 or len(g) < 1:
             raise ValueError("gain must be an n x 2 matrix, n >= 1")
         rank = min(len(g), 2)
         if np.linalg.matrix_rank(g) < rank:
             raise ValueError(f"gain must have rank min(n, 2) = {rank}")
         rg = self.rate_gain
-        rg = np.zeros(g.shape) if rg is None else np.asarray(rg, dtype=float)
+        rg = np.zeros(g.shape) if rg is None else number_array("rate_gain", rg)
         if rg.shape != g.shape:
             raise ValueError(f"rate_gain must have the gain's shape {g.shape}")
         if self.lag_tau_s < 0 or self.noise_sigma_kpa < 0:
             raise ValueError("lag_tau_s and noise_sigma_kpa must be >= 0")
-        if (isinstance(self.seed, bool)
-                or not isinstance(self.seed, numbers.Integral)
-                or self.seed < 0):
-            raise ValueError("seed must be an integer >= 0")
         object.__setattr__(self, "gain", g)
         object.__setattr__(self, "rate_gain", rg)
 

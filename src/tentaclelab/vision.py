@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .checks import integer, number, number_list
 from .csvio import read_csv, write_csv
 from .fitting import Centerline
 from .kinematics import CurvatureState, TentacleGeometry, sample_centerline
@@ -79,20 +80,15 @@ class ImageSpec:
     origin_px: tuple = (480.0, 40.0)    # (col, row) of the tentacle root
 
     def __post_init__(self):
-        for size in (self.width, self.height):
-            integer = isinstance(size, (int, np.integer))
-            if not integer or isinstance(size, bool):
-                raise ValueError(f"image size must be an integer, "
-                                 f"not {size!r}")
-        if self.width < 16 or self.height < 16:
-            raise ValueError("image must be at least 16x16 px")
-        if not (np.isfinite(self.scale_mm_per_px)
-                and self.scale_mm_per_px > 0):
-            raise ValueError("scale must be positive and finite")
+        integer("width", self.width, 16)
+        integer("height", self.height, 16)
+        if number("scale_mm_per_px", self.scale_mm_per_px) <= 0:
+            raise ValueError("scale_mm_per_px must be positive")
         col, row = self.origin_px
         if not (0 <= col <= self.width - 1 and 0 <= row <= self.height - 1):
             raise ValueError(f"origin {self.origin_px} lies outside the "
                              f"{self.width}x{self.height} px frame")
+        number_list("origin_px", self.origin_px, 2)
 
 
 def _centerline_px(q: CurvatureState, geom: TentacleGeometry,
@@ -334,10 +330,14 @@ def extract_midline(mask: np.ndarray, spec: ImageSpec,
     pixels is taken; points are converted to root-relative mm, cut at the
     physical length `max_len_mm` (discarding the rounded tip cap of the
     band) and resampled to MIDLINE_POINTS uniform arc-length points
-    starting at the root. Requires a single 4-connected component
-    touching the root row.
+    starting at the root. Requires a mask of the camera's (height,
+    width) with a single 4-connected component touching the root row.
     """
     mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (spec.height, spec.width):
+        size = "x".join(map(str, mask.shape[::-1]))
+        raise VisionError(f"frame is {size} px; the camera's is "
+                          f"{spec.width}x{spec.height}")
     on_row = mask.any(axis=1)
     rows = np.flatnonzero(on_row)
     if len(rows) == 0:

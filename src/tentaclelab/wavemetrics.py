@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import number_array
 from .csvio import write_csv
 from .kinematics import TentacleGeometry, lateral_displacements
 
@@ -36,16 +37,14 @@ class DeformationField:
     stations: np.ndarray    # (N_s,) arc coordinates in [0, 1]
 
     def __post_init__(self):
-        lat = np.asarray(self.lateral, dtype=float)
+        lat = number_array("lateral", self.lateral)
         if lat.ndim != 2 or lat.shape[0] < 3 or lat.shape[1] < 8:
             raise ValueError("field needs >= 3 stations and >= 8 time steps")
-        if not np.all(np.isfinite(lat)):
-            raise ValueError("field entries must be finite")
-        if len(self.stations) != lat.shape[0]:
+        stations = number_array("stations", self.stations)
+        if len(stations) != lat.shape[0]:
             raise ValueError("stations must match the field's first axis")
         object.__setattr__(self, "lateral", lat)
-        object.__setattr__(self, "stations",
-                           np.asarray(self.stations, dtype=float))
+        object.__setattr__(self, "stations", stations)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -394,6 +395,7 @@ COMPONENT_ERRORS = {
     "sim_dt_zero": ("sim", {"dt": 0}),
     "sim_dt_negative": ("sim", {"dt": -1}),
     "sim_f0_nan": ("sim", {"f0_hz": float("nan")}),
+    "sim_int_beyond_float": ("sim", {"zeta": 10 ** 400}),
     "sim_unknown_key": ("sim", {"f0": 3.2}),
     "geometry_fractional_samples": ("geometry", {"n_samples": 2.5}),
     "geometry_bool_samples": ("geometry", {"n_samples": True}),
@@ -426,7 +428,26 @@ COMPONENT_ERRORS = {
     # Two gain rows against the default three rate-gain rows.
     "sensor_rate_gain_of_another_shape": ("sensor", {"gain": [[9.0, 2.5],
                                                               [-5.0, 6.0]]}),
+    "sensor_nan_rate_gain": ("sensor", {"rate_gain": [
+        [float("nan"), 0.03], [-0.06, 0.08], [0.02, -0.10]]}),
+    "sensor_inf_rate_gain": ("sensor", {"rate_gain": [
+        [0.12, 0.03], [-0.06, float("inf")], [0.02, -0.10]]}),
+    "sensor_nan_gain": ("sensor", {"gain": [
+        [9.0, 2.5], [float("nan"), 6.0], [2.0, -7.5]]}),
+    "sensor_ragged_gain": ("sensor", {"gain": [[9.0, 2.5], [-5.0],
+                                               [2.0, -7.5]]}),
+    "sensor_string_gain": ("sensor", {"gain": [["9.0", "2.5"], ["-5.0", "6.0"],
+                                               ["2.0", "-7.5"]]}),
+    "geometry_bool_length": ("geometry", {"length_mm": True}),
+    "geometry_bool_diameter": ("geometry", {"root_diameter_mm": True}),
+    "bo_bool_f_range": ("bo", {"f_range": [True, 3.2]}),
+    "bo_three_f_range": ("bo", {"f_range": [0.32, 1.0, 3.2]}),
+    "bo_string_f_range": ("bo", {"f_range": ["0.3", 3.2]}),
 }
+
+# The cases that set one key: the message names it.
+ONE_KEY_ERRORS = {k: v for k, v in COMPONENT_ERRORS.items()
+                  if isinstance(v[1], dict) and len(v[1]) == 1}
 
 
 class TestComponentConfigErrors:
@@ -440,6 +461,17 @@ class TestComponentConfigErrors:
         assert main(["optimize", "--config", str(p), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {section}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("section,values", ONE_KEY_ERRORS.values(),
+                             ids=ONE_KEY_ERRORS.keys())
+    def test_one_bad_key_is_named(self, tmp_path, capsys, section, values):
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps({"schema": CONFIG_SCHEMA, section: values}))
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {section}: ")
+        assert re.search(rf"\b{next(iter(values))}\b", err), err
 
     @pytest.mark.parametrize("section", ["geometry", "sim", "train"])
     def test_unknown_key_is_listed(self, tmp_path, capsys, section):
@@ -835,6 +867,22 @@ class TestRenderMidline:
                      str(frames / "frame_0000.pgm"), str(blank),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {blank}: ")
+        assert not out.exists()
+
+    # A frame of any other size than the camera's: too small to hold the
+    # root row, or big enough that the root pixel would be misplaced.
+    @pytest.mark.parametrize("height,width", [(20, 20), (600, 1000)])
+    def test_frame_not_the_cameras_exits_2(self, tmp_path, capsys,
+                                           fast_config, height, width):
+        img = np.full((height, width), 230, dtype=np.uint8)
+        img[:height // 2, width // 2 - 4:width // 2 + 4] = 25
+        frame, out = tmp_path / "frame.pgm", tmp_path / "mid"
+        write_pgm(img, frame)
+        assert main(["midline", "--config", fast_config, "--images",
+                     str(frame), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {frame}: frame is {width}x{height} px; the camera's is "
+            "960x560\n")
         assert not out.exists()
 
     def test_malformed_pgm_exits_2_naming_file(self, tmp_path, capsys,
