@@ -52,7 +52,11 @@ class ProgramSpec:
         integer("seed", self.seed, 0)
         if self.duration_s <= 0 or self.dt <= 0:
             raise ValueError("duration and dt must be positive")
-        if round(self.duration_s / self.dt) < 2:
+        steps = self.duration_s / self.dt
+        if np.isinf(steps):
+            raise ValueError(f"duration_s {self.duration_s:g} s is too many "
+                             f"steps of {self.dt:g} s to count")
+        if round(steps) < 2:
             raise ValueError(f"duration {self.duration_s:g} s is shorter "
                              f"than 2 steps of {self.dt:g} s")
         if abs(self.amplitude_deg) > 90.0:

@@ -20,6 +20,17 @@ of _BLOCK steps and keeps only the (T, 2H) hidden states it returns.
 every step's rows stay for BPTT. It allocates them once and reuses them
 for every chunk: allocated per chunk, arrays of this size are mapped
 afresh by the allocator each time, and every chunk pays page faults.
+
+With 2H-wide vectors a step's cost is the count of numpy calls, so the
+rows are laid out to need few. Gate row s holds i, f, g, o and, in a
+fifth slot, the c carried into step s: f*c + i*g is one product of the
+[i, f] and [g, c] views and one add. BPTT carries [dc, dh] as one
+(2, 2H) row and multiplies it by a row [f[s+1], o*(1 - tanh(c)^2)]
+filled before its loop. The rows build every per-step view once, and
+hold U, Us and the recurrent products' output buffers. BPTT keeps its
+working set by reusing rows the forward steps are done with: the pair
+factors go in the projection rows, the head's gradient dh_ext in the
+tanh(c) rows, and dZf / dZb in m once its loop ends.
 """
 
 from __future__ import annotations
@@ -187,92 +198,114 @@ def init_weights(n_in: int, n_out: int, hidden: int, seed: int,
         out_std=np.ones(n_out) if out_std is None else out_std)
 
 
-def _recurrence(p, H):
-    """U, Us, scale and offset of the lockstep recurrence.
+def _recurrence(p, H, rows):
+    """Fill rows' U and Us, the recurrent matrices of the lockstep loop.
 
     U is the block-diagonal (8H, 2H) recurrent matrix with gate-interleaved
     rows (i_f i_b f_f f_b g_f g_b o_f o_b, H each), so one product serves
-    both directions and each gate slice lines up with the (2H,) state.
+    both directions and each gate slice lines up with the (2H,) state; its
+    off-diagonal blocks stay as _step_rows zeroed them.
     sigmoid(z) = 0.5 + 0.5*tanh(z/2): `scale` halves the sigmoid rows of the
     projection and of U (exact in binary floating point), so one tanh covers
     all 8H gates, and `offset` = 1 - scale.
     """
-    H2 = 2 * H
-    U = np.zeros((4, 2, H, H2))
+    U = rows["U"].reshape(4, 2, H, 2 * H)
     U[:, 0, :, :H] = p["Uf"].reshape(4, H, H)
     U[:, 1, :, H:] = p["Ub"].reshape(4, H, H)
-    U = U.reshape(8 * H, H2)
-    scale = np.full(8 * H, 0.5)
-    scale[2 * H2:3 * H2] = 1.0                      # g keeps a plain tanh
-    return U, U * scale[:, None], scale, 1.0 - scale
+    np.multiply(rows["U"], rows["scale"][:, None], out=rows["Us"])
 
 
-def _lstm_steps(xn, p, rec, start, gates, proj, h, c, tc):
-    """Steps start .. start+n-1 of both directions, n = len(gates).
+def _lstm_steps(xn, p, rows, start, n):
+    """Steps start .. start+n-1 of both directions.
 
     Step s advances the forward direction at time s and the backward
-    direction at time T-1-s together. The caller supplies the rows: h[0]
-    and c[0] hold the state carried in, step start+k writes h[k+1],
-    c[k+1] and tc[k] = tanh(c[k+1]), and gates (n, 8H) ends as the steps'
-    gate activations; proj (n, 4H) is scratch. The input projection of
-    the n steps is one GEMM per direction before the loop.
+    direction at time T-1-s together. Step start+k reads h[k] and the c
+    slot gates[k, 4], and writes h[k+1], gates[k+1, 4], tc[k] = tanh(c)
+    and its gate activations in gates[k, :4]. proj[:n] holds the input
+    projection, one GEMM per direction before the loop.
     """
-    n = len(gates)
-    H = proj.shape[1] // 4
-    H2 = 2 * H
-    _, Us, scale, offset = rec
-    g4 = gates.reshape(n, 4, 2, H)                  # i, f, g, o per step
+    H = rows["proj"].shape[1] // 4
+    gates, proj = rows["gates"], rows["proj"][:n]
+    g4 = gates[:n, :4].reshape(n, 4, 2, H)          # i, f, g, o per step
     for d, x, W, b in ((0, xn, p["Wf"], p["bf"]),
                        (1, xn[::-1], p["Wb"], p["bb"])):
         np.matmul(x[start:start + n], W.T, out=proj)
         proj += b
         g4[:, :, d] = proj.reshape(n, 4, H)
-    gates *= scale
-    for s in range(n):
-        a = gates[s]
-        a += Us @ h[s]
+    scale, offset = rows["scale"], rows["offset"]
+    gates[:n, :4] *= scale.reshape(4, 2 * H)
+    Us, r, pair = rows["Us"], rows["r"], rows["pair"]
+    p0, p1 = pair
+    for h, a, i_f, g_c, c, tc, o, h_next in rows["steps"][:n]:
+        np.dot(Us, h, out=r)
+        a += r
         np.tanh(a, out=a)
         a *= scale
         a += offset
-        np.multiply(a[H2:2 * H2], c[s], out=c[s + 1])
-        c[s + 1] += a[:H2] * a[2 * H2:3 * H2]
-        np.tanh(c[s + 1], out=tc[s])
-        np.multiply(a[3 * H2:], tc[s], out=h[s + 1])
+        np.multiply(i_f, g_c, out=pair)             # i*g, f*c
+        np.add(p0, p1, out=c)
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h_next)
 
 
 def _step_rows(n, H) -> dict:
     """The rows _lstm_run steps through: blocks of n - 1 steps, or one
-    block for a series of at most n steps."""
+    block for a series of at most n steps.
+
+    gates[s] holds i, f, g, o and the c carried into step s. steps[s]
+    holds step s's views, built once: h[s], the (8H,) gates, [i, f],
+    [g, c], the c slot of row s+1, tc[s], o and h[s+1].
+    """
     H2 = 2 * H
-    return {"proj": np.empty((n, 4 * H)), "gates": np.empty((n, 8 * H)),
-            "c": np.empty((n + 1, H2)), "tc": np.empty((n, H2)),
-            "h": np.empty((n + 1, H2))}
+    gates = np.empty((n + 1, 5, H2))
+    h, tc = np.empty((n + 1, H2)), np.empty((n, H2))
+    hs, g = list(h), gates[:n]
+    scale = np.full(8 * H, 0.5)
+    scale[2 * H2:3 * H2] = 1.0                      # g keeps a plain tanh
+    return {
+        "proj": np.empty((n, 4 * H)), "gates": gates, "h": h, "tc": tc,
+        "U": np.zeros((8 * H, H2)), "Us": np.zeros((8 * H, H2)),
+        "scale": scale, "offset": 1.0 - scale, "r": np.empty(8 * H),
+        "pair": np.empty((2, H2)),
+        "steps": list(zip(hs, g[:, :4].reshape(n, 8 * H), g[:, :2],
+                          g[:, 2::2], gates[1:, 4], tc, g[:, 3], hs[1:])),
+    }
 
 
 def _bptt_rows(n, H) -> dict:
     """_step_rows plus BPTT's arrays, for series of at most n steps: one
     block covers the series, so every step's rows stay for _lstm_grads.
-    One set serves every chunk of a `train` call."""
+    One set serves every chunk of a `train` call.
+
+    back[s] holds step s's views for the backward loop: tc[s], which holds
+    dh_ext once m is formed; proj row s as (2, 2H), which holds the pair
+    factors [f[s+1], o*(1 - tanh(c)^2)] once the projection is done;
+    m[s, :3], m[s, 3], dZ[s, :3], dZ[s, 3] and dZ[s] as (8H,).
+    """
     H2 = 2 * H
-    return {**_step_rows(n, H), "m": np.empty((n, 4, H2)),
-            "dZ": np.empty((n, 4, H2)), "dZf": np.empty((n, 4 * H)),
-            "dZb": np.empty((n, 4 * H))}
+    rows = _step_rows(n, H)
+    m, dZ = np.empty((n, 4, H2)), np.empty((n, 4, H2))
+    rows.update(m=m, dZ=dZ, carry=np.empty((2, H2)), dh_rec=np.empty(H2),
+                back=list(zip(rows["tc"], rows["proj"].reshape(n, 2, H2),
+                              m[:, :3], m[:, 3], dZ[:, :3], dZ[:, 3],
+                              dZ.reshape(n, 8 * H))))
+    return rows
 
 
 def _lstm_run(xn, p, H, rows):
     """Run both LSTM directions over (T, n_in) normalized inputs; returns
     u (T, 2H) and the recurrent matrix U.
 
-    The steps run in blocks of len(rows["gates"]) - 1 that reuse the
+    The steps run in blocks of len(rows["steps"]) - 1 that reuse the
     rows; only u spans the series. Between blocks the last h and c move
     to row 0; the first block starts from zeros there. A tail of one
     step joins the block before it: a 1-row projection would go through
     gemv, whose last bits can differ from the GEMM's.
     """
     T = len(xn)
-    block = len(rows["gates"]) - 1
-    rec = _recurrence(p, H)
-    h, c = rows["h"], rows["c"]
+    block = len(rows["steps"]) - 1
+    _recurrence(p, H, rows)
+    h, c = rows["h"], rows["gates"][:, 4]
     h[0] = 0.0
     c[0] = 0.0
     u = np.empty((T, 2 * H))
@@ -283,45 +316,59 @@ def _lstm_run(xn, p, H, rows):
             c[0] = c[k]
         end = T if T - start <= block + 1 else start + block
         k = end - start
-        _lstm_steps(xn, p, rec, start, rows["gates"][:k], rows["proj"][:k],
-                    h[:k + 1], c[:k + 1], rows["tc"][:k])
+        _lstm_steps(xn, p, rows, start, k)
         u[start:end, :H] = h[1:k + 1, :H]
         u[T - end:T - start, H:] = h[k:0:-1, H:]
         start = end
-    return u, rec[0]
+    return u, rows["U"]
 
 
-def _lstm_grads(du, xn, U, rows, H):
+def _lstm_grads(du, xn, rows, H):
     """BPTT through both directions in lockstep; du (T, 2H) is the loss
-    gradient at u from _lstm_run, whose rows are in `rows`. The loop only
-    fills dZ, the gradient at the pre-activations; the weight gradients
-    are GEMMs after it."""
+    gradient at u from _lstm_run, whose rows are in `rows`. The loop
+    carries [dc, dh] as one row and only fills dZ, the gradient at the
+    pre-activations; the weight gradients are GEMMs after it."""
     T = len(xn)
     H2 = 2 * H
-    gates, tc = rows["gates"][:T], rows["tc"][:T]
-    c, h = rows["c"][:T + 1], rows["h"][:T + 1]
+    i, f, g, o, c = rows["gates"][:T].transpose(1, 0, 2)
+    tc, h = rows["tc"][:T], rows["h"][:T + 1]
     m, dZ = rows["m"][:T], rows["dZ"][:T]
-    i, f, g, o = gates.reshape(T, 4, H2).transpose(1, 0, 2)
-    # dZ[s] = [dc, dc, dc, dh] * m[s], gate by gate.
-    m[:, 0] = g * (i * (1.0 - i))
-    m[:, 1] = c[:-1] * (f * (1.0 - f))
-    m[:, 2] = i * (1.0 - g * g)
-    m[:, 3] = tc * (o * (1.0 - o))
-    dc_dh = o * (1.0 - tc * tc)
-    dh_ext = np.concatenate([du[:, :H], du[::-1, H:]], axis=1)
-    d4 = np.empty((4, H2))
-    dh_rec = np.zeros(H2)
-    dc = np.zeros(H2)
-    for s in range(T - 1, -1, -1):
-        dh = dh_ext[s] + dh_rec
-        dc += dh * dc_dh[s]
-        d4[:3] = dc
-        d4[3] = dh
-        np.multiply(d4, m[s], out=dZ[s])
-        dh_rec = U.T @ dZ[s].ravel()
-        dc *= f[s]
+    # dZ[s] = [dc, dc, dc, dh] * m[s], gate by gate. m's rows, g*i*(1 - i),
+    # c*f*(1 - f), i*(1 - g^2) and tc*o*(1 - o), are formed in place: a
+    # (T, 2H) temporary per product had every chunk fault in heap pages.
+    mi, mf, mg, mo = m.transpose(1, 0, 2)
+    for mk, x, y in ((mi, i, g), (mf, f, c), (mo, o, tc)):
+        np.subtract(1.0, x, out=mk)
+        mk *= x
+        mk *= y
+    np.multiply(g, g, out=mg)
+    np.subtract(1.0, mg, out=mg)
+    mg *= i
+    pf = rows["proj"][:T].reshape(T, 2, H2)
+    pf[:-1, 0] = f[1:]
+    pf[-1, 0] = 0.0
+    q = pf[:, 1]                                    # o*(1 - tc^2)
+    np.multiply(tc, tc, out=q)
+    np.subtract(1.0, q, out=q)
+    q *= o
+    tc[:, :H] = du[:, :H]                           # now dh_ext
+    tc[:, H:] = du[::-1, H:]
+    carry, dh_rec, pair = rows["carry"], rows["dh_rec"], rows["pair"]
+    dc, dh = carry
+    p0, p1 = pair
+    UT = rows["U"].T
+    carry[:] = 0.0
+    dh_rec[:] = 0.0
+    for dh_ext, pf_s, m3, m4, dZ3, dZ4, z in reversed(rows["back"][:T]):
+        np.add(dh_ext, dh_rec, out=dh)
+        np.multiply(carry, pf_s, out=pair)          # dc*f[s+1], dh*o*(1-tc^2)
+        np.add(p0, p1, out=dc)
+        np.multiply(m3, dc, out=dZ3)
+        np.multiply(m4, dh, out=dZ4)
+        np.dot(UT, z, out=dh_rec)
+    # m is free after the loop: dZf and dZb go in its first 8TH entries.
     dZ = dZ.reshape(T, 4, 2, H)
-    dZf, dZb = rows["dZf"][:T], rows["dZb"][:T]
+    dZf, dZb = rows["m"].reshape(-1)[:8 * T * H].reshape(2, T, 4 * H)
     dZf.reshape(T, 4, H)[:] = dZ[:, :, 0]
     dZb.reshape(T, 4, H)[:] = dZ[:, :, 1]
     return {
@@ -368,7 +415,7 @@ def gradients(w: RegressorWeights, batch, *, _rows=None) -> tuple:
     for seq in batch:
         xn = (seq.inputs - w.in_mean) / w.in_std
         tn = (seq.targets - w.out_mean) / w.out_std
-        u, U = _lstm_run(xn, p, w.hidden, _rows)
+        u, _ = _lstm_run(xn, p, w.hidden, _rows)
         a, yn = _head(p, u)
         err = yn - tn
         total_loss += float(np.sum(err ** 2))
@@ -380,7 +427,7 @@ def gradients(w: RegressorWeights, batch, *, _rows=None) -> tuple:
         grads["W1"] += dz1.T @ u
         grads["b1"] += dz1.sum(axis=0)
         du = dz1 @ p["W1"]                            # (T, 2H)
-        for k, g in _lstm_grads(du, xn, U, _rows, w.hidden).items():
+        for k, g in _lstm_grads(du, xn, _rows, w.hidden).items():
             grads[k] += g
     return total_loss / n_elem, grads
 
@@ -436,9 +483,11 @@ def train(data, cfg: TrainConfig) -> tuple:
             if not np.isfinite(l):
                 raise TrainingError(f"training diverged at epoch {epoch}")
             epoch_loss += l
-            for k in w.params:
-                vel[k] = cfg.momentum * vel[k] - lr * g[k]
-                w.params[k] = w.params[k] + vel[k]
+            for k, v in vel.items():
+                v *= cfg.momentum
+                g[k] *= lr
+                v -= g[k]
+                w.params[k] += v
         history.append(epoch_loss / len(chunks))
         lr *= cfg.lr_decay
     return w, np.array(history)

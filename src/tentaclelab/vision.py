@@ -84,11 +84,10 @@ class ImageSpec:
         integer("height", self.height, 16)
         if number("scale_mm_per_px", self.scale_mm_per_px) <= 0:
             raise ValueError("scale_mm_per_px must be positive")
-        col, row = self.origin_px
+        col, row = number_list("origin_px", self.origin_px, 2)
         if not (0 <= col <= self.width - 1 and 0 <= row <= self.height - 1):
             raise ValueError(f"origin {self.origin_px} lies outside the "
                              f"{self.width}x{self.height} px frame")
-        number_list("origin_px", self.origin_px, 2)
 
 
 def _centerline_px(q: CurvatureState, geom: TentacleGeometry,

@@ -48,6 +48,11 @@ class TestProgramSpec:
         with pytest.raises(ValueError):
             ProgramSpec(duration_s=0.0, dt=0.01)
 
+    def test_uncountable_steps_name_duration(self):
+        # 1e308 / 0.0005 overflows to inf, which round() cannot count.
+        with pytest.raises(ValueError, match="duration_s"):
+            ProgramSpec(duration_s=1e308, dt=0.0005)
+
 
 class TestBuildProgram:
     def test_fixed_cycle_count(self):

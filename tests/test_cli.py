@@ -310,6 +310,7 @@ DATASET_ERRORS = {
     "fractional_seed": {"train_seed": 1.5},
     "misspelt_key": {"train_durations_s": 6.0},
     "equal_split_seeds": {"train_seed": 2, "test_seed": 2},
+    "uncountable_duration": {"train_duration_s": 1e308},
 }
 
 

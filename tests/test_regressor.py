@@ -281,6 +281,27 @@ class TestInference:
         assert peak < 10 * 2**20
 
 
+class TestBPTTMemory:
+    def test_bptt_working_set(self):
+        # The bound is this call's traced peak, 886,672 B (numpy 2.4), when
+        # U and Us were rebuilt per call and dh_ext, the dc/dh factors, dZf
+        # and dZb had arrays of their own. Held and reused rows must keep
+        # the BPTT working set at or below it.
+        rng = rng0(11)
+        seq = LabeledSequence(rng.normal(size=(200, 3)),
+                              rng.normal(size=(200, 2)), 0.01)
+        w = init_weights(3, 2, 32, 0)
+        rows = _bptt_rows(200, 32)
+        gradients(w, [seq], _rows=rows)
+        tracemalloc.start()
+        try:
+            gradients(w, [seq], _rows=rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 886_672
+
+
 class TestGradients:
     def test_finite_difference(self):
         # Exact BPTT gradient vs central differences, small network.

@@ -60,10 +60,16 @@ class TestImageSpec:
         assert spec.width == 100 and spec.height == 80
 
     @pytest.mark.parametrize("origin", [(5000.0, 5000.0), (-0.5, 40.0),
-                                        (960.0, 40.0), (480.0, 559.5),
-                                        (np.nan, 40.0)])
+                                        (960.0, 40.0), (480.0, 559.5)])
     def test_origin_outside_frame(self, origin):
         with pytest.raises(ValueError, match="outside"):
+            ImageSpec(origin_px=origin)
+
+    @pytest.mark.parametrize("origin", [(480.0, 40.0, 0.0), ("a", 40.0),
+                                        (np.nan, 40.0)],
+                             ids=["three_entries", "string", "nan"])
+    def test_origin_not_two_numbers(self, origin):
+        with pytest.raises(ValueError, match="origin_px"):
             ImageSpec(origin_px=origin)
 
     def test_origin_on_frame_edge(self):
