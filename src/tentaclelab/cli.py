@@ -48,7 +48,8 @@ from .vision import ImageSpec, VisionError, binarize, extract_midline, \
 from .wavemetrics import ModeSet, cod, field_from_states, field_twi, \
     modeset_to_csv, tip_deflection
 
-__all__ = ["main", "CellResult", "evaluate_cell", "simulate_ramp"]
+__all__ = ["main", "CELL_SCORES", "CellResult", "evaluate_cell",
+           "simulate_ramp"]
 
 
 def _write_json(path, doc) -> None:
@@ -153,13 +154,19 @@ def cmd_eval(cfg, args) -> list:
     return ["report.json", "overlay.svg"]
 
 
-class CellResult(NamedTuple):
-    """Scores of one (f, A) actuation cell."""
+# The scores of a cell, one row each in metrics.csv's column order:
+# (column, plot file stem, plot label). CellResult's fields, the columns of
+# metrics.csv and history.csv, the keys of best.json, the sweep plots and
+# the report's plot list all read this table: a new score is one more row.
+CELL_SCORES = (("thrust_mN", "thrust", "thrust proxy (mN)"),
+               ("tip_defl_deg", "tip_deflection", "tip deflection (deg)"),
+               ("twi", "twi", "TWI"))
+_SCORE_COLUMNS = tuple(column for column, _, _ in CELL_SCORES)
 
-    twi: float
-    tip_defl_deg: float
-    thrust_mN: float
-    modes: ModeSet | None     # COD of the cell's field; None at A = 0
+# Scores of one (f, A) actuation cell, then its modes: the COD of the
+# cell's field, None at A = 0.
+CellResult = NamedTuple("CellResult", [(c, float) for c in _SCORE_COLUMNS]
+                        + [("modes", ModeSet | None)])
 
 
 def evaluate_cell(cfg: RunConfig, f: float, A: float,
@@ -180,7 +187,7 @@ def evaluate_cell(cfg: RunConfig, f: float, A: float,
     and so reconstructed states, still come from every step.
     """
     if A == 0.0:
-        return CellResult(0.0, 0.0, 0.0, None)
+        return CellResult(*(0.0 for _ in CELL_SCORES), None)
     geom = cfg.build_geometry()
     params = cfg.build_sim_params()
     sw = cfg.sweep
@@ -201,42 +208,34 @@ def evaluate_cell(cfg: RunConfig, f: float, A: float,
     modes = cod(field_from_states(q[win.start:win.stop:win.step], geom,
                                   sw["n_stations"], params.dt * win.step))
     cyc = thrust_proxy(thrust[k_tc - s0:], prog.cycle_index[k_tc:])
-    return CellResult(field_twi(modes),
-                      tip_deflection(tipx[win.start - s0:], geom.length_mm),
-                      float(moving_average(cyc, 3).mean()), modes)
+    return CellResult(
+        thrust_mN=float(moving_average(cyc, 3).mean()),
+        tip_defl_deg=tip_deflection(tipx[win.start - s0:], geom.length_mm),
+        twi=field_twi(modes), modes=modes)
 
 
 def cmd_metrics(cfg, args) -> list:
     out = args.out
     f0 = cfg.build_sim_params().f0_hz
-    rows, cell_modes = [], []
-    for A in cfg.sweep["amplitudes_deg"]:
-        for r in cfg.sweep["freq_ratios"]:
-            twi_val, defl, thrust, modes = evaluate_cell(cfg, r * f0, A,
-                                                         args.model)
-            rows.append((r * f0, A, r, thrust, defl, twi_val))
-            cell_modes.append(modes)
+    amps, ratios = cfg.sweep["amplitudes_deg"], cfg.sweep["freq_ratios"]
+    cells = {(A, r): evaluate_cell(cfg, r * f0, A, args.model)
+             for A in amps for r in ratios}
     write_csv(os.path.join(out, "metrics.csv"),
-              "f_hz,A_deg,freq_ratio,thrust_mN,tip_defl_deg,twi", rows)
+              ",".join(("f_hz", "A_deg", "freq_ratio") + _SCORE_COLUMNS),
+              [(r * f0, A, r, *c[:-1]) for (A, r), c in cells.items()])
     # Mode shapes of the cell with the highest TWI (zero-amplitude cells
     # have none; the config guarantees a nonzero amplitude).
-    best = max((i for i, m in enumerate(cell_modes) if m is not None),
-               key=lambda i: rows[i][5])
-    modeset_to_csv(cell_modes[best], os.path.join(out, "modes.csv"))
+    best = max((c for c in cells.values() if c.modes is not None),
+               key=lambda c: c.twi)
+    modeset_to_csv(best.modes, os.path.join(out, "modes.csv"))
     files = ["metrics.csv", "modes.csv"]
-    arr = np.array(rows)
-    for j, (name, label) in enumerate((
-            ("thrust", "thrust proxy (mN)"),
-            ("tip_deflection", "tip deflection (deg)"),
-            ("twi", "TWI"))):
-        series = {}
-        for A in cfg.sweep["amplitudes_deg"]:
-            sel = arr[arr[:, 1] == A]
-            series[f"A={A:g} deg"] = (sel[:, 2], sel[:, 3 + j])
-        fname = f"{name}.svg"
-        line_plot_svg(series, os.path.join(out, fname), title=label,
+    x = sorted(ratios)      # in increasing f / f0, so no line folds back
+    for j, (_, stem, label) in enumerate(CELL_SCORES):
+        series = {f"A={A:g} deg": (x, [cells[A, r][j] for r in x])
+                  for A in amps}
+        files.append(f"{stem}.svg")
+        line_plot_svg(series, os.path.join(out, files[-1]), title=label,
                       xlabel="f / f0", ylabel=label)
-        files.append(fname)
     return files
 
 
@@ -250,14 +249,13 @@ def cmd_optimize(cfg, args) -> list:
     best, history = optimize(objective, cfg.build_search_space(),
                              cfg.bo["budget"], seed=cfg.bo["seed"])
     write_csv(os.path.join(args.out, "history.csv"),
-              "iter,f,A,twi,tip_defl_deg,thrust_mN",
-              [(i, r.f, r.A, c.twi, c.tip_defl_deg, c.thrust_mN)
+              ",".join(("iter", "f_hz", "A_deg") + _SCORE_COLUMNS),
+              [(i, r.f, r.A, *c[:-1])
                for i, (r, c) in enumerate(zip(history, cells))])
     top = cells[history.index(best)]
     _write_json(os.path.join(args.out, "best.json"),
-                {"f_hz": best.f, "A_deg": best.A, "twi": top.twi,
-                 "tip_defl_deg": top.tip_defl_deg,
-                 "thrust_mN": top.thrust_mN})
+                {"f_hz": best.f, "A_deg": best.A,
+                 **dict(zip(_SCORE_COLUMNS, top))})
     return ["history.csv", "best.json"]
 
 
@@ -333,9 +331,9 @@ def cmd_report(args) -> int:
                        f"{sub}: reconstruction error")
         add_json_table(os.path.join(d, "best.json"),
                        f"{sub}: optimized actuation")
-        for svg in ("loss_history.svg", "overlay.svg", "thrust.svg",
-                    "tip_deflection.svg", "twi.svg"):
-            add_svg(os.path.join(d, svg), f"{sub}: {svg[:-4]}")
+        for stem in ("loss_history", "overlay",
+                     *(s for _, s, _ in CELL_SCORES)):
+            add_svg(os.path.join(d, f"{stem}.svg"), f"{sub}: {stem}")
     if not sections:
         print(f"error: no reportable artifacts under {run}",
               file=sys.stderr)

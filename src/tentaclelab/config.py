@@ -103,6 +103,8 @@ def _check_sweep(cfg: "RunConfig") -> None:
     ratios = number_list("freq_ratios", sw["freq_ratios"])
     if not all(r > 0 for r in ratios):
         raise ValueError("freq_ratios must be positive")
+    if len(set(ratios)) < len(ratios):     # a cell is scored once
+        raise ValueError("freq_ratios must be distinct")
     integer("n_stations", sw["n_stations"], 3)
     integer("subsample", sw["subsample"], 1)
     # Thrust averages the whole cycles after the transient; a run of
@@ -118,6 +120,8 @@ def _check_amplitudes(name, amps) -> tuple:
     amps = number_list(name, amps)
     if not all(abs(a) <= 90.0 for a in amps):
         raise ValueError(f"{name} must lie in [-90, 90] degrees")
+    if len(set(amps)) < len(amps):
+        raise ValueError(f"{name} must be distinct")
     return amps
 
 

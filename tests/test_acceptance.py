@@ -296,8 +296,10 @@ def test_criterion_9_reconstructed_metrics(dragonskin_run):
     max_dtwi = 0.0
     max_rel_defl = 0.0
     for r in SWEEP_RATIOS:
-        twi_t, defl_t, _, _ = evaluate_cell(cfg, r * f0, 20.0)
-        twi_r, defl_r, _, _ = evaluate_cell(cfg, r * f0, 20.0, weights)
+        true = evaluate_cell(cfg, r * f0, 20.0)
+        rec = evaluate_cell(cfg, r * f0, 20.0, weights)
+        twi_t, defl_t = true.twi, true.tip_defl_deg
+        twi_r, defl_r = rec.twi, rec.tip_defl_deg
         max_dtwi = max(max_dtwi, abs(twi_r - twi_t))
         max_rel_defl = max(max_rel_defl, abs(defl_r - defl_t) / defl_t)
     ok = max_dtwi < 0.1 and max_rel_defl < 0.10

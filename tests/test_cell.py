@@ -37,9 +37,10 @@ def reference_cell(cfg, f, A, weights=None):
     modes = cod(field_from_states(q[win.start:win.stop:win.step], geom,
                                   sw["n_stations"], params.dt * win.step))
     cyc = thrust_proxy(trace.thrust, prog.cycle_index)[sw["transient_cycles"]:]
-    return CellResult(field_twi(modes),
-                      tip_deflection(tipx[win.start:], geom.length_mm),
-                      float(moving_average(cyc, 3).mean()), modes)
+    return CellResult(thrust_mN=float(moving_average(cyc, 3).mean()),
+                      tip_defl_deg=tip_deflection(tipx[win.start:],
+                                                  geom.length_mm),
+                      twi=field_twi(modes), modes=modes)
 
 
 def assert_same_cell(cfg, f, A, weights=None):

@@ -182,6 +182,25 @@ class TestMetrics:
                      "twi.svg"):
             assert os.path.exists(os.path.join(out, name))
 
+    def test_plots_in_increasing_frequency(self, tmp_path):
+        """Ratios out of order plot as the same ratios in order, while
+        metrics.csv keeps the config's order."""
+        outs = []
+        for ratios in ([0.5, 0.2, 0.8], [0.2, 0.5, 0.8]):
+            p = tmp_path / "config.json"
+            p.write_text(json.dumps({**FAST_CONFIG, "sweep": {
+                **FAST_CONFIG["sweep"], "freq_ratios": ratios}}))
+            outs.append(tmp_path / "_".join(map(str, ratios)))
+            assert main(["metrics", "--config", str(p), "--out",
+                         str(outs[-1])]) == 0
+        shuffled, ordered = outs
+        for name in ("thrust.svg", "tip_deflection.svg", "twi.svg"):
+            assert ((shuffled / name).read_bytes()
+                    == (ordered / name).read_bytes())
+        rows = [(d / "metrics.csv").read_text().split("\n")
+                for d in (shuffled, ordered)]
+        assert rows[0][1:4] == [rows[1][i] for i in (2, 1, 3)]
+
 
 class TestOptimize:
     def test_budget_goes_into_the_config(self, tmp_path, fast_config):
@@ -231,24 +250,27 @@ class TestOptimize:
 class TestHistoryCsv:
     def test_format(self, tmp_path, monkeypatch, fast_config):
         def fake_cell(cfg, f, A, weights=None):
-            return cli.CellResult(f + A, 2.0 * f, 3.0 * f, None)
+            return cli.CellResult(thrust_mN=3.0 * f, tip_defl_deg=2.0 * f,
+                                  twi=f + A, modes=None)
 
         monkeypatch.setattr(cli, "evaluate_cell", fake_cell)
         out = tmp_path / "opt"
         assert main(["optimize", "--config", fast_config, "--budget", "4",
                      "--out", str(out)]) == 0
         lines = (out / "history.csv").read_text().strip().split("\n")
-        assert lines[0] == "iter,f,A,twi,tip_defl_deg,thrust_mN"
+        columns = ("f_hz", "A_deg") + tuple(c for c, _, _ in cli.CELL_SCORES)
+        assert lines[0] == ",".join(("iter",) + columns)
+        assert lines[0] == "iter,f_hz,A_deg,thrust_mN,tip_defl_deg,twi"
         rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
         assert [row[0] for row in rows] == [0, 1, 2, 3]
-        for _, f, A, twi, tip, thrust in rows:
+        for _, f, A, thrust, tip, twi in rows:
             assert twi == pytest.approx(f + A)
             assert tip == pytest.approx(2.0 * f)
             assert thrust == pytest.approx(3.0 * f)
         best = json.loads((out / "best.json").read_text())
-        top = max(rows, key=lambda row: row[3])
-        assert [best[k] for k in ("f_hz", "A_deg", "twi", "tip_defl_deg",
-                                  "thrust_mN")] == pytest.approx(top[1:])
+        top = max(rows, key=lambda row: row[5])
+        assert sorted(best) == sorted(columns)
+        assert [best[k] for k in columns] == pytest.approx(top[1:])
 
 
 class TestOneCellEvaluation:
@@ -282,17 +304,17 @@ class TestOneCellEvaluation:
         with open(os.path.join(opt, "history.csv")) as f:
             hist = [line.strip().split(",") for line in f.readlines()[1:]]
         # metrics: f_hz,A_deg,freq_ratio,thrust_mN,tip_defl_deg,twi
-        # history: iter,f,A,twi,tip_defl_deg,thrust_mN
+        # history: iter,f_hz,A_deg,thrust_mN,tip_defl_deg,twi
         assert len(hist) == len(rows)
         for h, row in zip(hist, rows):
-            assert h[1:3] + h[3:][::-1] == row[:2] + row[3:]
+            assert h[1:] == row[:2] + row[3:]
 
 
 class TestEvaluateCell:
     def test_named_fields_unpack_in_order(self):
         cfg = default_config()
         cell = cli.evaluate_cell(cfg, 1.6, 20.0)
-        twi_val, defl, thrust, modes = cell
+        thrust, defl, twi_val, modes = cell
         assert (cell.twi, cell.tip_defl_deg, cell.thrust_mN,
                 cell.modes) == (twi_val, defl, thrust, modes)
         assert 0.0 <= twi_val <= 1.0 and defl > 0.0 and thrust > 0.0
@@ -353,6 +375,8 @@ SWEEP_ERRORS = {
     "transient_equals_cycles": {"transient_cycles": 12},
     "two_stations": {"n_stations": 2},
     "zero_freq_ratio": {"freq_ratios": [0.5, 0.0]},
+    "repeated_amplitude": {"amplitudes_deg": [20.0, 20.0]},
+    "repeated_freq_ratio": {"freq_ratios": [0.5, 1.0, 0.5]},
     "unknown_key": {"cyclez": 3},
 }
 
