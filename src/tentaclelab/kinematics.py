@@ -25,6 +25,7 @@ only the integrands asked for (the lateral field needs no cosines).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,40 +104,60 @@ def _integrals(q_series, stations, fns) -> list:
     its own state. Stations may come in any order and repeat.
     """
     q_series = np.asarray(q_series, dtype=float)
-    knots, where = np.unique(np.concatenate([[0.0], stations]),
-                             return_inverse=True)
-    gaps = np.diff(knots)
     # fmax sends a NaN state to one panel; its integrals are NaN anyway.
     bend = np.abs(q_series).sum(axis=1)
     per_arc = np.fmin(_GL_PANELS, np.fmax(1, np.ceil(bend / _GL_SPAN)))
     per_arc = per_arc.astype(int)
-    node_sets = {}
-    for p in np.flatnonzero(np.bincount(per_arc)):
-        panels = np.ceil(gaps * p).astype(int)
-        node_sets.setdefault(panels.tobytes(), (panels, []))[1].append(p)
+    counts = tuple(np.flatnonzero(np.bincount(per_arc)).tolist())
+    layouts = _layout(np.asarray(stations, dtype=float).tobytes(), counts)
     outs = [np.empty((len(q_series), len(stations))) for _ in fns]
-    for panels, ps in node_sets.values():
-        member = np.zeros(_GL_PANELS + 1, dtype=bool)
-        member[ps] = True
-        rows = np.flatnonzero(member[per_arc])
-        _panel_sums(q_series, rows, knots, where, panels, fns, outs)
+    for member, *nodes in layouts:
+        # One node set for every state reads and writes them by slice.
+        rows = None if len(layouts) == 1 else np.flatnonzero(member[per_arc])
+        _panel_sums(q_series, rows, *nodes, fns, outs)
     return outs
 
 
-def _panel_sums(q_series, rows, knots, where, panels, fns, outs) -> None:
-    """Fill rows `rows` of each of `outs` with `panels` panels per gap."""
+@lru_cache(maxsize=16)
+def _layout(stations: bytes, counts: tuple) -> tuple:
+    """Quadrature nodes of `_integrals` for float64 stations, given as
+    bytes, and the panels per unit arc in use.
+
+    One read-only (member, v, v**2 / 2, h / 2, col) per distinct node
+    set: member[P] is true for the counts P that share it, v are the
+    nodes, h the panel widths, and station i's integral sits in column
+    col[i] of the cumulative panel sums.
+    """
+    knots, where = np.unique(np.concatenate([[0.0], np.frombuffer(stations)]),
+                             return_inverse=True)
     gaps = np.diff(knots)
-    gap_of = np.repeat(np.arange(len(gaps)), panels)
-    ends = np.concatenate([[0], np.cumsum(panels)])
-    h = gaps[gap_of] / panels[gap_of]
-    mid = knots[gap_of] + h * (np.arange(len(h)) - ends[gap_of] + 0.5)
-    v = (mid[:, None] + 0.5 * h[:, None] * _GL_NODES[None, :]).ravel()
-    half_v2 = 0.5 * v * v
-    # Column p of `cum` holds the integral over the first p panels, so
-    # knot j (the end of gap j - 1) sits in column ends[j].
-    col = ends[where[1:]]
-    half_h = 0.5 * h
-    n_t = len(rows)
+    node_sets = {}
+    for p in counts:
+        panels = np.ceil(gaps * p).astype(int)
+        node_sets.setdefault(panels.tobytes(), (panels, []))[1].append(p)
+    layouts = []
+    for panels, ps in node_sets.values():
+        member = np.zeros(_GL_PANELS + 1, dtype=bool)
+        member[ps] = True
+        gap_of = np.repeat(np.arange(len(gaps)), panels)
+        ends = np.concatenate([[0], np.cumsum(panels)])
+        h = gaps[gap_of] / panels[gap_of]
+        mid = knots[gap_of] + h * (np.arange(len(h)) - ends[gap_of] + 0.5)
+        v = (mid[:, None] + 0.5 * h[:, None] * _GL_NODES[None, :]).ravel()
+        # Column p of `cum` holds the integral over the first p panels, so
+        # knot j (the end of gap j - 1) sits in column ends[j].
+        layout = (member, v, 0.5 * v * v, 0.5 * h, ends[where[1:]])
+        for a in layout:
+            a.flags.writeable = False
+        layouts.append(layout)
+    return tuple(layouts)
+
+
+def _panel_sums(q_series, rows, v, half_v2, half_h, col, fns, outs) -> None:
+    """Fill rows `rows` (all rows if None) of each of `outs` from the
+    nodes of one `_layout` node set."""
+    n_t = len(q_series) if rows is None else len(rows)
+    n_panels = len(half_h)
     # Time blocks of about 32k angles (256 kB per buffer): `alpha`, the
     # integrand buffer and `cum` are allocated once per node set, refilled
     # in place and stay in a core's L2 cache, where blocks of 2e6 angles
@@ -147,9 +168,9 @@ def _panel_sums(q_series, rows, knots, where, panels, fns, outs) -> None:
     n_rows = min(block, n_t)
     alpha = np.empty((n_rows, v.size))
     buf = np.empty((n_rows, v.size))
-    cum = np.zeros((n_rows, len(h) + 1))
+    cum = np.zeros((n_rows, n_panels + 1))
     for k in range(0, n_t, block):
-        idx = rows[k:k + block]
+        idx = slice(k, k + block) if rows is None else rows[k:k + block]
         q = q_series[idx]
         n = len(q)
         a, b, c = alpha[:n], buf[:n], cum[:n]
@@ -159,7 +180,8 @@ def _panel_sums(q_series, rows, knots, where, panels, fns, outs) -> None:
         for out, fn in zip(outs, fns):
             fn(a, out=b)
             per_panel = np.einsum("tpk,k->tp",
-                                  b.reshape(n, len(h), _GL_ORDER), _GL_WEIGHTS)
+                                  b.reshape(n, n_panels, _GL_ORDER),
+                                  _GL_WEIGHTS)
             per_panel *= half_h
             np.cumsum(per_panel, axis=1, out=c[:, 1:])
             out[idx] = c[:, col]

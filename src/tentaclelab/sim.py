@@ -75,6 +75,9 @@ class SimParams:
             raise ValueError("zeta must lie in (0, 1)")
         if self.mode2_ratio <= 1.0:
             raise ValueError("mode2_ratio must exceed 1")
+        for k in ("phase_lag_s", "quad_drag"):
+            if getattr(self, k) < 0:
+                raise ValueError(f"{k} must be >= 0")
         max_dt = 1.0 / (50.0 * self.f0_hz)
         if self.dt > max_dt:
             raise ValueError(f"dt must be <= 1/(50*f0) = {max_dt:g} s")
@@ -177,39 +180,38 @@ def integrate(program: ActuationProgram, params: SimParams) -> ModalRun:
     n = len(theta)
     w1 = 2.0 * math.pi * params.f0_hz
     w2 = params.mode2_ratio * w1
-    lag_steps = int(round(params.phase_lag_s / dt))
+    # At most n steps of delay, so the delayed drive costs O(n) whatever
+    # phase_lag_s is.
+    lag = min(n, int(round(params.phase_lag_s / dt)))
     # Effective drive: base angle plus a drag-type velocity coupling
     # (normalized by w1), so quasi-static pitching produces little bend.
     theta_dot = np.gradient(theta, dt)
     eff = theta + params.vel_coupling * theta_dot / w1
-    eff_delayed = np.concatenate([np.zeros(lag_steps), eff])[:n]
-    drive1 = (params.drive_gain1 * w1 * w1 * eff).tolist()
-    drive2 = (params.drive_gain2 * w2 * w2 * eff_delayed).tolist()
+    eff_delayed = np.zeros(n)
+    eff_delayed[lag:] = eff[:n - lag]
+    drive1 = params.drive_gain1 * w1 * w1 * eff
+    drive2 = params.drive_gain2 * w2 * w2 * eff_delayed
 
-    # The step runs on Python floats; the hoisted products keep the
-    # original left-to-right evaluation order, so results are unchanged.
-    # Each step yields (x1, x2, v1, v2) straight into one flat float64
-    # record, with no per-column Python lists to convert afterwards.
-    damp1, stiff1 = 2.0 * params.zeta * w1, w1 * w1
-    damp2, stiff2 = 2.0 * params.zeta * w2, w2 * w2
+    # The modes do not couple, so each runs its own loop on Python
+    # floats, yielding only its rate. The hoisted products keep the
+    # original left-to-right evaluation order. The loop's x += dt * v
+    # from 0.0 is the sequential prefix sum np.cumsum takes of the same
+    # products, so q comes from q_dot bit for bit; adding 0.0 gives the
+    # loop's +0.0 where the sum starts at -0.0.
     cq = params.quad_drag
 
-    def steps():
-        v1 = v2 = x1 = x2 = 0.0
-        for k in range(n):
-            v1 += dt * (drive1[k] - damp1 * v1 - cq * abs(v1) * v1
-                        - stiff1 * x1)
-            x1 += dt * v1
-            v2 += dt * (drive2[k] - damp2 * v2 - cq * abs(v2) * v2
-                        - stiff2 * x2)
-            x2 += dt * v2
-            yield x1
-            yield x2
-            yield v1
-            yield v2
+    def rates(drive, w):
+        damp, stiff = 2.0 * params.zeta * w, w * w
+        v = x = 0.0
+        for d in drive.tolist():
+            v += dt * (d - damp * v - cq * abs(v) * v - stiff * x)
+            x += dt * v
+            yield v
 
-    record = np.fromiter(steps(), float, 4 * n).reshape(n, 4)
-    q = np.ascontiguousarray(record[:, :2])
+    q_dot = np.column_stack([np.fromiter(rates(drive1, w1), float, n),
+                             np.fromiter(rates(drive2, w2), float, n)])
+    q = np.cumsum(dt * q_dot, axis=0)
+    q += 0.0
     over = np.flatnonzero((np.abs(q) > 10.0).any(axis=1))
     if len(over):
         k = over[0]
@@ -217,7 +219,7 @@ def integrate(program: ActuationProgram, params: SimParams) -> ModalRun:
             f"modal state exceeded 10 rad at t={k * dt:.4f} s "
             f"(q1={q[k, 0]:.3f}, q2={q[k, 1]:.3f}); reduce drive or check "
             "params")
-    return ModalRun(q, np.ascontiguousarray(record[:, 2:]), dt)
+    return ModalRun(q, q_dot, dt)
 
 
 def simulate(program: ActuationProgram, params: SimParams,

@@ -54,6 +54,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="sim"):
             RunConfig(sim={"zeta": 2.0})
 
+    @pytest.mark.parametrize("key", ["phase_lag_s", "quad_drag"])
+    def test_negative_sim_value_names_the_key(self, key):
+        with pytest.raises(ConfigError, match=f"^sim: {key} must be >= 0$"):
+            RunConfig.from_dict({"schema": CONFIG_SCHEMA, "sim": {key: -0.1}})
+        RunConfig(sim={key: 0.0})
+
     def test_sim_has_no_seed(self):
         with pytest.raises(ConfigError, match="^sim: "):
             RunConfig.from_dict({"schema": CONFIG_SCHEMA,

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tentaclelab.kinematics import (CurvatureState, TentacleGeometry,
-                                    _integrals, lateral_displacements,
+                                    _integrals, _layout,
+                                    lateral_displacements,
                                     sample_centerline, tip_position,
                                     tip_positions)
 
@@ -453,3 +454,53 @@ class TestPanelsPerState:
             tips = tip_positions(q, GEOM)
         assert np.all(np.isnan(tips[1:3]))
         assert np.array_equal(tips[[0, 3]], tip_positions(q[[0, 3]], GEOM))
+
+
+class TestLayoutCache:
+    """`_layout` builds each station set's nodes once; what it hands out
+    cannot be changed, so every call integrates on the same nodes."""
+
+    # With 1 to 4 panels per unit arc, gaps of 0.4 and 0.6 make four node
+    # sets; gaps of 0.5 make two, one for 1 and 2 panels, one for 3 and 4.
+    STATIONS = (np.array([1.0, 0.4]), np.array([0.5, 1.0]))
+
+    def test_a_then_b_then_a(self):
+        _layout.cache_clear()
+        q = _bent(np.linspace(0.0, 7.4, 30), seed=13)
+        a, b = self.STATIONS
+        first = _integrals(q, a, (np.sin, np.cos))
+        _integrals(q, b, (np.sin, np.cos))
+        for g, w in zip(_integrals(q, a, (np.sin, np.cos)), first):
+            assert np.array_equal(g, w)
+        assert _layout.cache_info().hits >= 1
+
+    def test_writing_a_result_leaves_the_next_call(self):
+        q = _states(3.0, n=20, seed=14)
+        s = np.linspace(0.0, 1.0, 16)
+        first, = _integrals(q, s, (np.sin,))
+        want = first.copy()
+        first[:] = 7.0
+        got, = _integrals(q, s, (np.sin,))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("stations", STATIONS, ids=["4 sets", "2 sets"])
+    def test_cached_arrays_are_read_only(self, stations):
+        for layout in _layout(stations.tobytes(), (1, 2, 3, 4)):
+            for a in layout:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = a[0]
+
+    @pytest.mark.parametrize("stations", STATIONS, ids=["4 sets", "2 sets"])
+    def test_mixed_panel_counts_match_fixed_panels(self, stations):
+        bends = np.repeat([0.5, 2.0, 3.0, 4.9, 6.0, 9.0], 10)
+        q = np.random.default_rng(15).permutation(_bent(bends, seed=16))
+        per_arc = np.ceil(np.abs(q).sum(axis=1) / 2.5).astype(int)
+        assert set(per_arc) == {1, 2, 3, 4}
+        fns = (np.sin, np.cos)
+        got = _integrals(q, stations, fns)
+        for p in range(1, 5):
+            rows = per_arc == p
+            for g, w in zip(got, fixed_panel_integrals(q[rows], stations,
+                                                       fns, p)):
+                assert np.array_equal(g[rows], w)

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tentaclelab.actuation import ActuationProgram, ProgramSpec, build_program
+from tentaclelab.config import default_config
 from tentaclelab.sim import (SensorModel, SimParams, SimTrace,
                              SimulationError, default_sensor_model,
                              integrate, material_preset, moving_average,
@@ -124,6 +126,25 @@ class TestSimulate:
         assert np.array_equal(a.q, b.q)
         assert np.array_equal(a.tip, b.tip)
 
+    def test_lag_past_the_program_costs_o_n(self):
+        # A lag of 1e6 steps over a 1,000-step program: prepending the
+        # lag's zeros to the drive would take 16 MB. The run takes about
+        # 100 B a step whatever the lag; the bound allows twice that.
+        prog = build_program(ProgramSpec(
+            duration_s=5.0, dt=0.005, amplitude_deg=20.0, frequency_hz=2.0))
+        params = SimParams(phase_lag_s=5000.0)
+        tracemalloc.start()
+        try:
+            run = integrate(prog, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * len(prog.time)
+        assert np.all(run.q[:, 1] == 0.0) and np.any(run.q[:, 0] != 0.0)
+        q, qd, _, _ = reference_simulate(prog, params)
+        assert run.q.tobytes() == q.tobytes()
+        assert run.q_dot.tobytes() == qd.tobytes()
+
 
 def reference_simulate(program, params, geom=None, c_t=2e-4):
     """Per-step integrator on numpy arrays, checking divergence each step."""
@@ -165,6 +186,17 @@ def reference_simulate(program, params, geom=None, c_t=2e-4):
     return q, qd, tip, c_t * vx * vx
 
 
+def sweep_cell(material, ratio, **sim):
+    """The largest default amplitude's sweep-cell program at f / f0 =
+    ratio, and the material's params with `sim` overrides."""
+    cfg = default_config(material)
+    params, sw = replace(cfg.build_sim_params(), **sim), cfg.sweep
+    f = ratio * params.f0_hz
+    return build_program(ProgramSpec(
+        duration_s=sw["cycles"] / f, dt=params.dt,
+        amplitude_deg=max(sw["amplitudes_deg"]), frequency_hz=f)), params
+
+
 class TestReferenceLoop:
     @pytest.mark.parametrize("params", [
         material_preset("dragonskin"), material_preset("ecoflex"),
@@ -194,6 +226,25 @@ class TestReferenceLoop:
             reference_simulate(prog, params)
         with pytest.raises(SimulationError) as got:
             simulate(prog, params)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("ratio", [0.1, 1.0])
+    @pytest.mark.parametrize("material", ["dragonskin", "ecoflex"])
+    def test_sweep_cell_bit_identical(self, material, ratio):
+        prog, params = sweep_cell(material, ratio)
+        run = integrate(prog, params)
+        q, qd, _, _ = reference_simulate(prog, params)
+        assert run.q.tobytes() == q.tobytes()
+        assert run.q_dot.tobytes() == qd.tobytes()
+
+    def test_diverging_sweep_cell_reports_first_crossing(self):
+        # At this gain q1 crosses 10 rad within the first cycle and is
+        # inf or nan for 880 of the cell's 889 steps.
+        prog, params = sweep_cell("ecoflex", 1.0, drive_gain1=1000.0)
+        with pytest.raises(SimulationError) as want:
+            reference_simulate(prog, params)
+        with pytest.raises(SimulationError) as got:
+            integrate(prog, params)
         assert str(got.value) == str(want.value)
 
 
