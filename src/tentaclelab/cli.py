@@ -35,7 +35,7 @@ from .bayesopt import OptimizationError, optimize
 from .config import CONFIG_SCHEMA, ConfigError, RunConfig, cell_window, \
     config_hash, read_config_doc
 from .csvio import read_csv, write_csv
-from .fitting import fit_report, poly_centerline, poly_targets
+from .fitting import SHAPES, fit_report
 from .kinematics import CurvatureState, sample_centerline, tip_positions
 from .plotting import line_plot_svg, overlay_svg
 from .regressor import LabeledSequence, TrainingError, forward, \
@@ -93,12 +93,6 @@ def simulate_ramp(cfg: RunConfig, duration: float, seed: int) -> SimTrace:
     return replace(trace, pressures=sensor_readout(trace, model))
 
 
-def _targets_for(cfg, trace) -> np.ndarray:
-    if cfg.target == "affine":
-        return trace.q
-    return poly_targets(trace.q, cfg.build_geometry())
-
-
 def cmd_dataset(cfg, args) -> list:
     ds = cfg.dataset
     for split in ("train", "test"):
@@ -111,8 +105,8 @@ def cmd_dataset(cfg, args) -> list:
 def cmd_train(cfg, args) -> list:
     out = args.out
     trace = SimTrace.from_csv(os.path.join(args.data, "train.csv"))
-    seq = LabeledSequence(trace.pressures, _targets_for(cfg, trace),
-                          trace.dt)
+    targets = SHAPES[cfg.target].targets(trace.q, cfg.build_geometry())
+    seq = LabeledSequence(trace.pressures, targets, trace.dt)
     weights, history = train([seq], cfg.build_train_config())
     save_weights(replace(weights, target=cfg.target),
                  os.path.join(out, "weights.json"))
@@ -134,21 +128,16 @@ def cmd_eval(cfg, args) -> list:
                           f"channels; {path} holds {n}")
     preds = forward(args.model, trace.pressures)
     geom = cfg.build_geometry()
-    report = fit_report(preds, _targets_for(cfg, trace), geom,
+    shape = SHAPES[cfg.target]
+    report = fit_report(preds, shape.targets(trace.q, geom), geom,
                         kind=cfg.target,
                         truth_tip=tip_positions(trace.q, geom))
     _write_json(os.path.join(out, "report.json"),
                 {"target": cfg.target, "report": report.as_dict()})
     # Overlay a handful of evenly spaced instants.
     idx = np.linspace(0, len(preds) - 1, 6).astype(int)
-    pairs = []
-    for i in idx:
-        truth_cl = sample_centerline(CurvatureState(*trace.q[i]), geom)
-        if cfg.target == "affine":
-            pred_cl = sample_centerline(CurvatureState(*preds[i]), geom)
-        else:
-            pred_cl = poly_centerline(preds[i], geom)
-        pairs.append((truth_cl, pred_cl))
+    pairs = [(sample_centerline(CurvatureState(*trace.q[i]), geom),
+              shape.centerline(preds[i], geom)) for i in idx]
     overlay_svg(pairs, os.path.join(out, "overlay.svg"),
                 title="Reconstructed vs true centerlines")
     return ["report.json", "overlay.svg"]
@@ -175,9 +164,9 @@ def evaluate_cell(cfg: RunConfig, f: float, A: float,
 
     TWI and tip deflection come from the states the metrics are computed
     from: the simulated states, or under `weights` the states the
-    regressor reconstructs from the cell's pressures. Thrust always comes
-    from the simulated run. A zero amplitude scores zero and has no
-    modes.
+    regressor reconstructs from the cell's pressures, read through the
+    shape model SHAPES[weights.target]. Thrust always comes from the
+    simulated run. A zero amplitude scores zero and has no modes.
 
     The cell integrates every step, since the dynamics need the
     transient, but computes the world tip and thrust only from its first
@@ -199,14 +188,17 @@ def evaluate_cell(cfg: RunConfig, f: float, A: float,
     k_tc = int(np.searchsorted(prog.cycle_index, sw["transient_cycles"]))
     s0 = max(0, min(win.start, k_tc - 1))
     theta = prog.theta_deg[s0:]
-    tipx = world_tip_positions(run.q[s0:], theta, geom)[:, 0]
+    tipx = world_tip_positions(tip_positions(run.q[s0:], geom), theta)[:, 0]
     thrust = thrust_series(tipx, run.dt)
-    q = run.q
+    q, shape = run.q, {}     # true states: field_from_states' default shape
     if weights is not None:
         q = forward(weights, sensor_readout(run, cfg.build_sensor_model()))
-        tipx = world_tip_positions(q[s0:], theta, geom)[:, 0]
+        shape = {"shape": weights.target}
+        tips = SHAPES[weights.target].tips(q[s0:], geom)
+        tipx = world_tip_positions(tips, theta)[:, 0]
     modes = cod(field_from_states(q[win.start:win.stop:win.step], geom,
-                                  sw["n_stations"], params.dt * win.step))
+                                  sw["n_stations"], params.dt * win.step,
+                                  **shape))
     cyc = thrust_proxy(thrust[k_tc - s0:], prog.cycle_index[k_tc:])
     return CellResult(
         thrust_mN=float(moving_average(cyc, 3).mean()),
@@ -464,10 +456,6 @@ def main(argv=None) -> int:
         if args.command != "eval" and args.model and args.model.n_in != n:
             raise ConfigError(f"{weights} takes {args.model.n_in} pressure "
                               f"channels; the sensor section reads {n}")
-        # evaluate_cell reads the network's outputs as (q1, q2).
-        if args.command != "eval" and args.model and cfg.target == "poly":
-            raise ConfigError(f"target: {args.command} --weights needs an "
-                              "affine model; a poly model predicts (c2, c3)")
         # Every command reads the network's outputs as one pair per step.
         if args.model and args.model.n_out != 2:
             raise ConfigError(f"{weights} predicts {args.model.n_out} "

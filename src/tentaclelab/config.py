@@ -16,8 +16,9 @@ import numpy as np
 from .actuation import ProgramSpec
 from .bayesopt import SearchSpace
 from .checks import integer, number, number_list
+from .fitting import SHAPES
 from .kinematics import TentacleGeometry
-from .regressor import TARGETS, TrainConfig
+from .regressor import TrainConfig
 from .sim import SensorModel, SimParams, default_sensor_model, \
     material_preset, preset_epochs
 
@@ -176,8 +177,9 @@ class RunConfig:
             material_preset(self.material)
         except ValueError as e:
             raise ConfigError(f"material: {e}") from e
-        if self.target not in TARGETS:
-            raise ConfigError(f"target: must be 'affine' or 'poly', "
+        if not isinstance(self.target, str) or self.target not in SHAPES:
+            raise ConfigError(f"target: must be "
+                              f"{' or '.join(map(repr, SHAPES))}, "
                               f"got {self.target!r}")
         for f in fields(self):
             if "keys" not in f.metadata:

@@ -3,22 +3,26 @@
 Two reduced shape models describe a centerline: the affine curvature
 model (q1, q2), fit to a sampled centerline, and the root-clamped cubic
 x(s) = c2 s^2 + c3 s^3 of the lateral displacement, fit to a state's
-lateral profile.
+lateral profile. Every command reads them through `SHAPES`, by target.
 Error metrics follow the usual reconstruction-comparison conventions:
 channel-wise NRMSE plus absolute and relative tip error.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .checks import number_array
 from .kinematics import CurvatureState, TentacleGeometry, \
-    lateral_displacements, tip_positions
+    lateral_displacements, sample_centerline, tip_positions
 
 __all__ = [
+    "Shape",
+    "SHAPES",
     "Centerline",
     "FitReport",
     "AffineFit",
@@ -123,9 +127,13 @@ def poly_targets(q: np.ndarray, geom: TentacleGeometry) -> np.ndarray:
     """
     s = np.linspace(0.0, 1.0, geom.n_samples)
     lat = lateral_displacements(q, s, geom.length_mm)   # (N_s, T)
-    A = np.column_stack([s * s, s ** 3])
-    coef, *_ = np.linalg.lstsq(A, lat, rcond=None)      # (2, T)
+    coef, *_ = np.linalg.lstsq(_cubic(s), lat, rcond=None)  # (2, T)
     return coef.T
+
+
+def _cubic(s) -> np.ndarray:
+    """The (N_s, 2) basis columns s^2 and s^3 of the root-clamped cubic."""
+    return np.column_stack([s * s, s ** 3])
 
 
 def poly_centerline(coeffs, geom: TentacleGeometry) -> np.ndarray:
@@ -168,11 +176,29 @@ def nrmse(pred, truth) -> float:
     return 100.0 * rmse / rng
 
 
-def _tip_series(states: np.ndarray, geom: TentacleGeometry,
-                kind: str) -> np.ndarray:
-    if kind == "affine":
-        return tip_positions(states, geom)
-    return poly_centerline(states, geom)[:, -1]
+class Shape(NamedTuple):
+    """One shape model's view of its (T, 2) state series."""
+
+    targets: Callable       # (q, geom): training targets of true (q1, q2)
+    tips: Callable          # (states, geom): (T, 2) body-frame tips, mm
+    lateral: Callable       # (states, stations, L): (N_s, T) lateral x, mm
+    centerline: Callable    # (state, geom): (n_samples, 2) centerline, mm
+
+
+# Shape models by target name. The affine entries look the kinematics
+# functions up when called, so a wrapper installed over them sees the call.
+SHAPES = {
+    "affine": Shape(
+        lambda q, geom: q,
+        lambda q, geom: tip_positions(q, geom),
+        lambda q, stations, L: lateral_displacements(q, stations, L),
+        lambda q, geom: sample_centerline(CurvatureState(*q), geom)),
+    "poly": Shape(
+        poly_targets,
+        lambda c, geom: poly_centerline(c, geom)[:, -1],
+        lambda c, stations, L: _cubic(np.asarray(stations)) @ c.T,
+        poly_centerline),
+}
 
 
 def fit_report(pred_states, truth_states, geom: TentacleGeometry,
@@ -192,11 +218,9 @@ def fit_report(pred_states, truth_states, geom: TentacleGeometry,
         raise ValueError("prediction and truth series must align")
     if pred.ndim != 2 or pred.shape[1] != 2:
         raise ValueError("state series must be (T, 2) arrays")
-    if kind not in ("affine", "poly"):
-        raise ValueError(f"unknown state kind {kind!r}")
     n1 = nrmse(pred[:, 0], truth[:, 0])
     n2 = nrmse(pred[:, 1], truth[:, 1])
-    tip_pred = _tip_series(pred, geom, kind)
+    tip_pred = SHAPES[kind].tips(pred, geom)
     tip_true = np.asarray(truth_tip, dtype=float)
     if tip_true.shape != tip_pred.shape:
         raise ValueError("truth_tip must align with the state series")

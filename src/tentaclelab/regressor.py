@@ -41,6 +41,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .checks import integer, number, number_array
+from .fitting import SHAPES
 
 __all__ = [
     "LabeledSequence",
@@ -55,10 +56,6 @@ __all__ = [
 ]
 
 WEIGHTS_SCHEMA = 2
-
-# What a network's two outputs are: affine curvature states (q1, q2) or
-# cubic lateral-profile coefficients (c2, c3).
-TARGETS = ("affine", "poly")
 
 # Steps per block of `forward`: the input projection and the gate, h, c
 # and tanh(c) rows it lends _lstm_run cover one block, not the series.
@@ -132,7 +129,8 @@ class RegressorWeights:
 
     LSTM gate blocks are stacked row-wise in i, f, g, o order, and
     `_param_shapes` gives every array's shape. Head: W1 with tanh, then
-    W2 linear. `target`, one of TARGETS, names the states it predicts.
+    W2 linear. `target`, a key of fitting.SHAPES, names the states it
+    predicts.
     """
 
     hidden: int
@@ -148,9 +146,9 @@ class RegressorWeights:
         field present, finite and of the shape `hidden`, n_in =
         len(in_mean) and n_out = len(out_mean) give it. Arrays are stored
         as float."""
-        if self.target not in TARGETS:
-            raise ValueError(f"target must be 'affine' or 'poly', got "
-                             f"{self.target!r}")
+        if not isinstance(self.target, str) or self.target not in SHAPES:
+            raise ValueError(f"target must be {' or '.join(map(repr, SHAPES))}"
+                             f", got {self.target!r}")
         H = integer("hidden", self.hidden, 1)
         if not isinstance(self.params, dict):
             raise ValueError("params must map parameter names to arrays")

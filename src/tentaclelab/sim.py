@@ -147,8 +147,12 @@ class SimTrace:
         c = read_csv(path, ("t", "theta_deg", "q1", "q2", "tip_x", "tip_y",
                             "thrust"), min_rows=2)
         t = c["t"]
-        # Channels p1, p2, ...; a trace no sensor read holds none.
-        p = [c[f"p{i}"] for i in range(1, len(c)) if f"p{i}" in c]
+        # Channels p1..pn; a trace no sensor read holds none.
+        n = sum(k[:1] == "p" and k[1:].isdigit() for k in c)
+        missing = [f"p{i}" for i in range(1, n + 1) if f"p{i}" not in c]
+        if missing:
+            raise ValueError(f"{path}: no pressure column {missing[0]}")
+        p = [c[f"p{i}"] for i in range(1, n + 1)]
         return cls(time=t, base_angle_deg=c["theta_deg"],
                    q=np.column_stack([c["q1"], c["q2"]]),
                    pressures=np.column_stack([np.empty((len(t), 0)), *p]),
@@ -227,22 +231,21 @@ def simulate(program: ActuationProgram, params: SimParams,
     """Full trace of a program: `integrate`, then the world tip and
     thrust proxy of every step."""
     run = integrate(program, params)
-    tip = world_tip_positions(run.q, program.theta_deg,
-                              geom or TentacleGeometry())
+    tip = world_tip_positions(tip_positions(run.q, geom or TentacleGeometry()),
+                              program.theta_deg)
     return SimTrace(time=program.time, base_angle_deg=program.theta_deg,
                     q=run.q, pressures=np.zeros((len(tip), 0)), tip=tip,
                     thrust=thrust_series(tip[:, 0], run.dt), dt=run.dt,
                     q_dot=run.q_dot)
 
 
-def world_tip_positions(q: np.ndarray, base_angle_deg: np.ndarray,
-                        geom: TentacleGeometry) -> np.ndarray:
-    """World-frame tip (x, y) in mm for (T, 2) states under base pitch.
+def world_tip_positions(tip_body: np.ndarray,
+                        base_angle_deg: np.ndarray) -> np.ndarray:
+    """World-frame (x, y) in mm of (T, 2) body-frame tips under base pitch.
 
     The base pitch rotates the whole bent shape about the root, so the
     observed tip motion combines rigid rotation and bending.
     """
-    tip_body = tip_positions(q, geom)
     theta = np.radians(base_angle_deg)
     c, s = np.cos(theta), np.sin(theta)
     return np.column_stack([c * tip_body[:, 0] - s * tip_body[:, 1],

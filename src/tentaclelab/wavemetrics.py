@@ -14,7 +14,8 @@ import numpy as np
 
 from .checks import number_array
 from .csvio import write_csv
-from .kinematics import TentacleGeometry, lateral_displacements
+from .fitting import SHAPES
+from .kinematics import TentacleGeometry
 
 __all__ = [
     "DeformationField",
@@ -141,11 +142,12 @@ def field_twi(modes: ModeSet) -> float:
 
 
 def field_from_states(q_series, geom: TentacleGeometry,
-                      n_stations: int = 24, dt: float = 1.0) -> DeformationField:
-    """Lateral deformation field of a (T, 2) curvature-state series."""
+                      n_stations: int = 24, dt: float = 1.0,
+                      shape: str = "affine") -> DeformationField:
+    """Lateral deformation field of a (T, 2) series of SHAPES[shape] states."""
     q_series = np.asarray(q_series, dtype=float)
     stations = np.linspace(0.0, 1.0, n_stations)
-    lat = lateral_displacements(q_series, stations, geom.length_mm)
+    lat = SHAPES[shape].lateral(q_series, stations, geom.length_mm)
     return DeformationField(lateral=lat, dt=dt, stations=stations)
 
 

@@ -2,6 +2,7 @@
 scored from the full simulated trace, bit for bit."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from tentaclelab.actuation import ProgramSpec, build_program
 from tentaclelab.cli import CellResult, evaluate_cell
 from tentaclelab.config import RunConfig, cell_window, default_config
+from tentaclelab.fitting import SHAPES
 from tentaclelab.regressor import forward, init_weights
 from tentaclelab.sim import (moving_average, sensor_readout, simulate,
                              thrust_proxy, world_tip_positions)
@@ -30,12 +32,15 @@ def reference_cell(cfg, f, A, weights=None):
     trace = simulate(prog, params, geom)
     win = cell_window(sw, f, params.dt)
     if weights is None:
-        q, tipx = trace.q, trace.tip[:, 0]
+        q, tipx, shape = trace.q, trace.tip[:, 0], "affine"
     else:
         q = forward(weights, sensor_readout(trace, cfg.build_sensor_model()))
-        tipx = world_tip_positions(q, trace.base_angle_deg, geom)[:, 0]
+        shape = weights.target
+        tipx = world_tip_positions(SHAPES[shape].tips(q, geom),
+                                   trace.base_angle_deg)[:, 0]
     modes = cod(field_from_states(q[win.start:win.stop:win.step], geom,
-                                  sw["n_stations"], params.dt * win.step))
+                                  sw["n_stations"], params.dt * win.step,
+                                  shape=shape))
     cyc = thrust_proxy(trace.thrust, prog.cycle_index)[sw["transient_cycles"]:]
     return CellResult(thrust_mN=float(moving_average(cyc, 3).mean()),
                       tip_defl_deg=tip_deflection(tipx[win.start:],
@@ -75,9 +80,12 @@ OFF_GRID = (0.45, 1.5, 2.5, 4.0)
 
 
 class TestWindowedCell:
-    @pytest.mark.parametrize("use_weights", [False, True],
-                             ids=["true", "weights"])
+    @pytest.mark.parametrize("use_weights", [False, True, "poly"],
+                             ids=["true", "weights", "poly"])
     def test_default_grid(self, use_weights, weights):
+        # "poly": the same network read as (c2, c3) by the poly shape.
+        if use_weights == "poly":
+            weights = replace(weights, target="poly")
         cfg = default_config()
         f0 = cfg.build_sim_params().f0_hz
         for A in cfg.sweep["amplitudes_deg"]:

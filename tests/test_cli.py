@@ -13,6 +13,7 @@ from tentaclelab import cli
 from tentaclelab.bayesopt import EvalRecord
 from tentaclelab.cli import main
 from tentaclelab.config import CONFIG_SCHEMA, RunConfig, default_config
+from tentaclelab.csvio import read_csv
 from tentaclelab.regressor import init_weights, save_weights
 from tentaclelab.vision import write_pgm
 
@@ -45,6 +46,21 @@ def dataset_dir(tmp_path_factory, fast_config):
 def trained_dir(tmp_path_factory, fast_config, dataset_dir):
     out = str(tmp_path_factory.mktemp("model"))
     assert main(["train", "--config", fast_config, "--data", dataset_dir,
+                 "--out", out]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def poly_config(tmp_path_factory):
+    p = tmp_path_factory.mktemp("cfg_poly") / "poly.json"
+    p.write_text(json.dumps({**FAST_CONFIG, "target": "poly"}))
+    return str(p)
+
+
+@pytest.fixture(scope="module")
+def poly_trained_dir(tmp_path_factory, poly_config, dataset_dir):
+    out = str(tmp_path_factory.mktemp("model_poly"))
+    assert main(["train", "--config", poly_config, "--data", dataset_dir,
                  "--out", out]) == 0
     return out
 
@@ -670,6 +686,47 @@ class TestBadTrace:
             "finite number\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_pressure_column_gap_exits_2_before_output(
+            self, tmp_path, capsys, fast_config, dataset_dir, trained_dir,
+            command):
+        # A p1,p4,p3 header once loaded 3 channels with the 2nd and 3rd
+        # swapped; now it names the missing p2.
+        data, out = tmp_path / "data", tmp_path / "out"
+        shutil.copytree(dataset_dir, data)
+        split = data / ("train.csv" if command == "train" else "test.csv")
+        split.write_text(split.read_text().replace(",p2,", ",p4,", 1))
+        extra = ([] if command == "train" else
+                 ["--weights", os.path.join(trained_dir, "weights.json")])
+        assert main([command, "--config", fast_config, "--data", str(data),
+                     "--out", str(out)] + extra) == 2
+        assert capsys.readouterr().err == (
+            f"error: {split}: no pressure column p2\n")
+        assert not out.exists()
+
+
+class TestPolyWeights:
+    """A poly model's (c2, c3) reach every metric through its shape."""
+
+    @pytest.mark.parametrize("command,table", [("metrics", "metrics.csv"),
+                                               ("optimize", "history.csv")],
+                             ids=["metrics", "optimize"])
+    def test_under_poly_target_run_and_rerun_byte_identical(
+            self, tmp_path, poly_config, poly_trained_dir, command, table):
+        weights = os.path.join(poly_trained_dir, "weights.json")
+        budget = ["--budget", "5"] if command == "optimize" else []
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert main([command, "--config", poly_config, "--weights",
+                         weights, "--out", str(out)] + budget) == 0
+        cols = read_csv(a / table, ("thrust_mN", "tip_defl_deg", "twi"))
+        assert len(cols["twi"]) == (2 if command == "metrics" else 5)
+        assert np.all((cols["twi"] >= 0.0) & (cols["twi"] <= 1.0))
+        assert np.all(cols["tip_defl_deg"] > 0.0)
+        assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+        for name in os.listdir(a):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
 
 class TestMissingWeights:
     @pytest.mark.parametrize("command", ["eval", "metrics", "optimize"])
@@ -713,20 +770,6 @@ class TestBadWeights:
         assert capsys.readouterr().err == f"error: {weights}: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["metrics", "optimize"])
-    def test_under_poly_target_exit_1_before_output(
-            self, tmp_path, capsys, trained_dir, command):
-        p = tmp_path / "poly.json"
-        p.write_text(json.dumps({**FAST_CONFIG, "target": "poly"}))
-        out = tmp_path / "out"
-        assert main([command, "--config", str(p), "--weights",
-                     os.path.join(trained_dir, "weights.json"),
-                     "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: target: {command} --weights needs an affine model; a "
-            "poly model predicts (c2, c3)\n")
-        assert not out.exists()
-
 
     @pytest.mark.parametrize("command", ["eval", "metrics", "optimize"])
     @pytest.mark.parametrize("n_out", [1, 3])
@@ -741,14 +784,15 @@ class TestBadWeights:
             f"error: {weights} predicts {n_out} outputs; {command} reads 2\n")
         assert not out.exists()
 
-    def test_eval_of_affine_weights_under_poly_target_exits_1(
-            self, tmp_path, capsys, dataset_dir, trained_dir):
-        p = tmp_path / "poly.json"
-        p.write_text(json.dumps({**FAST_CONFIG, "target": "poly"}))
+    @pytest.mark.parametrize("command", ["eval", "metrics", "optimize"])
+    def test_affine_weights_under_poly_target_exit_1_before_output(
+            self, tmp_path, capsys, poly_config, dataset_dir, trained_dir,
+            command):
         weights = os.path.join(trained_dir, "weights.json")
         out = tmp_path / "out"
-        assert main(["eval", "--config", str(p), "--data", dataset_dir,
-                     "--weights", weights, "--out", str(out)]) == 1
+        data = ["--data", dataset_dir] if command == "eval" else []
+        assert main([command, "--config", poly_config, "--weights", weights,
+                     "--out", str(out)] + data) == 1
         assert capsys.readouterr().err == (
             f"error: {weights} predicts affine states; the config's target "
             "is poly\n")

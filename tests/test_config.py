@@ -44,6 +44,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(target="spline")
 
+    def test_list_target_named(self):
+        with pytest.raises(ConfigError, match=r"^target: must be 'affine' "
+                                              r"or 'poly', got \['poly'\]$"):
+            RunConfig(target=["poly"])
+
     def test_sim_override(self):
         cfg = RunConfig(sim={"zeta": 0.3})
         assert cfg.build_sim_params().zeta == 0.3

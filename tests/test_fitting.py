@@ -3,11 +3,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from tentaclelab.fitting import (AffineFit, Centerline, FitReport, _tip_series,
+from tentaclelab import fitting
+from tentaclelab.fitting import (SHAPES, AffineFit, Centerline, FitReport,
                                  fit_affine, fit_report, nrmse,
                                  poly_centerline, poly_targets)
 from tentaclelab.kinematics import (CurvatureState, TentacleGeometry,
-                                    sample_centerline, tip_positions)
+                                    lateral_displacements, sample_centerline,
+                                    tip_positions)
 
 L = 220.0
 GEOM200 = TentacleGeometry(n_samples=200)
@@ -198,11 +200,62 @@ class TestPolyTipReference:
         c = np.concatenate([rng.normal(0.0, 60.0, (200, 2)),
                             rng.uniform(-400.0, 400.0, (50, 2)),
                             [[0.0, -300.0], [0.0, 0.0], [5.0, -3.0]]])
-        got = _tip_series(c, GEOM200, "poly")
+        got = SHAPES["poly"].tips(c, GEOM200)
         ref = _ref_poly_tips(c, L)
         assert np.array_equal(got, ref)
         # The large coefficients exercise the slope clamp.
         assert np.any(ref[:, 1] < 0.99 * L)
+
+
+class TestShapes:
+    Q = np.random.default_rng(5).uniform(-2.0, 2.0, (40, 2))
+    STATIONS = np.linspace(0.0, 1.0, 16)
+
+    def test_affine_entries_equal_the_kinematics(self):
+        affine = SHAPES["affine"]
+        assert affine.targets(self.Q, GEOM200) is self.Q
+        assert np.array_equal(affine.tips(self.Q, GEOM200),
+                              tip_positions(self.Q, GEOM200))
+        assert np.array_equal(affine.lateral(self.Q, self.STATIONS, L),
+                              lateral_displacements(self.Q, self.STATIONS, L))
+        assert np.array_equal(
+            affine.centerline(self.Q[3], GEOM200),
+            sample_centerline(CurvatureState(*self.Q[3]), GEOM200))
+
+    def test_affine_entries_look_up_kinematics_when_called(self,
+                                                           monkeypatch):
+        # A wrapper installed over the module's names sees every call.
+        monkeypatch.setattr(fitting, "tip_positions", lambda q, g: "tips")
+        monkeypatch.setattr(fitting, "lateral_displacements",
+                            lambda q, s, L: "lateral")
+        assert SHAPES["affine"].tips(self.Q, GEOM200) == "tips"
+        assert SHAPES["affine"].lateral(self.Q, self.STATIONS, L) == "lateral"
+
+    def test_poly_lateral_is_least_squares_profile(self):
+        # At the stations poly_targets fits on, the cubic's field is the
+        # projection of the true lateral profile onto s^2 and s^3.
+        s = np.linspace(0.0, 1.0, GEOM200.n_samples)
+        lat = lateral_displacements(self.Q, s, L)
+        got = SHAPES["poly"].lateral(poly_targets(self.Q, GEOM200), s, L)
+        basis = np.column_stack([s * s, s ** 3])
+        want = basis @ np.linalg.pinv(basis) @ lat
+        assert got.shape == (len(s), len(self.Q))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-9 * L)
+        assert np.allclose(basis.T @ (lat - got), 0.0, atol=1e-8 * L)
+
+    def test_poly_lateral_of_coefficients(self):
+        got = SHAPES["poly"].lateral(np.array([[2.0, -1.0]]), self.STATIONS,
+                                     L)
+        s = self.STATIONS
+        assert np.allclose(got[:, 0], 2.0 * s * s - s ** 3, rtol=0.0,
+                           atol=1e-12)
+
+    def test_poly_centerline_and_tips(self):
+        c = np.array([[40.0, -25.0], [-300.0, 200.0]])
+        assert np.array_equal(SHAPES["poly"].centerline(c[0], GEOM200),
+                              poly_centerline(c[0], GEOM200))
+        assert np.array_equal(SHAPES["poly"].tips(c, GEOM200),
+                              poly_centerline(c, GEOM200)[:, -1])
 
 
 class TestNrmse:

@@ -496,10 +496,12 @@ class TestSerialization:
          "target must be 'affine' or 'poly', got None"),
         (lambda d: {**d, "target": "cubic"},
          "target must be 'affine' or 'poly', got 'cubic'"),
+        (lambda d: {**d, "target": ["poly"]},
+         r"target must be 'affine' or 'poly', got \['poly'\]"),
     ], ids=["not_an_object", "missing_key", "missing_array", "params_a_list",
             "ragged_array", "string_hidden", "hidden_disagrees",
             "n_out_disagrees", "n_in_disagrees", "missing_target",
-            "unknown_target"])
+            "unknown_target", "list_target"])
     def test_malformed_file_raises_naming_it(self, tmp_path, edit, message):
         p = tmp_path / "w.json"
         save_weights(init_weights(3, 2, 4, 0), p)

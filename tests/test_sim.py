@@ -308,6 +308,26 @@ class TestTrace:
                                              "the header t,theta_deg,"):
             SimTrace.from_csv(p)
 
+    @pytest.mark.parametrize("channels,missing", [
+        ("p1,p3", "p2"), ("p2", "p1"), ("p1,p2,p4,p5", "p3")])
+    def test_pressure_columns_must_run_from_p1(self, tmp_path, channels,
+                                               missing):
+        # A gap in p1..pn used to load silently with fewer channels.
+        p = tmp_path / "trace.csv"
+        n = channels.count(",") + 1
+        row = ",".join(["0"] * (n + 7)) + "\n"
+        p.write_text(f"t,theta_deg,q1,q2,{channels},tip_x,tip_y,thrust\n"
+                     + row + row.replace("0", "1", 1))
+        with pytest.raises(ValueError, match=f"trace.csv: no pressure "
+                                             f"column {missing}$"):
+            SimTrace.from_csv(p)
+
+    def test_no_pressure_columns_load_no_channels(self, tmp_path):
+        p = tmp_path / "trace.csv"
+        p.write_text("t,theta_deg,q1,q2,tip_x,tip_y,thrust\n"
+                     "0,0,0,0,0,0,0\n1,0,0,0,0,0,0\n")
+        assert SimTrace.from_csv(p).pressures.shape == (2, 0)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             SimTrace(time=np.zeros(5), base_angle_deg=np.zeros(4),
@@ -469,8 +489,9 @@ class TestRunTrace:
         # Step 130 lies in cycle 1 (t = 0.65 s at 2 Hz); only its own
         # thrust is a one-sided difference.
         assert np.array_equal(self.run.q, self.full.q)
-        tip = world_tip_positions(self.run.q[130:], self.prog.theta_deg[130:],
-                                  TentacleGeometry())
+        tip = world_tip_positions(
+            tip_positions(self.run.q[130:], TentacleGeometry()),
+            self.prog.theta_deg[130:])
         thrust = thrust_series(tip[:, 0], self.run.dt)
         assert np.array_equal(tip, self.full.tip[130:])
         assert np.array_equal(thrust[1:], self.full.thrust[131:])
