@@ -102,9 +102,20 @@ def cmd_dataset(cfg, args) -> list:
     return ["train.csv", "test.csv"]
 
 
+def _read_split(cfg, path) -> SimTrace:
+    """The trace at `path`, if it steps at `dataset.dt` to the CSV's
+    written digits."""
+    trace = SimTrace.from_csv(path)
+    step, dt = f"{trace.dt:.10g}", f"{cfg.dataset['dt']:.10g}"
+    if step != dt:
+        raise ConfigError(f"{path} steps at {step} s; the config's "
+                          f"dataset.dt is {dt} s")
+    return trace
+
+
 def cmd_train(cfg, args) -> list:
     out = args.out
-    trace = SimTrace.from_csv(os.path.join(args.data, "train.csv"))
+    trace = _read_split(cfg, os.path.join(args.data, "train.csv"))
     targets = SHAPES[cfg.target].targets(trace.q, cfg.build_geometry())
     seq = LabeledSequence(trace.pressures, targets, trace.dt)
     weights, history = train([seq], cfg.build_train_config())
@@ -121,7 +132,7 @@ def cmd_train(cfg, args) -> list:
 def cmd_eval(cfg, args) -> list:
     out = args.out
     path = os.path.join(args.data, "test.csv")
-    trace = SimTrace.from_csv(path)
+    trace = _read_split(cfg, path)
     n = trace.pressures.shape[1]
     if args.model.n_in != n:
         raise ConfigError(f"{args.weights} takes {args.model.n_in} pressure "
@@ -178,13 +189,11 @@ def evaluate_cell(cfg: RunConfig, f: float, A: float,
     if A == 0.0:
         return CellResult(*(0.0 for _ in CELL_SCORES), None)
     geom = cfg.build_geometry()
-    params = cfg.build_sim_params()
-    sw = cfg.sweep
+    sw, dt = cfg.sweep, cfg.dataset["dt"]
     prog = build_program(ProgramSpec(
-        duration_s=sw["cycles"] / f, dt=params.dt, amplitude_deg=A,
-        frequency_hz=f))
-    run = integrate(prog, params)
-    win = cell_window(sw, f, params.dt)
+        duration_s=sw["cycles"] / f, dt=dt, amplitude_deg=A, frequency_hz=f))
+    run = integrate(prog, cfg.build_sim_params())
+    win = cell_window(sw, f, dt)
     k_tc = int(np.searchsorted(prog.cycle_index, sw["transient_cycles"]))
     s0 = max(0, min(win.start, k_tc - 1))
     theta = prog.theta_deg[s0:]
@@ -197,7 +206,7 @@ def evaluate_cell(cfg: RunConfig, f: float, A: float,
         tips = SHAPES[weights.target].tips(q[s0:], geom)
         tipx = world_tip_positions(tips, theta)[:, 0]
     modes = cod(field_from_states(q[win.start:win.stop:win.step], geom,
-                                  sw["n_stations"], params.dt * win.step,
+                                  sw["n_stations"], dt * win.step,
                                   **shape))
     cyc = thrust_proxy(thrust[k_tc - s0:], prog.cycle_index[k_tc:])
     return CellResult(

@@ -83,7 +83,7 @@ def _names(cls) -> list:
 def _check_dataset(cfg: "RunConfig") -> None:
     """Reject a dataset section that `dataset` could not run."""
     ds = cfg.dataset
-    replace(cfg.build_sim_params(), dt=ds["dt"])    # SimParams checks dt
+    cfg.build_sim_params().check_step(ds["dt"])
     for split in ("train", "test"):
         duration, seed = ds[f"{split}_duration_s"], ds[f"{split}_seed"]
         if number(f"{split}_duration_s", duration) <= 0:
@@ -129,7 +129,7 @@ def _check_amplitudes(name, amps) -> tuple:
 def _check_field_samples(cfg: "RunConfig", freqs) -> None:
     """Reject a frequency whose sweep cell leaves its deformation field
     fewer than the 8 samples it needs."""
-    dt = cfg.build_sim_params().dt
+    dt = cfg.dataset["dt"]
     for f in freqs:
         n_t = len(cell_window(cfg.sweep, f, dt))
         if n_t < 8:
@@ -159,7 +159,8 @@ class RunConfig:
     Every section may be partial. `sensor`, `dataset`, `sweep` and `bo`
     are completed from their defaults, so manifests record every value;
     `geometry`, `sim` and `train` keep only the values set, because
-    their defaults follow `material`.
+    geometry's defaults live in `TentacleGeometry` and those of `sim` and
+    `train` follow `material`.
     """
 
     material: str = "dragonskin"

@@ -32,11 +32,17 @@ def write_csv(path, header: str, rows) -> None:
 
 def read_csv(path, names, min_rows: int = 1) -> dict:
     """Every column of a CSV by header name. Raises ValueError, naming the
-    file, on a missing name of `names`, fewer than `min_rows` rows or a
-    malformed or non-finite value, which it names by row and column."""
+    file, on a header that names a column twice, a missing name of
+    `names`, fewer than `min_rows` rows or a malformed or non-finite
+    value, which it names by row and column."""
     with open(path) as f, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # no rows: see below
         header = f.readline().strip().split(",")
+        repeated = [name for i, name in enumerate(header)
+                    if name in header[:i]]
+        if repeated:
+            raise ValueError(f"{path}: column {repeated[0]} is named twice "
+                             f"in the header {','.join(header)}")
         missing = [name for name in names if name not in header]
         if missing:
             raise ValueError(f"{path}: no column {', '.join(missing)} in "

@@ -15,7 +15,7 @@ step, since the dynamics need the transient, but takes the tip and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -62,13 +62,10 @@ class SimParams:
     phase_lag_s: float = 0.7 / 3.2
     quad_drag: float = 0.8
     vel_coupling: float = 4.0
-    dt: float = 0.005
 
     def __post_init__(self):
         for k, v in vars(self).items():
             number(k, v)
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
         if self.f0_hz <= 0:
             raise ValueError("f0_hz must be positive")
         if not 0.0 < self.zeta < 1.0:
@@ -78,9 +75,14 @@ class SimParams:
         for k in ("phase_lag_s", "quad_drag"):
             if getattr(self, k) < 0:
                 raise ValueError(f"{k} must be >= 0")
+
+    def check_step(self, dt) -> float:
+        if number("dt", dt) <= 0:
+            raise ValueError("dt must be positive")
         max_dt = 1.0 / (50.0 * self.f0_hz)
-        if self.dt > max_dt:
+        if dt > max_dt:
             raise ValueError(f"dt must be <= 1/(50*f0) = {max_dt:g} s")
+        return dt
 
 
 @dataclass(frozen=True)
@@ -179,7 +181,7 @@ def integrate(program: ActuationProgram, params: SimParams) -> ModalRun:
     angle at DC) independent of f0. Raises SimulationError once a modal
     state exceeds 10 rad.
     """
-    dt = replace(params, dt=program.dt).dt      # SimParams checks the step
+    dt = params.check_step(program.dt)
     theta = np.radians(program.theta_deg)
     n = len(theta)
     w1 = 2.0 * math.pi * params.f0_hz

@@ -24,13 +24,12 @@ def reference_cell(cfg, f, A, weights=None):
     if A == 0.0:
         return CellResult(0.0, 0.0, 0.0, None)
     geom = cfg.build_geometry()
-    params = cfg.build_sim_params()
-    sw = cfg.sweep
+    sw, dt = cfg.sweep, cfg.dataset["dt"]
     prog = build_program(ProgramSpec(
-        duration_s=sw["cycles"] / f, dt=params.dt, amplitude_deg=A,
+        duration_s=sw["cycles"] / f, dt=dt, amplitude_deg=A,
         frequency_hz=f))
-    trace = simulate(prog, params, geom)
-    win = cell_window(sw, f, params.dt)
+    trace = simulate(prog, cfg.build_sim_params(), geom)
+    win = cell_window(sw, f, dt)
     if weights is None:
         q, tipx, shape = trace.q, trace.tip[:, 0], "affine"
     else:
@@ -39,7 +38,7 @@ def reference_cell(cfg, f, A, weights=None):
         tipx = world_tip_positions(SHAPES[shape].tips(q, geom),
                                    trace.base_angle_deg)[:, 0]
     modes = cod(field_from_states(q[win.start:win.stop:win.step], geom,
-                                  sw["n_stations"], params.dt * win.step,
+                                  sw["n_stations"], dt * win.step,
                                   shape=shape))
     cyc = thrust_proxy(trace.thrust, prog.cycle_index)[sw["transient_cycles"]:]
     return CellResult(thrust_mN=float(moving_average(cyc, 3).mean()),
@@ -68,7 +67,7 @@ def weights():
 
 def first_post_transient_step(cfg, f):
     prog = build_program(ProgramSpec(
-        duration_s=cfg.sweep["cycles"] / f, dt=cfg.build_sim_params().dt,
+        duration_s=cfg.sweep["cycles"] / f, dt=cfg.dataset["dt"],
         amplitude_deg=20.0, frequency_hz=f))
     return int(np.searchsorted(prog.cycle_index,
                                cfg.sweep["transient_cycles"]))
@@ -95,7 +94,7 @@ class TestWindowedCell:
 
     def test_off_grid_frequencies_cover_both_window_starts(self):
         cfg = default_config()
-        dt = cfg.build_sim_params().dt
+        dt = cfg.dataset["dt"]
         starts = {cell_window(cfg.sweep, f, dt).start
                   == first_post_transient_step(cfg, f) for f in OFF_GRID}
         assert starts == {True, False}
@@ -110,6 +109,16 @@ class TestWindowedCell:
                                "subsample": subsample})
         assert cfg.sweep["cycles"] - 2 == 10
         assert_same_cell(cfg, f, 20.0, weights if use_weights else None)
+
+    @pytest.mark.parametrize("use_weights", [False, True],
+                             ids=["true", "weights"])
+    def test_cell_steps_at_dataset_dt(self, use_weights, weights):
+        # The sweep's cells step at dataset.dt, as the training data does.
+        cfg = RunConfig(dataset={"dt": 0.004})
+        w = weights if use_weights else None
+        assert_same_cell(cfg, 1.6, 20.0, w)
+        assert evaluate_cell(cfg, 1.6, 20.0, w)[:3] != \
+            evaluate_cell(default_config(), 1.6, 20.0, w)[:3]
 
 
 class TestCellWarnings:

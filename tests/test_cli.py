@@ -433,8 +433,8 @@ class TestBOConfigErrors:
 
 # Component sections: each bad value exits 1 at load, naming its section.
 COMPONENT_ERRORS = {
-    "sim_dt_zero": ("sim", {"dt": 0}),
-    "sim_dt_negative": ("sim", {"dt": -1}),
+    # Every program steps at dataset.dt; sim has no step of its own.
+    "sim_dt": ("sim", {"dt": 0.0025}),
     "sim_f0_nan": ("sim", {"f0_hz": float("nan")}),
     "sim_int_beyond_float": ("sim", {"zeta": 10 ** 400}),
     "sim_unknown_key": ("sim", {"f0": 3.2}),
@@ -704,6 +704,26 @@ class TestBadTrace:
             f"error: {split}: no pressure column p2\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_split_at_another_step_exits_1_before_output(
+            self, tmp_path, capsys, dataset_dir, trained_dir, command):
+        # The split steps at 5 ms; a model trained or scored under a
+        # 2.5 ms config would carry a manifest that misdescribes it.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**FAST_CONFIG, "dataset": {
+            **FAST_CONFIG["dataset"], "dt": 0.0025}}))
+        out = tmp_path / "out"
+        split = os.path.join(dataset_dir, "train.csv" if command == "train"
+                             else "test.csv")
+        extra = ([] if command == "train" else
+                 ["--weights", os.path.join(trained_dir, "weights.json")])
+        assert main([command, "--config", str(cfg), "--data", dataset_dir,
+                     "--out", str(out)] + extra) == 1
+        assert capsys.readouterr().err == (
+            f"error: {split} steps at 0.005 s; the config's dataset.dt is "
+            "0.0025 s\n")
+        assert not out.exists()
+
 
 class TestPolyWeights:
     """A poly model's (c2, c3) reach every metric through its shape."""
@@ -881,9 +901,11 @@ class TestRenderMidline:
         ("t,q1,q2\n0,0.5,-0.2\n1,0.3,-inf\n",
          " row 2 column q2: -inf is not a finite number"),
         ("q1,q2\n0.5,-0.2\n0.3,x", " row 2 column q2: 'x' is not a number"),
-        ("q1,q2\n0.5,-0.2\n0.3", " row 2 column q2: no value")],
+        ("q1,q2\n0.5,-0.2\n0.3", " row 2 column q2: no value"),
+        ("q1,q2,q1\n0.5,-0.2,0.3\n",
+         ": column q1 is named twice in the header q1,q2,q1")],
         ids=["header_only", "no_q_columns", "nan_row", "inf_row",
-             "text_value", "short_row"])
+             "text_value", "short_row", "repeated_column"])
     def test_bad_states_exit_2_before_frames(self, tmp_path, capsys,
                                               fast_config, text, why):
         states, out = tmp_path / "states.csv", tmp_path / "frames"

@@ -230,15 +230,14 @@ class TestCellWindow:
     @pytest.mark.parametrize("material", ["dragonskin", "ecoflex"])
     def test_window_ends_at_the_cells_last_step(self, material):
         cfg = default_config(material)
-        sw, params = cfg.sweep, cfg.build_sim_params()
+        sw, dt = cfg.sweep, cfg.dataset["dt"]
         for r in sw["freq_ratios"]:
-            f = r * params.f0_hz
+            f = r * cfg.build_sim_params().f0_hz
             n = len(build_program(ProgramSpec(
-                duration_s=sw["cycles"] / f, dt=params.dt, frequency_hz=f)
-            ).time)
-            win = cell_window(sw, f, params.dt)
+                duration_s=sw["cycles"] / f, dt=dt, frequency_hz=f)).time)
+            win = cell_window(sw, f, dt)
             assert win.stop == n and win.step == sw["subsample"]
-            assert win.start == int(sw["transient_cycles"] / f / params.dt)
+            assert win.start == int(sw["transient_cycles"] / f / dt)
 
 
 class TestDatasetValidation:
@@ -263,3 +262,16 @@ class TestDatasetValidation:
         cfg = RunConfig.from_dict({**doc, "material": "ecoflex"})
         assert cfg.build_ramp_spec(1.0, 0).dt == 0.007
 
+    def test_dt_bound_follows_sim_f0(self):
+        # The bound reads the sim section's f0, not only the material's.
+        doc = {"schema": CONFIG_SCHEMA, "sim": {"f0_hz": 5.0}}
+        with pytest.raises(ConfigError, match=r"^dataset: dt must be <= "
+                                              r"1/\(50\*f0\) = 0.004 s$"):
+            RunConfig.from_dict(doc)
+        cfg = RunConfig.from_dict({**doc, "dataset": {"dt": 0.004}})
+        assert cfg.dataset["dt"] == 0.004
+
+    def test_sim_has_no_dt(self):
+        # Every program steps at dataset.dt, the sweep's cells included.
+        with pytest.raises(ConfigError, match=r"^sim: unknown keys \['dt'\]$"):
+            RunConfig(sim={"dt": 0.005})

@@ -40,7 +40,16 @@ class TestSimParams:
 
     def test_dt_resolution(self):
         with pytest.raises(ValueError):
-            SimParams(f0_hz=3.2, dt=0.05)
+            SimParams(f0_hz=3.2).check_step(0.05)
+
+    @pytest.mark.parametrize("material", ["dragonskin", "ecoflex"])
+    def test_step_bound_is_one_50th_of_the_period(self, material):
+        params = material_preset(material)
+        max_dt = 1.0 / (50.0 * params.f0_hz)
+        assert params.check_step(max_dt) == max_dt
+        with pytest.raises(ValueError, match=r"^dt must be <= 1/\(50\*f0\) "
+                                             f"= {max_dt:g} s$"):
+            params.check_step(np.nextafter(max_dt, 1.0))
 
     def test_mode_ratio(self):
         with pytest.raises(ValueError):
@@ -49,13 +58,17 @@ class TestSimParams:
     @pytest.mark.parametrize("field", ["f0_hz", "zeta", "quad_drag", "dt"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, True, "1"])
     def test_fields_must_be_finite_numbers(self, field, value):
+        # The step is no field: `check_step` applies the same rule to it.
         with pytest.raises(ValueError, match=field):
-            SimParams(**{field: value})
+            if field == "dt":
+                SimParams().check_step(value)
+            else:
+                SimParams(**{field: value})
 
     @pytest.mark.parametrize("dt", [0.0, -1.0])
     def test_dt_must_be_positive(self, dt):
         with pytest.raises(ValueError, match="dt must be positive"):
-            SimParams(dt=dt)
+            SimParams().check_step(dt)
 
 
 class TestSimulate:
@@ -82,7 +95,7 @@ class TestSimulate:
         theta_a = 5.0
         prog = program_from_theta(theta_a * np.sin(2 * np.pi * 3.2 * t), dt)
         trace = simulate(prog, SimParams(f0_hz=3.2, zeta=0.2, quad_drag=0.0,
-                                         vel_coupling=0.0, dt=dt))
+                                         vel_coupling=0.0))
         amp = np.abs(trace.q[len(t) // 2:, 0]).max()
         expect = 0.7 * np.radians(theta_a) / (2 * 0.2)
         assert amp == pytest.approx(expect, rel=0.05)
@@ -95,7 +108,7 @@ class TestSimulate:
         theta[: n // 4] = 15.0 * np.sin(2 * np.pi * 3.2 * np.arange(n // 4) * dt)
         prog = program_from_theta(theta, dt)
         trace = simulate(prog, SimParams(f0_hz=3.2, zeta=0.2, quad_drag=0.0,
-                                         vel_coupling=0.0, dt=dt))
+                                         vel_coupling=0.0))
         k0 = n // 4 + 100
         a0 = np.abs(trace.q[k0:k0 + 200, 0]).max()
         k1 = k0 + 500
@@ -193,7 +206,7 @@ def sweep_cell(material, ratio, **sim):
     params, sw = replace(cfg.build_sim_params(), **sim), cfg.sweep
     f = ratio * params.f0_hz
     return build_program(ProgramSpec(
-        duration_s=sw["cycles"] / f, dt=params.dt,
+        duration_s=sw["cycles"] / f, dt=cfg.dataset["dt"],
         amplitude_deg=max(sw["amplitudes_deg"]), frequency_hz=f)), params
 
 
@@ -320,6 +333,15 @@ class TestTrace:
                      + row + row.replace("0", "1", 1))
         with pytest.raises(ValueError, match=f"trace.csv: no pressure "
                                              f"column {missing}$"):
+            SimTrace.from_csv(p)
+
+    def test_repeated_pressure_column_named(self, tmp_path):
+        # A p1,p1 header once loaded one channel, the second column.
+        p = tmp_path / "trace.csv"
+        p.write_text("t,theta_deg,q1,q2,p1,p1,tip_x,tip_y,thrust\n"
+                     "0,0,0,0,1,2,0,0,0\n1,0,0,0,1,2,0,0,0\n")
+        with pytest.raises(ValueError, match="trace.csv: column p1 is named "
+                                             "twice in the header t,"):
             SimTrace.from_csv(p)
 
     def test_no_pressure_columns_load_no_channels(self, tmp_path):
