@@ -3,17 +3,18 @@ metric sweeps, actuation optimization, rendering, and report assembly.
 
 Every command is driven by a JSON RunConfig and writes a manifest with
 the config hash, so reruns are bit-identical and traceable. `main` checks
-the config and its input files, loads `--weights` as `args.model`, runs
-`cmd_<name>(cfg, args)` in a staging directory beside `--out` and moves
-the files it returns, then the manifest, into `--out`: a command that
-fails leaves `--out` as it found it, and one that succeeds first removes
-the files the manifest it replaces lists and it did not write. `report`
-only reads a run directory.
+the config and its input files, which `--out` must not hold, loads
+`--weights` as `args.model`, runs `cmd_<name>(cfg, args)` in a staging
+directory beside `--out` and moves the files it returns, then the
+manifest, into `--out`: a command that fails leaves `--out` as it found
+it, and one that succeeds first removes the files the manifest it
+replaces lists and it did not write. `report` only reads a run directory.
 Exit codes: 0 success, 1 usage/config error, 2 runtime/numerical error.
 
-`metrics` and `optimize` score each actuation cell with `evaluate_cell`,
-which integrates every step of the cell but takes the world tip and the
-thrust only from its first scored step.
+`metrics` and `optimize` score each actuation cell with `evaluate_cell`
+from one state series, the simulated or under `--weights` the
+reconstructed; it integrates every step of the cell but takes the world
+tip and the thrust only from its first scored step.
 """
 
 from __future__ import annotations
@@ -173,11 +174,11 @@ def evaluate_cell(cfg: RunConfig, f: float, A: float,
                   weights=None) -> CellResult:
     """Simulate one (f, A) actuation cell of the `sweep` section and score it.
 
-    TWI and tip deflection come from the states the metrics are computed
-    from: the simulated states, or under `weights` the states the
-    regressor reconstructs from the cell's pressures, read through the
-    shape model SHAPES[weights.target]. Thrust always comes from the
-    simulated run. A zero amplitude scores zero and has no modes.
+    One state series gives every score: the simulated states, or under
+    `weights` the states the regressor reconstructs from the cell's
+    pressures, read through SHAPES[weights.target]. Thrust, tip deflection
+    and the COD field all come from its tips and lateral field. A zero
+    amplitude scores zero and has no modes.
 
     The cell integrates every step, since the dynamics need the
     transient, but computes the world tip and thrust only from its first
@@ -196,18 +197,16 @@ def evaluate_cell(cfg: RunConfig, f: float, A: float,
     win = cell_window(sw, f, dt)
     k_tc = int(np.searchsorted(prog.cycle_index, sw["transient_cycles"]))
     s0 = max(0, min(win.start, k_tc - 1))
-    theta = prog.theta_deg[s0:]
-    tipx = world_tip_positions(tip_positions(run.q[s0:], geom), theta)[:, 0]
-    thrust = thrust_series(tipx, run.dt)
-    q, shape = run.q, {}     # true states: field_from_states' default shape
+    q, shape = run.q, "affine"
     if weights is not None:
         q = forward(weights, sensor_readout(run, cfg.build_sensor_model()))
-        shape = {"shape": weights.target}
-        tips = SHAPES[weights.target].tips(q[s0:], geom)
-        tipx = world_tip_positions(tips, theta)[:, 0]
+        shape = weights.target
+    tips = SHAPES[shape].tips(q[s0:], geom)
+    tipx = world_tip_positions(tips, prog.theta_deg[s0:])[:, 0]
+    thrust = thrust_series(tipx, run.dt)
     modes = cod(field_from_states(q[win.start:win.stop:win.step], geom,
                                   sw["n_stations"], dt * win.step,
-                                  **shape))
+                                  shape=shape))
     cyc = thrust_proxy(thrust[k_tc - s0:], prog.cycle_index[k_tc:])
     return CellResult(
         thrust_mN=float(moving_average(cyc, 3).mean()),
@@ -420,10 +419,15 @@ def _input_files(args) -> list:
     return [(kind, p) for kind, p in files if p]
 
 
-def _check_out(out) -> None:
+def _check_out(out, inputs) -> None:
     """Raise ConfigError unless --out, or the nearest of its ancestors that
-    exists, is a directory."""
+    exists, is a directory, and --out directly holds none of the (kind,
+    path) `inputs`: a run into it may remove the files it replaces."""
     path = os.path.realpath(out)
+    for kind, p in inputs:
+        if os.path.realpath(os.path.dirname(p)) == path:
+            raise ConfigError(f"--out {out} holds the {kind} file {p}; "
+                              "write to another directory")
     while not os.path.exists(path):
         path = os.path.dirname(path)
     if not os.path.isdir(path):
@@ -455,10 +459,11 @@ def main(argv=None) -> int:
         if args.command == "report":
             return cmd_report(args)
         cfg = _load_config(args)
-        for kind, path in _input_files(args):
+        inputs = _input_files(args)
+        for kind, path in inputs:
             if not os.path.isfile(path):
                 raise FileNotFoundError(f"{kind} file not found: {path}")
-        _check_out(args.out)
+        _check_out(args.out, inputs)
         weights = getattr(args, "weights", None)
         args.model = load_weights(weights) if weights else None
         n = len(cfg.sensor["gain"])     # what metrics and optimize feed it

@@ -87,15 +87,16 @@ class SimParams:
 
 @dataclass(frozen=True)
 class SensorModel:
-    """Pressure transduction model: n channels from the 2-D bending state."""
+    """Pressure transduction model: n channels from the 2-D bending state.
+    `default_sensor_model` holds the default values."""
 
     gain: np.ndarray                       # (n, 2), kPa per rad
-    rate_gain: np.ndarray = None           # (n, 2), kPa*s per rad
-    baseline_kpa: float = 101.3
-    lag_tau_s: float = 0.02
-    sat_kappa: float = 0.0                 # cubic term coefficient, 1/kPa^2
-    noise_sigma_kpa: float = 0.05
-    seed: int = 0
+    rate_gain: np.ndarray                  # (n, 2), kPa*s per rad
+    baseline_kpa: float
+    lag_tau_s: float
+    sat_kappa: float                       # cubic term coefficient, 1/kPa^2
+    noise_sigma_kpa: float
+    seed: int
 
     def __post_init__(self):
         for k in ("baseline_kpa", "lag_tau_s", "sat_kappa", "noise_sigma_kpa"):
@@ -107,8 +108,7 @@ class SensorModel:
         rank = min(len(g), 2)
         if np.linalg.matrix_rank(g) < rank:
             raise ValueError(f"gain must have rank min(n, 2) = {rank}")
-        rg = self.rate_gain
-        rg = np.zeros(g.shape) if rg is None else number_array("rate_gain", rg)
+        rg = number_array("rate_gain", self.rate_gain)
         if rg.shape != g.shape:
             raise ValueError(f"rate_gain must have the gain's shape {g.shape}")
         if self.lag_tau_s < 0 or self.noise_sigma_kpa < 0:

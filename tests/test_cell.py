@@ -13,14 +13,16 @@ from tentaclelab.config import RunConfig, cell_window, default_config
 from tentaclelab.fitting import SHAPES
 from tentaclelab.regressor import forward, init_weights
 from tentaclelab.sim import (moving_average, sensor_readout, simulate,
-                             thrust_proxy, world_tip_positions)
+                             thrust_proxy, thrust_series,
+                             world_tip_positions)
 from tentaclelab.wavemetrics import cod, field_from_states, field_twi, \
     tip_deflection
 
 
 def reference_cell(cfg, f, A, weights=None):
     """The cell scored from the full `simulate` trace: the world tip and
-    thrust of every step, then the scored slices."""
+    thrust of every step, then the scored slices. Under `weights` the
+    reconstructed states give the tip, and so the thrust, too."""
     if A == 0.0:
         return CellResult(0.0, 0.0, 0.0, None)
     geom = cfg.build_geometry()
@@ -31,16 +33,18 @@ def reference_cell(cfg, f, A, weights=None):
     trace = simulate(prog, cfg.build_sim_params(), geom)
     win = cell_window(sw, f, dt)
     if weights is None:
-        q, tipx, shape = trace.q, trace.tip[:, 0], "affine"
+        q, shape = trace.q, "affine"
+        tipx, thrust = trace.tip[:, 0], trace.thrust
     else:
         q = forward(weights, sensor_readout(trace, cfg.build_sensor_model()))
         shape = weights.target
         tipx = world_tip_positions(SHAPES[shape].tips(q, geom),
                                    trace.base_angle_deg)[:, 0]
+        thrust = thrust_series(tipx, trace.dt)
     modes = cod(field_from_states(q[win.start:win.stop:win.step], geom,
                                   sw["n_stations"], dt * win.step,
                                   shape=shape))
-    cyc = thrust_proxy(trace.thrust, prog.cycle_index)[sw["transient_cycles"]:]
+    cyc = thrust_proxy(thrust, prog.cycle_index)[sw["transient_cycles"]:]
     return CellResult(thrust_mN=float(moving_average(cyc, 3).mean()),
                       tip_defl_deg=tip_deflection(tipx[win.start:],
                                                   geom.length_mm),
@@ -119,6 +123,19 @@ class TestWindowedCell:
         assert_same_cell(cfg, 1.6, 20.0, w)
         assert evaluate_cell(cfg, 1.6, 20.0, w)[:3] != \
             evaluate_cell(default_config(), 1.6, 20.0, w)[:3]
+
+
+class TestOneSeries:
+    @pytest.mark.parametrize("target", ["affine", "poly"])
+    def test_reconstructed_thrust_is_not_the_true_one(self, weights, target):
+        # Under weights every score, thrust included, comes from the
+        # reconstructed states; the untrained network's tip is not the
+        # simulated one.
+        cfg = default_config()
+        f = 0.5 * cfg.build_sim_params().f0_hz
+        true = evaluate_cell(cfg, f, 20.0)
+        rec = evaluate_cell(cfg, f, 20.0, replace(weights, target=target))
+        assert rec.thrust_mN != true.thrust_mN
 
 
 class TestCellWarnings:

@@ -859,6 +859,48 @@ class TestMissingInputs:
         assert not out.exists()
 
 
+class TestOutHoldsAnInput:
+    """A run into --out may remove the files the manifest there lists, so
+    an --out that directly holds an input is refused before any output."""
+
+    def _refused(self, capsys, argv, out, kind, path):
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: --out {out} holds the {kind} file {path}; write to "
+            "another directory\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert _staged(out.parent) == []
+
+    def test_train_into_its_data(self, tmp_path, capsys, fast_config,
+                                 dataset_dir):
+        d = tmp_path / "d"
+        shutil.copytree(dataset_dir, d)
+        self._refused(capsys, ["train", "--config", fast_config, "--data",
+                               str(d), "--out", str(d)],
+                      d, "data", d / "train.csv")
+
+    def test_metrics_into_its_weights(self, tmp_path, capsys, fast_config,
+                                      trained_dir):
+        m = tmp_path / "m"
+        shutil.copytree(trained_dir, m)
+        w = m / "weights.json"
+        self._refused(capsys, ["metrics", "--config", fast_config,
+                               "--weights", str(w), "--out", str(m)],
+                      m, "weights", w)
+
+    def test_midline_into_its_frames(self, tmp_path, capsys, fast_config):
+        states, fr = tmp_path / "states.csv", tmp_path / "fr"
+        states.write_text("q1,q2\n0.5,-0.2\n-0.3,0.1\n")
+        assert main(["render", "--config", fast_config, "--states",
+                     str(states), "--out", str(fr)]) == 0
+        frames = sorted(fr.glob("*.pgm"))
+        self._refused(capsys, ["midline", "--config", fast_config,
+                               "--images", *map(str, frames),
+                               "--out", str(fr)],
+                      fr, "image", frames[0])
+
+
 class TestRenderMidline:
     def test_render_then_extract(self, tmp_path, fast_config):
         states = tmp_path / "states.csv"
