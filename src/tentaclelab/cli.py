@@ -13,7 +13,7 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime/numerical error.
 
 `metrics` and `optimize` score each actuation cell with `evaluate_cell`
 from one state series, the simulated or under `--weights` the
-reconstructed; it integrates every step of the cell but takes the world
+reconstructed; it simulates every step of the cell but takes the world
 tip and the thrust only from its first scored step.
 """
 
@@ -41,7 +41,7 @@ from .kinematics import CurvatureState, sample_centerline, tip_positions
 from .plotting import line_plot_svg, overlay_svg
 from .regressor import LabeledSequence, TrainingError, forward, \
     load_weights, save_weights, train
-from .sim import SimTrace, SimulationError, integrate, moving_average, \
+from .sim import SimTrace, SimulationError, moving_average, \
     sensor_readout, simulate, thrust_proxy, thrust_series, \
     world_tip_positions
 from .vision import ImageSpec, VisionError, binarize, extract_midline, \
@@ -89,7 +89,7 @@ def simulate_ramp(cfg: RunConfig, duration: float, seed: int) -> SimTrace:
     """The `dataset` program of `duration` seconds for split seed `seed`,
     read out by the configured sensors with noise seed sensor.seed + seed."""
     trace = simulate(build_program(cfg.build_ramp_spec(duration, seed)),
-                     cfg.build_sim_params(), cfg.build_geometry())
+                     cfg.build_sim_params())
     model = replace(cfg.build_sensor_model(), seed=cfg.sensor["seed"] + seed)
     return replace(trace, pressures=sensor_readout(trace, model))
 
@@ -180,7 +180,7 @@ def evaluate_cell(cfg: RunConfig, f: float, A: float,
     and the COD field all come from its tips and lateral field. A zero
     amplitude scores zero and has no modes.
 
-    The cell integrates every step, since the dynamics need the
+    The cell simulates every step, since the dynamics need the
     transient, but computes the world tip and thrust only from its first
     scored step s0: the earlier of the field window's start and the step
     before the first post-transient step k_tc, so every scored thrust
@@ -193,17 +193,17 @@ def evaluate_cell(cfg: RunConfig, f: float, A: float,
     sw, dt = cfg.sweep, cfg.dataset["dt"]
     prog = build_program(ProgramSpec(
         duration_s=sw["cycles"] / f, dt=dt, amplitude_deg=A, frequency_hz=f))
-    run = integrate(prog, cfg.build_sim_params())
+    trace = simulate(prog, cfg.build_sim_params())
     win = cell_window(sw, f, dt)
     k_tc = int(np.searchsorted(prog.cycle_index, sw["transient_cycles"]))
     s0 = max(0, min(win.start, k_tc - 1))
-    q, shape = run.q, "affine"
+    q, shape = trace.q, "affine"
     if weights is not None:
-        q = forward(weights, sensor_readout(run, cfg.build_sensor_model()))
+        q = forward(weights, sensor_readout(trace, cfg.build_sensor_model()))
         shape = weights.target
     tips = SHAPES[shape].tips(q[s0:], geom)
     tipx = world_tip_positions(tips, prog.theta_deg[s0:])[:, 0]
-    thrust = thrust_series(tipx, run.dt)
+    thrust = thrust_series(tipx, trace.dt)
     modes = cod(field_from_states(q[win.start:win.stop:win.step], geom,
                                   sw["n_stations"], dt * win.step,
                                   shape=shape))

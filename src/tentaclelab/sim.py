@@ -6,10 +6,11 @@ mildly saturating map of the state with additive Gaussian noise; thrust
 is replaced by a reactive proxy proportional to the mean squared
 lateral tip velocity.
 
-`integrate` steps the modal states; `simulate` adds the world tip and
-thrust of every step, as datasets need. A sweep cell integrates every
-step, since the dynamics need the transient, but takes the tip and
-`thrust_series` only from its first scored step.
+`simulate` steps the modal states of a program into a `SimTrace`, the
+one record of a simulated run: `dataset` reads it out and writes it, and
+a sweep cell, which simulates every step since the dynamics need the
+transient, takes the world tip and `thrust_series` only from its first
+scored step.
 """
 
 from __future__ import annotations
@@ -17,22 +18,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
 from .actuation import ActuationProgram
 from .checks import integer, number, number_array
 from .csvio import read_csv, write_csv
-from .kinematics import TentacleGeometry, tip_positions
 
 __all__ = [
     "SimParams",
     "SensorModel",
     "SimTrace",
     "SimulationError",
-    "ModalRun",
-    "integrate",
     "simulate",
     "sensor_readout",
     "thrust_series",
@@ -123,32 +120,45 @@ class SimTrace:
 
     time: np.ndarray
     base_angle_deg: np.ndarray
-    q: np.ndarray                 # (T, 2)
+    q: np.ndarray                 # (T, 2) rad
     pressures: np.ndarray         # (T, n) kPa; no channels until read out
-    tip: np.ndarray               # (T, 2) mm
-    thrust: np.ndarray            # (T,) mN, instantaneous proxy
     dt: float
-    q_dot: np.ndarray = field(repr=False, default=None)
+    q_dot: np.ndarray = field(repr=False, default=None)   # (T, 2) rad/s
 
     def __post_init__(self):
         n = len(self.time)
-        for name in ("base_angle_deg", "q", "pressures", "tip", "thrust"):
+        for name in ("base_angle_deg", "q", "pressures"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"series {name} must have length {n}")
 
     def to_csv(self, path) -> None:
         """Write the trace, one p column per pressure channel."""
-        p = "".join(f"p{i}," for i in range(1, self.pressures.shape[1] + 1))
-        write_csv(path, f"t,theta_deg,q1,q2,{p}tip_x,tip_y,thrust",
+        p = "".join(f",p{i}" for i in range(1, self.pressures.shape[1] + 1))
+        write_csv(path, f"t,theta_deg,q1,q2{p}",
                   np.column_stack([self.time, self.base_angle_deg, self.q,
-                                   self.pressures, self.tip, self.thrust]))
+                                   self.pressures]))
 
     @classmethod
     def from_csv(cls, path) -> "SimTrace":
-        """A trace written by `to_csv`, with at least 2 rows to recover dt."""
-        c = read_csv(path, ("t", "theta_deg", "q1", "q2", "tip_x", "tip_y",
-                            "thrust"), min_rows=2)
+        """A trace written by `to_csv`, with at least 2 rows to recover dt.
+
+        Columns are taken by name, so other columns, such as the
+        `tip_x,tip_y,thrust` that older traces hold, are ignored. The `t`
+        column must step uniformly: every step may differ from the first
+        by at most 1e-8 of the column's largest |t|, ten times what
+        writing two values at `%.10g` can leave.
+        """
+        c = read_csv(path, ("t", "theta_deg", "q1", "q2"), min_rows=2)
         t = c["t"]
+        steps = np.diff(t)
+        dt = float(steps[0])
+        uneven = np.flatnonzero(np.abs(steps - dt)
+                                > 1e-8 * np.abs(t).max())
+        if len(uneven):
+            k = uneven[0]
+            raise ValueError(f"{path} row {k + 2} column t: a step of "
+                             f"{steps[k]:.10g} s after a first step of "
+                             f"{dt:.10g} s; t must step uniformly")
         # Channels p1..pn; a trace no sensor read holds none.
         n = sum(k[:1] == "p" and k[1:].isdigit() for k in c)
         missing = [f"p{i}" for i in range(1, n + 1) if f"p{i}" not in c]
@@ -158,20 +168,12 @@ class SimTrace:
         return cls(time=t, base_angle_deg=c["theta_deg"],
                    q=np.column_stack([c["q1"], c["q2"]]),
                    pressures=np.column_stack([np.empty((len(t), 0)), *p]),
-                   tip=np.column_stack([c["tip_x"], c["tip_y"]]),
-                   thrust=c["thrust"], dt=float(t[1] - t[0]))
+                   dt=dt)
 
 
-class ModalRun(NamedTuple):
-    """Modal states of an integrated run, one row per program step."""
-
-    q: np.ndarray                 # (T, 2) rad
-    q_dot: np.ndarray             # (T, 2) rad/s
-    dt: float
-
-
-def integrate(program: ActuationProgram, params: SimParams) -> ModalRun:
-    """Integrate the two modal oscillators driven by the base angle.
+def simulate(program: ActuationProgram, params: SimParams) -> SimTrace:
+    """Integrate the two modal oscillators driven by the base angle into
+    a trace with no pressure channels, one row per program step.
 
     Per mode i: qi'' + 2*zeta*wi*qi' + wi^2*qi = ki * theta(t - delay_i)
     with w1 = 2*pi*f0, w2 = mode2_ratio * w1, delay_1 = 0 and
@@ -225,20 +227,8 @@ def integrate(program: ActuationProgram, params: SimParams) -> ModalRun:
             f"modal state exceeded 10 rad at t={k * dt:.4f} s "
             f"(q1={q[k, 0]:.3f}, q2={q[k, 1]:.3f}); reduce drive or check "
             "params")
-    return ModalRun(q, q_dot, dt)
-
-
-def simulate(program: ActuationProgram, params: SimParams,
-             geom: TentacleGeometry | None = None) -> SimTrace:
-    """Full trace of a program: `integrate`, then the world tip and
-    thrust proxy of every step."""
-    run = integrate(program, params)
-    tip = world_tip_positions(tip_positions(run.q, geom or TentacleGeometry()),
-                              program.theta_deg)
     return SimTrace(time=program.time, base_angle_deg=program.theta_deg,
-                    q=run.q, pressures=np.zeros((len(tip), 0)), tip=tip,
-                    thrust=thrust_series(tip[:, 0], run.dt), dt=run.dt,
-                    q_dot=run.q_dot)
+                    q=q, pressures=np.zeros((n, 0)), dt=dt, q_dot=q_dot)
 
 
 def world_tip_positions(tip_body: np.ndarray,
@@ -254,10 +244,9 @@ def world_tip_positions(tip_body: np.ndarray,
                             s * tip_body[:, 0] + c * tip_body[:, 1]])
 
 
-def sensor_readout(trace: SimTrace | ModalRun,
-                   model: SensorModel) -> np.ndarray:
-    """Synthetic pressure series, one column per gain row, for a simulated
-    trace or an integrated run, in kPa.
+def sensor_readout(trace: SimTrace, model: SensorModel) -> np.ndarray:
+    """Synthetic pressure series of a simulated trace, one column per gain
+    row, in kPa.
 
     p = baseline + lag(G q + G_r q' + kappa (G q)^3, tau) + noise.
     Deterministic given the model seed. q' is the simulator's `q_dot`,

@@ -11,6 +11,7 @@ from tentaclelab.actuation import ProgramSpec, build_program
 from tentaclelab.cli import CellResult, evaluate_cell
 from tentaclelab.config import RunConfig, cell_window, default_config
 from tentaclelab.fitting import SHAPES
+from tentaclelab.kinematics import tip_positions
 from tentaclelab.regressor import forward, init_weights
 from tentaclelab.sim import (moving_average, sensor_readout, simulate,
                              thrust_proxy, thrust_series,
@@ -30,17 +31,17 @@ def reference_cell(cfg, f, A, weights=None):
     prog = build_program(ProgramSpec(
         duration_s=sw["cycles"] / f, dt=dt, amplitude_deg=A,
         frequency_hz=f))
-    trace = simulate(prog, cfg.build_sim_params(), geom)
+    trace = simulate(prog, cfg.build_sim_params())
     win = cell_window(sw, f, dt)
     if weights is None:
         q, shape = trace.q, "affine"
-        tipx, thrust = trace.tip[:, 0], trace.thrust
+        tips = tip_positions(q, geom)
     else:
         q = forward(weights, sensor_readout(trace, cfg.build_sensor_model()))
         shape = weights.target
-        tipx = world_tip_positions(SHAPES[shape].tips(q, geom),
-                                   trace.base_angle_deg)[:, 0]
-        thrust = thrust_series(tipx, trace.dt)
+        tips = SHAPES[shape].tips(q, geom)
+    tipx = world_tip_positions(tips, trace.base_angle_deg)[:, 0]
+    thrust = thrust_series(tipx, trace.dt)
     modes = cod(field_from_states(q[win.start:win.stop:win.step], geom,
                                   sw["n_stations"], dt * win.step,
                                   shape=shape))

@@ -13,8 +13,10 @@ from tentaclelab import cli
 from tentaclelab.bayesopt import EvalRecord
 from tentaclelab.cli import main
 from tentaclelab.config import CONFIG_SCHEMA, RunConfig, default_config
-from tentaclelab.csvio import read_csv
+from tentaclelab.csvio import read_csv, write_csv
+from tentaclelab.kinematics import TentacleGeometry, tip_positions
 from tentaclelab.regressor import init_weights, save_weights
+from tentaclelab.sim import SimTrace, thrust_series, world_tip_positions
 from tentaclelab.vision import write_pgm
 
 FAST_CONFIG = {
@@ -79,7 +81,7 @@ class TestDataset:
         train = np.genfromtxt(os.path.join(dataset_dir, "train.csv"),
                               delimiter=",", skip_header=1)
         assert len(train) == int(6.0 / 0.005)
-        assert train.shape[1] == 10
+        assert train.shape[1] == 7
 
     def test_byte_identical_rerun(self, tmp_path, fast_config):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -613,11 +615,10 @@ class TestChannelCount:
         cfg = self.config(tmp_path, n)
         data, model, ev = (str(tmp_path / d) for d in ("data", "model", "ev"))
         assert main(["dataset", "--config", cfg, "--out", data]) == 0
-        p = "".join(f"p{i}," for i in range(1, n + 1))
+        p = "".join(f",p{i}" for i in range(1, n + 1))
         for split in ("train", "test"):
             with open(os.path.join(data, f"{split}.csv")) as f:
-                assert f.readline() == (f"t,theta_deg,q1,q2,{p}tip_x,tip_y,"
-                                        "thrust\n")
+                assert f.readline() == f"t,theta_deg,q1,q2{p}\n"
         assert main(["train", "--config", cfg, "--data", data,
                      "--out", model]) == 0
         assert main(["eval", "--config", cfg, "--data", data, "--weights",
@@ -705,6 +706,29 @@ class TestBadTrace:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_uneven_step_exits_2_before_output(
+            self, tmp_path, capsys, fast_config, dataset_dir, trained_dir,
+            command):
+        # t jumps by 0.01 s at row 200; the split once loaded with
+        # dt = 0.005 s taken from its first two rows.
+        data, out = tmp_path / "data", tmp_path / "out"
+        shutil.copytree(dataset_dir, data)
+        split = data / ("train.csv" if command == "train" else "test.csv")
+        lines = split.read_text().split("\n")
+        for i in range(200, len(lines) - 1):
+            t, rest = lines[i].split(",", 1)
+            lines[i] = f"{float(t) + 0.01:.10g},{rest}"
+        split.write_text("\n".join(lines))
+        extra = ([] if command == "train" else
+                 ["--weights", os.path.join(trained_dir, "weights.json")])
+        assert main([command, "--config", fast_config, "--data", str(data),
+                     "--out", str(out)] + extra) == 2
+        assert capsys.readouterr().err == (
+            f"error: {split} row 200 column t: a step of 0.015 s after a "
+            "first step of 0.005 s; t must step uniformly\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
     def test_split_at_another_step_exits_1_before_output(
             self, tmp_path, capsys, dataset_dir, trained_dir, command):
         # The split steps at 5 ms; a model trained or scored under a
@@ -723,6 +747,45 @@ class TestBadTrace:
             f"error: {split} steps at 0.005 s; the config's dataset.dt is "
             "0.0025 s\n")
         assert not out.exists()
+
+
+class TestParentFormatSplits:
+    """Splits written with the world tip and thrust after the pressure
+    columns, as `dataset` once wrote them, train and score as before."""
+
+    @staticmethod
+    def add_tip_columns(path):
+        trace = SimTrace.from_csv(path)
+        tip = world_tip_positions(tip_positions(trace.q, TentacleGeometry()),
+                                  trace.base_angle_deg)
+        p = "".join(f"p{i}," for i in range(1, trace.pressures.shape[1] + 1))
+        write_csv(path, f"t,theta_deg,q1,q2,{p}tip_x,tip_y,thrust",
+                  np.column_stack([trace.time, trace.base_angle_deg, trace.q,
+                                   trace.pressures, tip,
+                                   thrust_series(tip[:, 0], trace.dt)]))
+
+    def test_train_and_eval_match_the_current_format(
+            self, tmp_path, fast_config, dataset_dir, trained_dir):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        for split in ("train.csv", "test.csv"):
+            self.add_tip_columns(data / split)
+            with open(data / split) as f:
+                assert f.readline().endswith(",p3,tip_x,tip_y,thrust\n")
+        model = tmp_path / "model"
+        assert main(["train", "--config", fast_config, "--data", str(data),
+                     "--out", str(model)]) == 0
+        for name in ("weights.json", "loss_history.csv"):
+            with open(os.path.join(trained_dir, name), "rb") as f:
+                assert (model / name).read_bytes() == f.read()
+        weights = os.path.join(trained_dir, "weights.json")
+        for d, out in ((dataset_dir, tmp_path / "ev"),
+                       (str(data), tmp_path / "ev_parent")):
+            assert main(["eval", "--config", fast_config, "--data", d,
+                         "--weights", weights, "--out", str(out)]) == 0
+        for name in ("report.json", "overlay.svg"):
+            assert (tmp_path / "ev_parent" / name).read_bytes() == \
+                (tmp_path / "ev" / name).read_bytes()
 
 
 class TestPolyWeights:

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from tentaclelab.actuation import ActuationProgram, ProgramSpec, build_program
+from tentaclelab.cli import simulate_ramp
 from tentaclelab.config import default_config
+from tentaclelab.csvio import write_csv
 from tentaclelab.sim import (SensorModel, SimParams, SimTrace,
                              SimulationError, default_sensor_model,
-                             integrate, material_preset, moving_average,
+                             material_preset, moving_average,
                              preset_epochs, sensor_readout, simulate,
                              thrust_proxy, thrust_series,
                              world_tip_positions)
@@ -20,6 +22,13 @@ LINEAR = SimParams(f0_hz=3.2, zeta=0.2, quad_drag=0.0, vel_coupling=0.0)
 
 def cycle_labels(trace, f):
     return np.floor(trace.time * f).astype(int)
+
+
+def world_tip_and_thrust(trace):
+    """The world tip and thrust of every step of a trace."""
+    tip = world_tip_positions(tip_positions(trace.q, TentacleGeometry()),
+                              trace.base_angle_deg)
+    return tip, thrust_series(tip[:, 0], trace.dt)
 
 
 def program_from_theta(theta_deg, dt):
@@ -76,7 +85,7 @@ class TestSimulate:
         prog = program_from_theta(np.zeros(400), 0.005)
         trace = simulate(prog, SimParams())
         assert np.all(trace.q == 0.0)
-        assert np.allclose(trace.tip[:, 1], 220.0)
+        assert np.allclose(world_tip_and_thrust(trace)[0][:, 1], 220.0)
 
     def test_static_gain(self):
         # Constant base angle: each mode settles at drive_gain_i * theta.
@@ -137,7 +146,7 @@ class TestSimulate:
         a = simulate(prog, SimParams())
         b = simulate(prog, SimParams())
         assert np.array_equal(a.q, b.q)
-        assert np.array_equal(a.tip, b.tip)
+        assert np.array_equal(a.q_dot, b.q_dot)
 
     def test_lag_past_the_program_costs_o_n(self):
         # A lag of 1e6 steps over a 1,000-step program: prepending the
@@ -148,15 +157,15 @@ class TestSimulate:
         params = SimParams(phase_lag_s=5000.0)
         tracemalloc.start()
         try:
-            run = integrate(prog, params)
+            trace = simulate(prog, params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 200 * len(prog.time)
-        assert np.all(run.q[:, 1] == 0.0) and np.any(run.q[:, 0] != 0.0)
+        assert np.all(trace.q[:, 1] == 0.0) and np.any(trace.q[:, 0] != 0.0)
         q, qd, _, _ = reference_simulate(prog, params)
-        assert run.q.tobytes() == q.tobytes()
-        assert run.q_dot.tobytes() == qd.tobytes()
+        assert trace.q.tobytes() == q.tobytes()
+        assert trace.q_dot.tobytes() == qd.tobytes()
 
 
 def reference_simulate(program, params, geom=None, c_t=2e-4):
@@ -221,8 +230,8 @@ class TestReferenceLoop:
         q, qd, tip, thrust = reference_simulate(prog, params)
         assert trace.q.flags.c_contiguous
         assert trace.q_dot.flags.c_contiguous
-        for got, want in ((trace.q, q), (trace.q_dot, qd), (trace.tip, tip),
-                          (trace.thrust, thrust)):
+        for got, want in ((trace.q, q), (trace.q_dot, qd),
+                          *zip(world_tip_and_thrust(trace), (tip, thrust))):
             assert np.array_equal(got, want)
 
     # The last case blows up to inf and nan after crossing 10 rad; the
@@ -245,10 +254,10 @@ class TestReferenceLoop:
     @pytest.mark.parametrize("material", ["dragonskin", "ecoflex"])
     def test_sweep_cell_bit_identical(self, material, ratio):
         prog, params = sweep_cell(material, ratio)
-        run = integrate(prog, params)
+        trace = simulate(prog, params)
         q, qd, _, _ = reference_simulate(prog, params)
-        assert run.q.tobytes() == q.tobytes()
-        assert run.q_dot.tobytes() == qd.tobytes()
+        assert trace.q.tobytes() == q.tobytes()
+        assert trace.q_dot.tobytes() == qd.tobytes()
 
     def test_diverging_sweep_cell_reports_first_crossing(self):
         # At this gain q1 crosses 10 rad within the first cycle and is
@@ -257,7 +266,7 @@ class TestReferenceLoop:
         with pytest.raises(SimulationError) as want:
             reference_simulate(prog, params)
         with pytest.raises(SimulationError) as got:
-            integrate(prog, params)
+            simulate(prog, params)
         assert str(got.value) == str(want.value)
 
 
@@ -273,7 +282,8 @@ class TestTrace:
         back = SimTrace.from_csv(p)
         assert np.allclose(back.q, trace.q, rtol=1e-9, atol=1e-12)
         assert np.allclose(back.pressures, trace.pressures, rtol=1e-9)
-        assert np.allclose(back.tip, trace.tip, rtol=1e-9)
+        assert np.allclose(back.base_angle_deg, trace.base_angle_deg,
+                           rtol=1e-9)
         assert back.dt == pytest.approx(trace.dt)
 
     def test_csv_trace_readout_names_q_dot(self, tmp_path):
@@ -291,33 +301,31 @@ class TestTrace:
     def _trace(rows):
         cols = np.asarray(rows, dtype=float)
         return SimTrace(time=cols[:, 0], base_angle_deg=cols[:, 1],
-                        q=cols[:, 2:4], pressures=cols[:, 4:7],
-                        tip=cols[:, 7:9], thrust=cols[:, 9], dt=0.005)
+                        q=cols[:, 2:4], pressures=cols[:, 4:7], dt=0.005)
 
     def test_csv_bytes_match_per_row_format(self, tmp_path):
         # The writer must produce exactly the per-value f"{v:.10g}" rows.
         vals = [0.0, -0.0, 1e-300, -1e-300, 1.2e11, -1.2e11, 1.0 / 3,
                 101.3, 5e-324, 1.7976931348623157e308, 123456789.123,
                 -2.5e-7]
-        rows = np.resize(vals, (4, 10))
+        rows = np.resize(vals, (4, 7))
         p = tmp_path / "trace.csv"
         self._trace(rows).to_csv(p)
-        expect = "t,theta_deg,q1,q2,p1,p2,p3,tip_x,tip_y,thrust\n" + "".join(
+        expect = "t,theta_deg,q1,q2,p1,p2,p3\n" + "".join(
             ",".join(f"{v:.10g}" for v in row) + "\n" for row in rows)
         assert p.read_bytes() == expect.encode()
 
     def test_one_row_csv_rejected_for_dt(self, tmp_path):
         p = tmp_path / "one.csv"
-        self._trace(np.arange(10.0)[None, :]).to_csv(p)
+        self._trace(np.arange(7.0)[None, :]).to_csv(p)
         with pytest.raises(ValueError, match=r"one.csv: too few rows "
                                              r"\(1, at least 2 needed\)$"):
             SimTrace.from_csv(p)
 
     def test_missing_column_named(self, tmp_path):
         p = tmp_path / "trace.csv"
-        p.write_text("t,theta_deg,q1,q2,p1,tip_x,tip_y\n" + "0,1,0,0,0,0,0\n"
-                     + "1,1,0,0,0,0,0\n")
-        with pytest.raises(ValueError, match="trace.csv: no column thrust in "
+        p.write_text("t,theta_deg,q1,p1\n" + "0,1,0,0\n" + "1,1,0,0\n")
+        with pytest.raises(ValueError, match="trace.csv: no column q2 in "
                                              "the header t,theta_deg,"):
             SimTrace.from_csv(p)
 
@@ -328,8 +336,8 @@ class TestTrace:
         # A gap in p1..pn used to load silently with fewer channels.
         p = tmp_path / "trace.csv"
         n = channels.count(",") + 1
-        row = ",".join(["0"] * (n + 7)) + "\n"
-        p.write_text(f"t,theta_deg,q1,q2,{channels},tip_x,tip_y,thrust\n"
+        row = ",".join(["0"] * (n + 4)) + "\n"
+        p.write_text(f"t,theta_deg,q1,q2,{channels}\n"
                      + row + row.replace("0", "1", 1))
         with pytest.raises(ValueError, match=f"trace.csv: no pressure "
                                              f"column {missing}$"):
@@ -338,23 +346,54 @@ class TestTrace:
     def test_repeated_pressure_column_named(self, tmp_path):
         # A p1,p1 header once loaded one channel, the second column.
         p = tmp_path / "trace.csv"
-        p.write_text("t,theta_deg,q1,q2,p1,p1,tip_x,tip_y,thrust\n"
-                     "0,0,0,0,1,2,0,0,0\n1,0,0,0,1,2,0,0,0\n")
+        p.write_text("t,theta_deg,q1,q2,p1,p1\n"
+                     "0,0,0,0,1,2\n1,0,0,0,1,2\n")
         with pytest.raises(ValueError, match="trace.csv: column p1 is named "
                                              "twice in the header t,"):
             SimTrace.from_csv(p)
 
     def test_no_pressure_columns_load_no_channels(self, tmp_path):
         p = tmp_path / "trace.csv"
-        p.write_text("t,theta_deg,q1,q2,tip_x,tip_y,thrust\n"
-                     "0,0,0,0,0,0,0\n1,0,0,0,0,0,0\n")
+        p.write_text("t,theta_deg,q1,q2\n0,0,0,0\n1,0,0,0\n")
         assert SimTrace.from_csv(p).pressures.shape == (2, 0)
+
+    @pytest.mark.parametrize("material", ["dragonskin", "ecoflex"])
+    def test_every_dataset_duration_steps_uniformly(self, tmp_path,
+                                                    material):
+        # The defaults' 100 s and 40 s splits, the benchmark's 40 s, 10 s
+        # and 1 s, and the CLI tests' 6 s and 4 s, as `dataset` writes them.
+        cfg = default_config(material)
+        p = tmp_path / "trace.csv"
+        for duration in (100.0, 40.0, 10.0, 6.0, 4.0, 1.0):
+            simulate_ramp(cfg, duration, 1).to_csv(p)
+            back = SimTrace.from_csv(p)
+            assert len(back.time) == round(duration / cfg.dataset["dt"])
+            assert f"{back.dt:.10g}" == f"{cfg.dataset['dt']:.10g}"
+
+    def test_parent_format_loads(self, tmp_path):
+        # Traces once held the world tip and thrust after the pressure
+        # columns; columns are read by name, so they still load.
+        prog = build_program(ProgramSpec(duration_s=2.0, dt=0.005,
+                                         frequency_hz=2.0))
+        trace = simulate(prog, SimParams())
+        trace = replace(trace, pressures=sensor_readout(
+            trace, default_sensor_model()))
+        tip, thrust = world_tip_and_thrust(trace)
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        write_csv(old, "t,theta_deg,q1,q2,p1,p2,p3,tip_x,tip_y,thrust",
+                  np.column_stack([trace.time, trace.base_angle_deg,
+                                   trace.q, trace.pressures, tip, thrust]))
+        trace.to_csv(new)
+        a, b = SimTrace.from_csv(old), SimTrace.from_csv(new)
+        for name in ("time", "base_angle_deg", "q", "pressures"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.dt == b.dt
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             SimTrace(time=np.zeros(5), base_angle_deg=np.zeros(4),
                      q=np.zeros((5, 2)), pressures=np.zeros((5, 3)),
-                     tip=np.zeros((5, 2)), thrust=np.zeros(5), dt=0.005)
+                     dt=0.005)
 
 
 class TestSensorReadout:
@@ -362,8 +401,7 @@ class TestSensorReadout:
         n = len(q)
         return SimTrace(time=np.arange(n) * 0.005,
                         base_angle_deg=np.zeros(n), q=np.asarray(q, float),
-                        pressures=np.zeros((n, 3)), tip=np.zeros((n, 2)),
-                        thrust=np.zeros(n), dt=0.005,
+                        pressures=np.zeros((n, 3)), dt=0.005,
                         q_dot=np.zeros((n, 2)))
 
     def clean_model(self, **kw):
@@ -466,8 +504,8 @@ class TestSensorReadout:
 class TestThrust:
     def test_static_zero(self):
         prog = program_from_theta(np.zeros(1000), 0.005)
-        trace = simulate(prog, SimParams())
-        assert np.allclose(trace.thrust, 0.0)
+        _, _, _, thrust = reference_simulate(prog, SimParams())
+        assert np.allclose(thrust, 0.0)
 
     def test_amplitude_quadrupling(self):
         # Thrust ~ vx^2: doubling a small drive amplitude quadruples it
@@ -477,18 +515,18 @@ class TestThrust:
             prog = build_program(ProgramSpec(duration_s=10.0, dt=0.005,
                                              amplitude_deg=A,
                                              frequency_hz=2.0))
-            trace = simulate(prog, LINEAR)
-            cyc = thrust_proxy(trace.thrust, cycle_labels(trace, 2.0))
+            _, _, _, thrust = reference_simulate(prog, LINEAR)
+            cyc = thrust_proxy(thrust, cycle_labels(prog, 2.0))
             out.append(cyc[4:].mean())
         assert out[1] / out[0] == pytest.approx(4.0, rel=0.1)
 
     def test_too_short_trace(self):
         # 0.5 s at 2 Hz: every step lies in cycle 0, which never ends.
         prog = program_from_theta(np.zeros(100), 0.005)
-        trace = simulate(prog, SimParams())
+        _, _, _, thrust = reference_simulate(prog, SimParams())
         with pytest.raises(ValueError, match="at least one whole actuation "
                                              "cycle"):
-            thrust_proxy(trace.thrust, cycle_labels(trace, 2.0))
+            thrust_proxy(thrust, cycle_labels(prog, 2.0))
 
     def test_means_per_cycle_from_first_label(self):
         thrust = np.array([1.0, 3.0, 2.0, 4.0, 6.0, 10.0, 20.0, 7.0, 9.0])
@@ -498,37 +536,32 @@ class TestThrust:
 
 
 class TestRunTrace:
-    """Steps of an integrated run taken from a later start, as a sweep
-    cell takes them, equal the full trace's."""
+    """The world tip and thrust of a trace's steps taken from a later
+    start, as a sweep cell takes them, equal the full trace's."""
 
     def setup_method(self):
         self.prog = build_program(ProgramSpec(
             duration_s=3.0, dt=0.005, amplitude_deg=20.0, frequency_hz=2.0))
-        self.full = simulate(self.prog, SimParams())
-        self.run = integrate(self.prog, SimParams())
+        self.trace = simulate(self.prog, SimParams())
+        _, _, self.tip, self.thrust = reference_simulate(self.prog,
+                                                         SimParams())
 
     def test_later_start_matches_full_trace(self):
         # Step 130 lies in cycle 1 (t = 0.65 s at 2 Hz); only its own
         # thrust is a one-sided difference.
-        assert np.array_equal(self.run.q, self.full.q)
         tip = world_tip_positions(
-            tip_positions(self.run.q[130:], TentacleGeometry()),
+            tip_positions(self.trace.q[130:], TentacleGeometry()),
             self.prog.theta_deg[130:])
-        thrust = thrust_series(tip[:, 0], self.run.dt)
-        assert np.array_equal(tip, self.full.tip[130:])
-        assert np.array_equal(thrust[1:], self.full.thrust[131:])
-        assert thrust[0] != self.full.thrust[130]
+        thrust = thrust_series(tip[:, 0], self.trace.dt)
+        assert np.array_equal(tip, self.tip[130:])
+        assert np.array_equal(thrust[1:], self.thrust[131:])
+        assert thrust[0] != self.thrust[130]
         # From the first step of cycle 2 on, the per-cycle means are the
         # full run's from entry 2.
-        cycle = cycle_labels(self.full, 2.0)
+        cycle = cycle_labels(self.trace, 2.0)
         k = int(np.searchsorted(cycle, 2))
         assert np.array_equal(thrust_proxy(thrust[k - 130:], cycle[k:]),
-                              thrust_proxy(self.full.thrust, cycle)[2:])
-
-    def test_readout_of_run_equals_readout_of_trace(self):
-        model = default_sensor_model(seed=2)
-        assert np.array_equal(sensor_readout(self.run, model),
-                              sensor_readout(self.full, model))
+                              thrust_proxy(self.thrust, cycle)[2:])
 
 
 class TestMovingAverage:
