@@ -197,11 +197,11 @@ def evaluate_cell(cfg: RunConfig, f: float, A: float,
     win = cell_window(sw, f, dt)
     k_tc = int(np.searchsorted(prog.cycle_index, sw["transient_cycles"]))
     s0 = max(0, min(win.start, k_tc - 1))
-    q, shape = trace.q, "affine"
+    q, shape, tips = trace.q, "affine", geom.length_mm * trace.tip[s0:]
     if weights is not None:
         q = forward(weights, sensor_readout(trace, cfg.build_sensor_model()))
         shape = weights.target
-    tips = SHAPES[shape].tips(q[s0:], geom)
+        tips = SHAPES[shape].tips(q[s0:], geom)
     tipx = world_tip_positions(tips, prog.theta_deg[s0:])[:, 0]
     thrust = thrust_series(tipx, trace.dt)
     modes = cod(field_from_states(q[win.start:win.stop:win.step], geom,

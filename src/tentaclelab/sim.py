@@ -7,10 +7,10 @@ is replaced by a reactive proxy proportional to the mean squared
 lateral tip velocity.
 
 `simulate` steps the modal states of a program into a `SimTrace`, the
-one record of a simulated run: `dataset` reads it out and writes it, and
-a sweep cell, which simulates every step since the dynamics need the
-transient, takes the world tip and `thrust_series` only from its first
-scored step.
+one record of a simulated run, with each step's tip per unit length:
+`dataset` reads it out and writes it, and a sweep cell scales the tip
+to its geometry but takes the world tip and `thrust_series` only from
+its first scored step.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 from .actuation import ActuationProgram
 from .checks import integer, number, number_array
 from .csvio import read_csv, write_csv
+from .kinematics import TentacleGeometry, tip_positions
 
 __all__ = [
     "SimParams",
@@ -41,6 +42,9 @@ __all__ = [
 
 # Thrust proxy coefficient; mN per (mm/s)^2.
 C_T = 2e-4
+
+# L times a tip at UNIT_LENGTH is the tip at length L, bit for bit.
+UNIT_LENGTH = TentacleGeometry(length_mm=1.0)
 
 
 class SimulationError(RuntimeError):
@@ -124,6 +128,7 @@ class SimTrace:
     pressures: np.ndarray         # (T, n) kPa; no channels until read out
     dt: float
     q_dot: np.ndarray = field(repr=False, default=None)   # (T, 2) rad/s
+    tip: np.ndarray = field(repr=False, default=None)     # (T, 2) tip / length
 
     def __post_init__(self):
         n = len(self.time)
@@ -184,7 +189,15 @@ def simulate(program: ActuationProgram, params: SimParams) -> SimTrace:
     state exceeds 10 rad.
     """
     dt = params.check_step(program.dt)
-    theta = np.radians(program.theta_deg)
+    q, q_dot = _step_modes(program.theta_deg, dt, params)
+    return SimTrace(time=program.time, base_angle_deg=program.theta_deg,
+                    q=q, pressures=np.zeros((len(q), 0)), dt=dt, q_dot=q_dot,
+                    tip=tip_positions(q, UNIT_LENGTH))
+
+
+def _step_modes(theta_deg: np.ndarray, dt: float, params: SimParams):
+    """The (T, 2) states q and rates q_dot of `simulate`'s modes."""
+    theta = np.radians(theta_deg)
     n = len(theta)
     w1 = 2.0 * math.pi * params.f0_hz
     w2 = params.mode2_ratio * w1
@@ -227,8 +240,7 @@ def simulate(program: ActuationProgram, params: SimParams) -> SimTrace:
             f"modal state exceeded 10 rad at t={k * dt:.4f} s "
             f"(q1={q[k, 0]:.3f}, q2={q[k, 1]:.3f}); reduce drive or check "
             "params")
-    return SimTrace(time=program.time, base_angle_deg=program.theta_deg,
-                    q=q, pressures=np.zeros((n, 0)), dt=dt, q_dot=q_dot)
+    return q, q_dot
 
 
 def world_tip_positions(tip_body: np.ndarray,

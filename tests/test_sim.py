@@ -10,7 +10,8 @@ from tentaclelab.cli import simulate_ramp
 from tentaclelab.config import default_config
 from tentaclelab.csvio import write_csv
 from tentaclelab.sim import (SensorModel, SimParams, SimTrace,
-                             SimulationError, default_sensor_model,
+                             SimulationError, _step_modes,
+                             default_sensor_model,
                              material_preset, moving_average,
                              preset_epochs, sensor_readout, simulate,
                              thrust_proxy, thrust_series,
@@ -140,6 +141,18 @@ class TestSimulate:
         with pytest.raises(ValueError, match=r"1/\(50\*f0\)"):
             simulate(prog, SimParams())
 
+    def test_tip_scales_to_any_length_bit_for_bit(self, tmp_path):
+        prog = build_program(ProgramSpec(duration_s=2.0, dt=0.005,
+                                         amplitude_deg=30.0,
+                                         frequency_hz=2.0))
+        trace = simulate(prog, SimParams())
+        for length in (220.0, 37.3):
+            geom = TentacleGeometry(length_mm=length)
+            assert (length * trace.tip).tobytes() == \
+                tip_positions(trace.q, geom).tobytes()
+        trace.to_csv(tmp_path / "t.csv")
+        assert SimTrace.from_csv(tmp_path / "t.csv").tip is None
+
     def test_determinism(self):
         prog = build_program(ProgramSpec(duration_s=5.0, dt=0.005, seed=2,
                                          rpm_ramp=(12.0, 80.0)))
@@ -150,18 +163,23 @@ class TestSimulate:
 
     def test_lag_past_the_program_costs_o_n(self):
         # A lag of 1e6 steps over a 1,000-step program: prepending the
-        # lag's zeros to the drive would take 16 MB. The run takes about
-        # 100 B a step whatever the lag; the bound allows twice that.
+        # lag's zeros to the drive would take 16 MB. Stepping the modes
+        # takes about 100 B a step whatever the lag; the bound allows
+        # twice that. The tip quadrature `simulate` adds after it does not
+        # depend on the lag.
         prog = build_program(ProgramSpec(
             duration_s=5.0, dt=0.005, amplitude_deg=20.0, frequency_hz=2.0))
         params = SimParams(phase_lag_s=5000.0)
         tracemalloc.start()
         try:
-            trace = simulate(prog, params)
+            steps = _step_modes(prog.theta_deg, prog.dt, params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 200 * len(prog.time)
+        trace = simulate(prog, params)
+        assert steps[0].tobytes() == trace.q.tobytes()
+        assert steps[1].tobytes() == trace.q_dot.tobytes()
         assert np.all(trace.q[:, 1] == 0.0) and np.any(trace.q[:, 0] != 0.0)
         q, qd, _, _ = reference_simulate(prog, params)
         assert trace.q.tobytes() == q.tobytes()
